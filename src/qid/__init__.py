@@ -9,7 +9,6 @@ conjugate sides obeys the counting bound implied by the Landau-Pollak
 uncertainty relation.
 """
 
-from ._kernels import backend, jacobi_eigh
 from .attacks import KINDS, AttackSpec, make_attack, natural_povms, standard_attacks
 from .channels import (
     QuantumChannel,

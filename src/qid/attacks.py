@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .channels import QuantumChannel, validate_channel
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .operators import basis_ket, ket_bra, permutation_matrix, tensor
 
 KINDS = (
@@ -29,6 +29,10 @@ KINDS = (
     "depolarize",
     "intercept_resend_angle",
 )
+
+# Largest complex128 Kraus set make_attack will build (depolarize at
+# N = 5 needs 512 MiB; at N = 6 it would need 16 GiB).
+MAX_KRAUS_BYTES = 1 << 30
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -135,6 +139,13 @@ def _single_qubit_kraus(kind: str, params: Mapping[str, float]) -> list[np.ndarr
 def make_attack(spec: AttackSpec) -> QuantumChannel:
     """Build and validate the N-qubit channel for an attack spec."""
     single = _single_qubit_kraus(spec.kind, spec.params)
+    out_dim, in_dim = single[0].shape
+    nbytes = len(single) ** spec.n * out_dim**spec.n * in_dim**spec.n * 16
+    if nbytes > MAX_KRAUS_BYTES:
+        raise CapacityError(
+            f"attack {spec.label()} at n={spec.n} needs {nbytes / 2**20:.0f} MiB "
+            f"of Kraus operators, over the {MAX_KRAUS_BYTES / 2**20:.0f} MiB limit"
+        )
     ops = single
     for _ in range(spec.n - 1):
         ops = [tensor(a, b) for a in ops for b in single]

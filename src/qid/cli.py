@@ -25,7 +25,7 @@ import numpy as np
 from .attacks import AttackSpec, make_attack
 from .channels import matrix_from_pairs
 from .errors import CapacityError, ConfigError, QidError
-from .operators import DECISION_TOL, SPECTRAL_TOL, STRUCTURAL_TOL
+from .operators import DECISION_TOL, STRUCTURAL_TOL
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
 from .tradeoff import (
@@ -70,7 +70,6 @@ def _fmt(value) -> str:
 @dataclass
 class Tolerances:
     structural: float = STRUCTURAL_TOL
-    spectral: float = SPECTRAL_TOL
     decision: float = DECISION_TOL
 
 
@@ -86,6 +85,23 @@ class ExperimentConfig:
     out_dir: str = "qid-out"
 
 
+# Every accepted key; anything else is a typo and raises ConfigError.
+CONFIG_KEYS = {
+    "n", "attacks", "c_offset", "dense_limit", "seed", "tolerances", "sweep", "outputs",
+}
+SECTION_KEYS = {
+    "tolerances": {"structural", "decision"},
+    "sweep": {"n_values"},
+    "outputs": {"dir"},
+}
+
+
+def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         data = json.loads(Path(path).read_text())
@@ -93,6 +109,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown(data, CONFIG_KEYS, "config")
+    for section, allowed in SECTION_KEYS.items():
+        sub = data.get(section, {})
+        if not isinstance(sub, dict):
+            raise ConfigError(f"'{section}' must be a JSON object")
+        _reject_unknown(sub, allowed, section)
     try:
         n = int(data["n"])
         raw_attacks = data["attacks"]
@@ -109,7 +131,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         tol_data = data.get("tolerances", {})
         tols = Tolerances(
             structural=float(tol_data.get("structural", STRUCTURAL_TOL)),
-            spectral=float(tol_data.get("spectral", SPECTRAL_TOL)),
             decision=float(tol_data.get("decision", DECISION_TOL)),
         )
         sweep = data.get("sweep", {})

@@ -16,8 +16,8 @@ import numpy as np
 from ._kernels import jacobi_eigh
 from .errors import CapacityError, DimensionError, ValidationError
 
-# Three tolerance tiers: representation-level checks, quantities that
-# passed through the iterative eigensolver, and distinguishability
+# Three tolerance tiers: representation-level checks, eigenvalues
+# computed by the Hermitian eigensolver, and distinguishability
 # decisions built on top of those.
 STRUCTURAL_TOL = 1e-10
 SPECTRAL_TOL = 1e-8
@@ -129,7 +129,7 @@ def operator_norm(a) -> float:
 def hermitian_eigensystem(a, tol: float = STRUCTURAL_TOL):
     """Descending eigenvalues and orthonormal eigenvector columns.
 
-    Dispatches to the cyclic Jacobi kernel; raises ``ValidationError``
+    Uses LAPACK through ``numpy.linalg.eigh``; raises ``ValidationError``
     when the input is not Hermitian within ``tol``.
     """
     a = as_matrix(a)

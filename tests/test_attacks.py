@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qid.attacks as attacks_mod
 from qid.attacks import (
     KINDS,
     AttackSpec,
@@ -11,7 +12,7 @@ from qid.attacks import (
     standard_attacks,
 )
 from qid.channels import validate_channel, vector_marginals
-from qid.errors import ValidationError
+from qid.errors import CapacityError, ValidationError
 from qid.protocol import encode
 
 
@@ -117,6 +118,20 @@ def test_every_attack_validates_up_to_three_qubits(channel):
         for spec in standard_attacks(n):
             report = validate_channel(channel(spec.kind, n), 1e-9)
             assert report.passed, (spec.label(), report.completeness_violation)
+
+
+def test_depolarize_at_six_qubits_raises_before_allocating():
+    # 4^6 Kraus operators of 4^6 x 2^6 complex entries would be 16 GiB.
+    with pytest.raises(CapacityError):
+        make_attack(AttackSpec("depolarize", 6, {"p": 0.5}))
+
+
+def test_kraus_byte_limit_is_inclusive(monkeypatch):
+    # depolarize at N = 2: 16 operators of 16 x 4 complex128 = 16 KiB.
+    monkeypatch.setattr(attacks_mod, "MAX_KRAUS_BYTES", 16 * 1024)
+    make_attack(AttackSpec("depolarize", 2, {"p": 0.5}))
+    with pytest.raises(CapacityError):
+        make_attack(AttackSpec("depolarize", 3, {"p": 0.5}))
 
 
 def test_standard_library_covers_all_kinds():

@@ -56,6 +56,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path / "cfg.json", attacks=[{"kind": "nope"}]))
 
+    def test_misspelled_top_level_key_exits_config(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", dense_limt=2)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_spectral_tolerance_key_exits_config(self, tmp_path):
+        # support projectors always use SPECTRAL_TOL, so the key was removed
+        cfg = write_config(tmp_path / "cfg.json", tolerances={"spectral": 1e-8})
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+
 
 class TestSimulate:
     def test_all_seven_attacks_exit_zero(self, tmp_path):
@@ -84,6 +93,16 @@ class TestSimulate:
             main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
             == EXIT_CAPACITY
         )
+
+    def test_oversized_kraus_set_exits_capacity(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            n=6,
+            attacks=[{"kind": "depolarize", "params": {"p": 0.5}}],
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
+        assert not out.exists()
 
     def test_missing_config_exits_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from qid._kernels import backend, jacobi_eigh
+from qid._kernels import jacobi_eigh
 
 from helpers import random_hermitian
-
-
-def test_backend_reports_a_name():
-    assert backend() in ("numba", "numpy")
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 33, 64])

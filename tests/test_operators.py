@@ -88,8 +88,8 @@ class TestOperatorNorm:
         assert abs(operator_norm(p) - 1.0) < 1e-12
 
     def test_agrees_with_eigensystem_route(self):
-        # Two independent algorithms: LAPACK SVD here, the in-repo
-        # Jacobi eigensolver on A^dag A as the cross-check.
+        # Two different LAPACK routines: SVD of A here, the Hermitian
+        # eigensolver on A^dag A as the cross-check.
         rng = np.random.default_rng(6)
         for _ in range(20):
             a = random_complex(rng, (7, 7))
