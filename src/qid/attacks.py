@@ -2,9 +2,9 @@
 
 Each attack interacts with every transmitted qubit independently and
 splits the result between Bob (B) and Eve (E), so an N-qubit attack is
-the N-fold tensor power of a single-qubit channel with the B and E
-factors regrouped afterwards.  The seven kinds cover both extremes of
-the information-disturbance trade-off plus tunable interpolations.
+the N-fold tensor power of a single-qubit channel, its outputs grouped
+as (B1..BN, E1..EN).  The seven kinds cover both extremes of the
+information-disturbance trade-off plus tunable interpolations.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import QuantumChannel, validate_channel
+from .channels import QuantumChannel, isometry_to_channel, validate_channel
 from .errors import CapacityError, ValidationError
-from .operators import basis_ket, ket_bra, permutation_matrix, tensor
+from .operators import MAX_DIM, basis_ket, ket_bra
+from .protocol import encode
 
 KINDS = (
     "identity",
@@ -105,8 +106,7 @@ def _cloner_kraus() -> list[np.ndarray]:
     v[0b111, 1] = a
     v[0b010, 1] = b
     v[0b100, 1] = b
-    blocks = v.reshape(4, 2, 2)
-    return [np.ascontiguousarray(blocks[:, k, :]) for k in range(2)]
+    return list(isometry_to_channel(v, (2,), (2,), (2,), env_dim=2).kraus)
 
 
 def _single_qubit_kraus(kind: str, params: Mapping[str, float]) -> list[np.ndarray]:
@@ -136,27 +136,34 @@ def _single_qubit_kraus(kind: str, params: Mapping[str, float]) -> list[np.ndarr
     raise ValidationError(f"unknown attack kind {kind!r}")
 
 
+def _tensor_power(single: np.ndarray, n: int) -> np.ndarray:
+    """N-fold tensor power of a (k, 4, 2) Kraus stack, outputs ordered (B1..BN, E1..EN).
+
+    Broadcasting axes (kraus, b, e, a) keeps them grouped (k1..kN, b1..bN, e1..eN, a1..aN),
+    first qubit slowest.  No caller keeps the result, so it is freed once the channel copies it.
+    """
+    s = single.reshape(-1, 2, 2, 2)
+    out = s
+    for _ in range(n - 1):
+        k, b, e, a = out.shape
+        grown = out[:, None, :, None, :, None, :, None] * s[:, None, :, None, :, None, :]
+        out = grown.reshape(k * len(s), b * 2, e * 2, a * 2)
+    return out.reshape(len(out), -1, out.shape[-1])
+
+
 def make_attack(spec: AttackSpec) -> QuantumChannel:
     """Build and validate the N-qubit channel for an attack spec."""
-    single = _single_qubit_kraus(spec.kind, spec.params)
-    out_dim, in_dim = single[0].shape
-    nbytes = len(single) ** spec.n * out_dim**spec.n * in_dim**spec.n * 16
-    if nbytes > MAX_KRAUS_BYTES:
+    single = np.array(_single_qubit_kraus(spec.kind, spec.params))
+    count, out_dim, in_dim = single.shape
+    nbytes = count**spec.n * out_dim**spec.n * in_dim**spec.n * 16
+    side = out_dim**spec.n
+    if nbytes > MAX_KRAUS_BYTES or side > MAX_DIM:
         raise CapacityError(
-            f"attack {spec.label()} at n={spec.n} needs {nbytes / 2**20:.0f} MiB "
-            f"of Kraus operators, over the {MAX_KRAUS_BYTES / 2**20:.0f} MiB limit"
+            f"attack {spec.label()} at n={spec.n}: {nbytes / 2**20:.0f} MiB of Kraus operators, "
+            f"output side {side}; limits {MAX_KRAUS_BYTES / 2**20:.0f} MiB and {MAX_DIM} per side"
         )
-    ops = single
-    for _ in range(spec.n - 1):
-        ops = [tensor(a, b) for a in ops for b in single]
-    if spec.n > 1:
-        # Tensor powers interleave the per-qubit outputs as
-        # (b1, e1, b2, e2, ...); regroup them as (b1..bn, e1..en).
-        perm = [2 * i for i in range(spec.n)] + [2 * i + 1 for i in range(spec.n)]
-        p = permutation_matrix((2,) * (2 * spec.n), perm)
-        ops = [p @ k for k in ops]
     ch = QuantumChannel(
-        kraus=tuple(ops),
+        kraus=_tensor_power(single, spec.n),
         in_dims=(2,) * spec.n,
         out_dims_b=(2,) * spec.n,
         out_dims_e=(2,) * spec.n,
@@ -184,16 +191,8 @@ def standard_attacks(n: int) -> list[AttackSpec]:
     ]
 
 
-def _basis_pvm(n: int, conjugate: bool) -> list[np.ndarray]:
-    kets = [_xbar(0), _xbar(1)] if conjugate else [_ket(0), _ket(1)]
-    out = []
-    for idx in range(2**n):
-        v = np.ones(1, dtype=np.complex128)
-        for pos in range(n):
-            bit = (idx >> (n - 1 - pos)) & 1
-            v = np.kron(v, kets[bit])
-        out.append(ket_bra(v))
-    return out
+def _basis_pvm(n: int, basis: str) -> list[np.ndarray]:
+    return [ket_bra(encode(idx, basis, n)) for idx in range(2**n)]
 
 
 def natural_povms(spec: AttackSpec):
@@ -203,6 +202,6 @@ def natural_povms(spec: AttackSpec):
     record (computational basis) except for the universal cloner, where
     her clone carries conjugate-basis information.
     """
-    bob = _basis_pvm(spec.n, conjugate=False)
-    eve = _basis_pvm(spec.n, conjugate=spec.kind == "universal_cloner")
+    bob = _basis_pvm(spec.n, "Z")
+    eve = _basis_pvm(spec.n, "X" if spec.kind == "universal_cloner" else "Z")
     return bob, eve

@@ -13,19 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .operators import DensityOperator, as_matrix, dagger, _freeze
+from .operators import DensityOperator, as_matrix, dagger
 
 
 @dataclass(frozen=True)
 class QuantumChannel:
     """Kraus-form channel with labeled output splitting H_B (x) H_E.
 
+    ``kraus`` is one read-only complex128 array of shape (K, out, in),
+    stacked on construction from any sequence of Kraus matrices.
     Construction checks shape coherence only; Kraus completeness is a
     separate, reportable property (see ``validate_channel``) so that
     deliberately broken channels can be built for negative tests.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     in_dims: tuple[int, ...]
     out_dims_b: tuple[int, ...]
     out_dims_e: tuple[int, ...]
@@ -37,14 +39,19 @@ class QuantumChannel:
         out_e = tuple(int(d) for d in self.out_dims_e)
         if any(d < 2 for d in in_dims + out_b + out_e):
             raise DimensionError("subsystem dimensions must be >= 2")
-        in_dim = math.prod(in_dims)
-        out_dim = math.prod(out_b) * math.prod(out_e)
-        ops = tuple(_freeze(as_matrix(k)) for k in self.kraus)
-        for k in ops:
-            if k.shape != (out_dim, in_dim):
-                raise DimensionError(
-                    f"Kraus operator shape {k.shape} != ({out_dim}, {in_dim})"
-                )
+        shape = (math.prod(out_b) * math.prod(out_e), math.prod(in_dims))
+        try:
+            finite = np.isfinite(self.kraus).all()  # before the copy: less peak memory
+            ops = np.array(self.kraus, dtype=np.complex128)
+        except ValueError as exc:
+            raise DimensionError(f"Kraus operators differ in shape: {exc}") from exc
+        if ops.size == 0:
+            ops = ops.reshape((0,) + shape)  # an empty sequence stacks to shape (0,)
+        if ops.ndim != 3 or ops.shape[1:] != shape:
+            raise DimensionError(f"Kraus stack shape {ops.shape} != (K, {shape[0]}, {shape[1]})")
+        if not finite:
+            raise ValidationError("Kraus operators have non-finite entries")
+        ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims_b", out_b)
@@ -80,11 +87,8 @@ class ChannelReport:
 
 def validate_channel(ch: QuantumChannel, tol: float = 1e-9) -> ChannelReport:
     """Check Kraus completeness sum(K^dag K) = 1 within ``tol``."""
-    if not ch.kraus:
-        return ChannelReport(passed=False, completeness_violation=float("inf"), n_kraus=0)
-    acc = np.zeros((ch.in_dim, ch.in_dim), dtype=np.complex128)
-    for k in ch.kraus:
-        acc += dagger(k) @ k
+    m = ch.kraus.reshape(-1, ch.in_dim)  # stacked vertically: sum(K^dag K) = m^dag m
+    acc = m.conj().T @ m
     dev = float(np.max(np.abs(acc - np.eye(ch.in_dim))))
     return ChannelReport(passed=dev <= tol, completeness_violation=dev, n_kraus=len(ch.kraus))
 
@@ -99,42 +103,40 @@ def apply_channel(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
 
 def apply_channel_raw(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix, without output validation."""
-    mat = as_matrix(mat)
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=np.complex128)
-    for k in ch.kraus:
-        out += k @ mat @ dagger(k)
-    return out
+    images = ch.kraus @ as_matrix(mat)
+    return np.tensordot(images, ch.kraus.conj(), axes=([0, 2], [0, 2]))
+
+
+def _kraus_images(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
+    """The vectors K_k |psi> as the rows of a (K, out_dim) array."""
+    psi = np.asarray(psi, dtype=np.complex128).ravel()
+    if psi.size != ch.in_dim:
+        raise DimensionError(f"vector dim {psi.size} != channel input dim {ch.in_dim}")
+    return (ch.kraus.reshape(-1, ch.in_dim) @ psi).reshape(len(ch.kraus), ch.out_dim)
+
+
+def apply_channel_to_vector_raw(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
+    """Raw output matrix sum_k K_k |psi><psi| K_k^dag, without validation."""
+    w = _kraus_images(ch, psi)
+    return w.T @ w.conj()
 
 
 def apply_channel_to_vector(ch: QuantumChannel, psi: np.ndarray) -> DensityOperator:
     """Channel action on a pure input |psi><psi| (cheaper than the dense path)."""
-    psi = np.asarray(psi, dtype=np.complex128).ravel()
-    if psi.size != ch.in_dim:
-        raise DimensionError(f"vector dim {psi.size} != channel input dim {ch.in_dim}")
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=np.complex128)
-    for k in ch.kraus:
-        w = k @ psi
-        out += np.outer(w, np.conj(w))
-    return DensityOperator(out, ch.out_dims)
+    return DensityOperator(apply_channel_to_vector_raw(ch, psi), ch.out_dims)
 
 
 def vector_marginals(ch: QuantumChannel, psi: np.ndarray):
     """B and E marginals of the channel output for a pure input vector.
 
     Avoids materializing the full B (x) E output: each Kraus image is
-    reshaped to a (dim_B, dim_E) amplitude block W, for which
-    tr_E = W W^dag and tr_B = W^T conj(W).
+    reshaped to a (dim_B, dim_E) amplitude block W_k, for which
+    tr_E = sum_k W_k W_k^dag and tr_B = sum_k W_k^T conj(W_k).
     """
-    psi = np.asarray(psi, dtype=np.complex128).ravel()
-    if psi.size != ch.in_dim:
-        raise DimensionError(f"vector dim {psi.size} != channel input dim {ch.in_dim}")
-    db, de = ch.dim_b, ch.dim_e
-    rho_b = np.zeros((db, db), dtype=np.complex128)
-    rho_e = np.zeros((de, de), dtype=np.complex128)
-    for k in ch.kraus:
-        w = (k @ psi).reshape(db, de)
-        rho_b += w @ np.conj(w).T
-        rho_e += w.T @ np.conj(w)
+    w = _kraus_images(ch, psi).reshape(-1, ch.dim_b, ch.dim_e)
+    wc = w.conj()
+    rho_b = np.tensordot(w, wc, axes=([0, 2], [0, 2]))
+    rho_e = np.tensordot(w, wc, axes=([0, 1], [0, 1]))
     return rho_b, rho_e
 
 
@@ -149,9 +151,9 @@ def isometry_to_channel(
 ) -> QuantumChannel:
     """Channel from an isometry V: H_A -> H_B (x) H_E (x) H_env.
 
-    When ``env_dim`` is 1 the result is the single-Kraus channel V;
-    otherwise the environment (last tensor factor) is traced out and
-    the Kraus operators are the environment-basis slices <e_k| V.
+    The environment (last tensor factor) is traced out: the Kraus
+    operators are the environment-basis slices <e_k| V, so ``env_dim``
+    of 1 gives the single-Kraus channel V.
     """
     v = as_matrix(v)
     in_dims = tuple(int(d) for d in in_dims)
@@ -164,13 +166,8 @@ def isometry_to_channel(
     dev = float(np.max(np.abs(dagger(v) @ v - np.eye(in_dim))))
     if dev > tol:
         raise ValidationError(f"not an isometry: max |V^dag V - 1| = {dev:.3e}")
-    if env_dim == 1:
-        ops = [v]
-    else:
-        blocks = v.reshape(out_dim, env_dim, in_dim)
-        ops = [np.ascontiguousarray(blocks[:, k, :]) for k in range(env_dim)]
     return QuantumChannel(
-        kraus=tuple(ops),
+        kraus=v.reshape(out_dim, env_dim, in_dim).transpose(1, 0, 2),
         in_dims=in_dims,
         out_dims_b=tuple(out_dims_b),
         out_dims_e=tuple(out_dims_e),

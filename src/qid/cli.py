@@ -102,6 +102,14 @@ def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
+def _integer(value, key: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{key}' must be an integer (not a float or bool), got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"'{key}' must be >= {minimum}, got {value}")
+    return value
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         data = json.loads(Path(path).read_text())
@@ -116,7 +124,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"'{section}' must be a JSON object")
         _reject_unknown(sub, allowed, section)
     try:
-        n = int(data["n"])
+        n = _integer(data["n"], "n", 1)
         raw_attacks = data["attacks"]
         if not isinstance(raw_attacks, list) or not raw_attacks:
             raise ConfigError("config needs a nonempty 'attacks' list")
@@ -134,21 +142,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
             decision=float(tol_data.get("decision", DECISION_TOL)),
         )
         sweep = data.get("sweep", {})
-        sweep_n = tuple(int(v) for v in sweep.get("n_values", []))
+        sweep_n = tuple(_integer(v, "n_values", 1) for v in sweep.get("n_values", []))
         cfg = ExperimentConfig(
             n=n,
             attacks=attacks,
-            c_offset=int(data.get("c_offset", 0)),
-            dense_limit=int(data.get("dense_limit", DENSE_THETA_LIMIT)),
-            seed=int(data.get("seed", 0)),
+            c_offset=_integer(data.get("c_offset", 0), "c_offset"),
+            dense_limit=_integer(data.get("dense_limit", DENSE_THETA_LIMIT), "dense_limit"),
+            seed=_integer(data.get("seed", 0), "seed"),
             tolerances=tols,
             sweep_n=sweep_n,
             out_dir=str(data.get("outputs", {}).get("dir", "qid-out")),
         )
     except (KeyError, TypeError, ValueError, QidError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    if cfg.n < 1:
-        raise ConfigError("n must be >= 1")
+    # A label does not depend on n, so equal labels collide at every swept n.
+    labels = [spec.label() for spec in cfg.attacks]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        raise ConfigError(f"attacks share artifact names: {', '.join(shared)}")
     return cfg
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .channels import (
     QuantumChannel,
     apply_channel_to_vector,
+    apply_channel_to_vector_raw,
     validate_channel,
     vector_marginals,
 )
@@ -72,11 +73,7 @@ def epr_state(n: int) -> np.ndarray:
     if 4**n > 4096:
         raise CapacityError(f"EPR register of {2 * n} qubits exceeds the dense limit")
     dim = 2**n
-    v = np.zeros(dim * dim, dtype=np.complex128)
-    amp = 1.0 / math.sqrt(dim)
-    for z in range(dim):
-        v[z * dim + z] = amp
-    return v
+    return np.eye(dim, dtype=np.complex128).ravel() / math.sqrt(dim)
 
 
 @dataclass(frozen=True)
@@ -152,12 +149,10 @@ def theta_matrix(channel: QuantumChannel, force: bool = False) -> np.ndarray:
         )
     dim_a = 2**n
     phi = epr_state(n).reshape(dim_a, dim_a)
-    out_dim = channel.out_dim
-    theta = np.zeros((dim_a * out_dim, dim_a * out_dim), dtype=np.complex128)
-    for k in channel.kraus:
-        w = (phi @ k.T).ravel()
-        theta += np.outer(w, np.conj(w))
-    return theta
+    # Row k of w is the vector (1 (x) K_k)|phi>, so theta = sum_k w_k w_k^dag.
+    images = phi @ channel.kraus.transpose(0, 2, 1)
+    w = images.reshape(len(channel.kraus), dim_a * channel.out_dim)
+    return w.T @ w.conj()
 
 
 def global_state_theta(inst: ProtocolInstance, force: bool = False) -> DensityOperator:
@@ -243,10 +238,7 @@ def equivalence_check(
             probe = encode(msg, basis, n)
             prob, block = _project_aposteriori(theta, probe, channel.out_dim)
             max_prob = max(max_prob, abs(prob - uniform))
-            ref = np.zeros((channel.out_dim, channel.out_dim), dtype=np.complex128)
-            for k in channel.kraus:
-                w = k @ probe
-                ref += np.outer(w, np.conj(w))
+            ref = apply_channel_to_vector_raw(channel, probe)
             if prob > 0.0:
                 max_state = max(max_state, float(np.max(np.abs(block / prob - ref))))
             else:

@@ -13,6 +13,7 @@ from qid.attacks import (
 )
 from qid.channels import validate_channel, vector_marginals
 from qid.errors import CapacityError, ValidationError
+from qid.operators import permutation_matrix, tensor
 from qid.protocol import encode
 
 
@@ -126,12 +127,52 @@ def test_depolarize_at_six_qubits_raises_before_allocating():
         make_attack(AttackSpec("depolarize", 6, {"p": 0.5}))
 
 
+@pytest.mark.parametrize("kind", ["identity", "cnot_probe"])
+def test_output_side_over_dense_limit_raises_before_allocating(kind, monkeypatch):
+    # At N = 7 the Kraus set is only 32 MiB, but its 4^7 output rows exceed
+    # MAX_DIM = 4096; N = 6 sits exactly at the limit and still builds.
+    assert make_attack(AttackSpec(kind, 6)).out_dim == 4096
+
+    def no_build(*args):
+        raise AssertionError("Kraus tensor power built before the capacity check")
+
+    monkeypatch.setattr(attacks_mod, "_tensor_power", no_build)
+    with pytest.raises(CapacityError):
+        make_attack(AttackSpec(kind, 7))
+
+
 def test_kraus_byte_limit_is_inclusive(monkeypatch):
     # depolarize at N = 2: 16 operators of 16 x 4 complex128 = 16 KiB.
     monkeypatch.setattr(attacks_mod, "MAX_KRAUS_BYTES", 16 * 1024)
     make_attack(AttackSpec("depolarize", 2, {"p": 0.5}))
     with pytest.raises(CapacityError):
         make_attack(AttackSpec("depolarize", 3, {"p": 0.5}))
+
+
+def kron_then_regroup(spec):
+    """Reference Kraus set: tensor power by Kronecker products, then a permutation.
+
+    Kronecker products interleave the per-qubit outputs as (b1, e1, b2, e2, ...);
+    a permutation matrix regroups them as (b1..bn, e1..en).
+    """
+    single = attacks_mod._single_qubit_kraus(spec.kind, spec.params)
+    ops = single
+    for _ in range(spec.n - 1):
+        ops = [tensor(a, b) for a in ops for b in single]
+    if spec.n > 1:
+        perm = [2 * i for i in range(spec.n)] + [2 * i + 1 for i in range(spec.n)]
+        p = permutation_matrix((2,) * (2 * spec.n), perm)
+        ops = [p @ k for k in ops]
+    return np.array(ops)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", KINDS)
+def test_broadcast_tensor_power_matches_kron_then_regroup(kind, n, attack_spec, channel):
+    expected = kron_then_regroup(attack_spec(kind, n))
+    got = channel(kind, n).kraus
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
 def test_standard_library_covers_all_kinds():

@@ -4,6 +4,8 @@ import pytest
 from qid.channels import (
     QuantumChannel,
     apply_channel,
+    apply_channel_to_vector,
+    apply_channel_to_vector_raw,
     channel_from_dict,
     channel_to_dict,
     isometry_to_channel,
@@ -14,8 +16,9 @@ from qid.channels import (
 )
 from qid.errors import DimensionError, ValidationError
 from qid.operators import DensityOperator, basis_ket, ket_bra, tensor
+from qid.protocol import encode, epr_state, equivalence_check, theta_matrix
 
-from helpers import random_density
+from helpers import random_complex, random_density, random_isometry_channel
 
 CHANNEL_TOL = 1e-9
 
@@ -193,3 +196,91 @@ def test_vector_marginals_match_full_output(channel):
     b, e = vector_marginals(ch, psi)
     np.testing.assert_allclose(full.ptrace([0, 1]).mat, b, atol=1e-12)
     np.testing.assert_allclose(full.ptrace([2, 3]).mat, e, atol=1e-12)
+
+
+@pytest.fixture(params=["universal_cloner", "random_isometry"])
+def stacked(request, channel):
+    """A library channel and a random one with three Kraus operators of shape 6 x 4."""
+    if request.param == "universal_cloner":
+        return channel("universal_cloner", 2)
+    return random_isometry_channel(np.random.default_rng(38))
+
+
+class TestStackedKraus:
+    """Every Kraus contraction against the explicit sum over the operators."""
+
+    def test_kraus_is_one_read_only_stack(self, stacked):
+        k = stacked.kraus
+        assert k.dtype == np.complex128
+        assert k.shape == (len(k), stacked.out_dim, stacked.in_dim)
+        with pytest.raises(ValueError):
+            k[0, 0, 0] = 1.0
+
+    def test_list_input_is_stacked_and_copied(self, stacked):
+        ops = [np.array(k) for k in stacked.kraus]
+        ch = QuantumChannel(ops, stacked.in_dims, stacked.out_dims_b, stacked.out_dims_e)
+        ops[0][0, 0] += 1.0
+        np.testing.assert_array_equal(ch.kraus, stacked.kraus)
+
+    def test_ragged_or_non_finite_input_is_rejected(self, stacked):
+        dims = (stacked.in_dims, stacked.out_dims_b, stacked.out_dims_e)
+        with pytest.raises(DimensionError):
+            QuantumChannel([stacked.kraus[0], stacked.kraus[0][:, :2]], *dims)
+        broken = np.array(stacked.kraus)
+        broken[-1, 0, 0] = np.nan
+        with pytest.raises(ValidationError):
+            QuantumChannel(broken, *dims)
+
+    def test_validate_channel(self, stacked):
+        weights = np.linspace(0.9, 1.1, len(stacked.kraus))[:, None, None]
+        bad = QuantumChannel(
+            stacked.kraus * weights, stacked.in_dims, stacked.out_dims_b, stacked.out_dims_e
+        )
+        acc = sum(k.conj().T @ k for k in bad.kraus)
+        expected = np.max(np.abs(acc - np.eye(bad.in_dim)))
+        report = validate_channel(bad)
+        assert not report.passed
+        assert abs(report.completeness_violation - expected) < 1e-14
+
+    def test_apply_channel(self, stacked):
+        rho = random_density(np.random.default_rng(39), stacked.in_dim)
+        expected = sum(k @ rho @ k.conj().T for k in stacked.kraus)
+        out = apply_channel(stacked, DensityOperator(rho, stacked.in_dims))
+        np.testing.assert_allclose(out.mat, expected, rtol=0, atol=1e-14)
+
+    def test_apply_channel_to_vector(self, stacked):
+        psi = random_complex(np.random.default_rng(40), stacked.in_dim)
+        psi /= np.linalg.norm(psi)
+        expected = sum(np.outer(k @ psi, np.conj(k @ psi)) for k in stacked.kraus)
+        np.testing.assert_allclose(
+            apply_channel_to_vector_raw(stacked, psi), expected, rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(
+            apply_channel_to_vector(stacked, psi).mat, expected, rtol=0, atol=1e-14
+        )
+
+    def test_vector_marginals(self, stacked):
+        psi = random_complex(np.random.default_rng(41), stacked.in_dim)
+        psi /= np.linalg.norm(psi)
+        blocks = [(k @ psi).reshape(stacked.dim_b, stacked.dim_e) for k in stacked.kraus]
+        rho_b, rho_e = vector_marginals(stacked, psi)
+        np.testing.assert_allclose(rho_b, sum(w @ w.conj().T for w in blocks), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rho_e, sum(w.T @ w.conj() for w in blocks), rtol=0, atol=1e-14)
+
+    def test_theta_matrix(self, stacked):
+        n = len(stacked.in_dims)
+        phi = epr_state(n).reshape(2**n, 2**n)
+        vecs = [(phi @ k.T).ravel() for k in stacked.kraus]
+        expected = sum(np.outer(w, np.conj(w)) for w in vecs)
+        np.testing.assert_allclose(theta_matrix(stacked), expected, rtol=0, atol=1e-14)
+
+    def test_equivalence_check_reference(self, stacked):
+        n = len(stacked.in_dims)
+        for basis in ("Z", "X"):
+            for msg in range(2**n):
+                probe = encode(msg, basis, n)
+                expected = sum(np.outer(k @ probe, np.conj(k @ probe)) for k in stacked.kraus)
+                np.testing.assert_allclose(
+                    apply_channel_to_vector_raw(stacked, probe), expected, rtol=0, atol=1e-14
+                )
+        assert equivalence_check(stacked).passed

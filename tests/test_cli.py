@@ -66,6 +66,36 @@ class TestConfig:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n": 1.9},
+            {"sweep": {"n_values": [0, 1]}},
+            {"sweep": {"n_values": [1, 2.0]}},
+            {"c_offset": 0.5},
+            {"dense_limit": True},
+            {"seed": "11"},
+        ],
+        ids=["n_float", "n_values_below_one", "n_values_float", "c_offset", "dense_limit", "seed"],
+    )
+    def test_bad_integer_exits_config(self, tmp_path, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_colliding_artifact_names_exit_config(self, tmp_path):
+        # Both labels format as depolarize_p0.123456, so one job would overwrite the other.
+        attacks = [
+            {"kind": "depolarize", "params": {"p": 0.1234561}},
+            {"kind": "depolarize", "params": {"p": 0.1234564}},
+        ]
+        cfg = write_config(tmp_path / "cfg.json", attacks=attacks)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_all_seven_attacks_exit_zero(self, tmp_path):
         all_attacks = [
@@ -100,6 +130,13 @@ class TestSimulate:
             n=6,
             attacks=[{"kind": "depolarize", "params": {"p": 0.5}}],
         )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
+        assert not out.exists()
+
+    def test_output_side_over_dense_limit_exits_capacity(self, tmp_path):
+        # identity at N = 7 has 4^7 output rows, over the 4096 dense limit
+        cfg = write_config(tmp_path / "cfg.json", n=7, attacks=[{"kind": "identity"}])
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
         assert not out.exists()
