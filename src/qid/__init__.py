@@ -9,8 +9,17 @@ conjugate sides obeys the counting bound implied by the Landau-Pollak
 uncertainty relation.
 """
 
-from .attacks import KINDS, AttackSpec, make_attack, natural_povms, standard_attacks
+from .attacks import (
+    KINDS,
+    AttackSpec,
+    dense_channel,
+    make_attack,
+    natural_povms,
+    product_attack,
+    standard_attacks,
+)
 from .channels import (
+    ProductChannel,
     QuantumChannel,
     apply_channel,
     apply_channel_to_vector,

@@ -16,7 +16,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import QuantumChannel, isometry_to_channel, validate_channel
+from .channels import (
+    ProductChannel,
+    QuantumChannel,
+    isometry_to_channel,
+    kron_power,
+    validate_channel,
+)
 from .errors import CapacityError, ValidationError
 from .operators import MAX_DIM, basis_ket, ket_bra
 from .protocol import encode
@@ -31,7 +37,7 @@ KINDS = (
     "intercept_resend_angle",
 )
 
-# Largest complex128 Kraus set make_attack will build (depolarize at
+# Largest complex128 Kraus set dense_channel will build (depolarize at
 # N = 5 needs 512 MiB; at N = 6 it would need 16 GiB).
 MAX_KRAUS_BYTES = 1 << 30
 
@@ -136,39 +142,54 @@ def _single_qubit_kraus(kind: str, params: Mapping[str, float]) -> list[np.ndarr
     raise ValidationError(f"unknown attack kind {kind!r}")
 
 
-def _tensor_power(single: np.ndarray, n: int) -> np.ndarray:
-    """N-fold tensor power of a (k, 4, 2) Kraus stack, outputs ordered (B1..BN, E1..EN).
+def _tensor_power(factor: QuantumChannel, n: int) -> np.ndarray:
+    """N-fold tensor power of a one-qubit Kraus stack, outputs ordered (B1..BN, E1..EN).
 
     Broadcasting axes (kraus, b, e, a) keeps them grouped (k1..kN, b1..bN, e1..eN, a1..aN),
     first qubit slowest.  No caller keeps the result, so it is freed once the channel copies it.
     """
-    s = single.reshape(-1, 2, 2, 2)
-    out = s
-    for _ in range(n - 1):
-        k, b, e, a = out.shape
-        grown = out[:, None, :, None, :, None, :, None] * s[:, None, :, None, :, None, :]
-        out = grown.reshape(k * len(s), b * 2, e * 2, a * 2)
+    out = kron_power(factor.kraus.reshape(-1, factor.dim_b, factor.dim_e, factor.in_dim), n)
     return out.reshape(len(out), -1, out.shape[-1])
 
 
-def make_attack(spec: AttackSpec) -> QuantumChannel:
-    """Build and validate the N-qubit channel for an attack spec."""
-    single = np.array(_single_qubit_kraus(spec.kind, spec.params))
-    count, out_dim, in_dim = single.shape
-    nbytes = count**spec.n * out_dim**spec.n * in_dim**spec.n * 16
-    side = out_dim**spec.n
-    if nbytes > MAX_KRAUS_BYTES or side > MAX_DIM:
-        raise CapacityError(
-            f"attack {spec.label()} at n={spec.n}: {nbytes / 2**20:.0f} MiB of Kraus operators, "
-            f"output side {side}; limits {MAX_KRAUS_BYTES / 2**20:.0f} MiB and {MAX_DIM} per side"
-        )
-    ch = QuantumChannel(
-        kraus=_tensor_power(single, spec.n),
-        in_dims=(2,) * spec.n,
-        out_dims_b=(2,) * spec.n,
-        out_dims_e=(2,) * spec.n,
+def product_attack(spec: AttackSpec) -> ProductChannel:
+    """The attack as its one-qubit channel and qubit count; no N-qubit Kraus stack is built."""
+    factor = QuantumChannel(
+        kraus=_single_qubit_kraus(spec.kind, spec.params),
+        in_dims=(2,),
+        out_dims_b=(2,),
+        out_dims_e=(2,),
         name=spec.label(),
     )
+    return ProductChannel(factor, spec.n, spec.label())
+
+
+def dense_channel(product: ProductChannel) -> QuantumChannel:
+    """N-qubit Kraus form of a product channel: the dense oracle.
+
+    Raises ``CapacityError`` before allocating when the stack would
+    exceed ``MAX_KRAUS_BYTES`` or an output side would exceed ``MAX_DIM``.
+    """
+    factor, n = product.factor, product.n
+    nbytes = len(factor.kraus) ** n * factor.out_dim**n * factor.in_dim**n * 16
+    if nbytes > MAX_KRAUS_BYTES or product.out_dim > MAX_DIM:
+        raise CapacityError(
+            f"attack {product.name} at n={n}: {nbytes / 2**20:.0f} MiB of Kraus operators, "
+            f"output side {product.out_dim}; limits {MAX_KRAUS_BYTES / 2**20:.0f} MiB "
+            f"and {MAX_DIM} per side"
+        )
+    return QuantumChannel(
+        kraus=_tensor_power(factor, n),
+        in_dims=product.in_dims,
+        out_dims_b=product.out_dims_b,
+        out_dims_e=product.out_dims_e,
+        name=product.name,
+    )
+
+
+def make_attack(spec: AttackSpec) -> QuantumChannel:
+    """Build and validate the N-qubit Kraus form of an attack spec."""
+    ch = dense_channel(product_attack(spec))
     report = validate_channel(ch, 1e-9)
     if not report.passed:
         raise ValidationError(

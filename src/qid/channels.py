@@ -16,8 +16,32 @@ from .errors import DimensionError, ValidationError
 from .operators import DensityOperator, as_matrix, dagger
 
 
+class _SplitSizes:
+    """Sizes derived from a channel's ``in_dims``, ``out_dims_b`` and ``out_dims_e``."""
+
+    @property
+    def in_dim(self) -> int:
+        return math.prod(self.in_dims)
+
+    @property
+    def dim_b(self) -> int:
+        return math.prod(self.out_dims_b)
+
+    @property
+    def dim_e(self) -> int:
+        return math.prod(self.out_dims_e)
+
+    @property
+    def out_dims(self) -> tuple[int, ...]:
+        return self.out_dims_b + self.out_dims_e
+
+    @property
+    def out_dim(self) -> int:
+        return self.dim_b * self.dim_e
+
+
 @dataclass(frozen=True)
-class QuantumChannel:
+class QuantumChannel(_SplitSizes):
     """Kraus-form channel with labeled output splitting H_B (x) H_E.
 
     ``kraus`` is one read-only complex128 array of shape (K, out, in),
@@ -57,25 +81,52 @@ class QuantumChannel:
         object.__setattr__(self, "out_dims_b", out_b)
         object.__setattr__(self, "out_dims_e", out_e)
 
-    @property
-    def in_dim(self) -> int:
-        return math.prod(self.in_dims)
+
+@dataclass(frozen=True)
+class ProductChannel(_SplitSizes):
+    """The ``n``-fold tensor power of a one-qubit channel ``factor``.
+
+    Only the factor is stored.  Outputs are grouped (B1..Bn, E1..En)
+    like the N-qubit Kraus form, whose stack grows as K^n (out*in)^n and
+    is only materialized as the dense oracle (``attacks.dense_channel``).
+    """
+
+    factor: QuantumChannel
+    n: int
+    name: str = ""
+
+    def __post_init__(self):
+        if self.factor.in_dims != (2,):
+            raise DimensionError(f"product factor must act on one qubit, got {self.factor.in_dims}")
+        if self.n < 1:
+            raise DimensionError("product channel needs n >= 1 factors")
 
     @property
-    def dim_b(self) -> int:
-        return math.prod(self.out_dims_b)
+    def in_dims(self) -> tuple[int, ...]:
+        return self.factor.in_dims * self.n
 
     @property
-    def dim_e(self) -> int:
-        return math.prod(self.out_dims_e)
+    def out_dims_b(self) -> tuple[int, ...]:
+        return self.factor.out_dims_b * self.n
 
     @property
-    def out_dims(self) -> tuple[int, ...]:
-        return self.out_dims_b + self.out_dims_e
+    def out_dims_e(self) -> tuple[int, ...]:
+        return self.factor.out_dims_e * self.n
 
-    @property
-    def out_dim(self) -> int:
-        return self.dim_b * self.dim_e
+
+def kron_power(stack: np.ndarray, n: int) -> np.ndarray:
+    """Every n-fold Kronecker product of the members of ``stack``, in one broadcast.
+
+    ``stack`` has shape (k, d1, .., dm); the result has shape
+    (k^n, d1^n, .., dm^n) and entry i1..in (first factor slowest) is the
+    Kronecker product of members i1..in taken axis by axis.
+    """
+    out = stack
+    for _ in range(n - 1):
+        grown = out.reshape([x for d in out.shape for x in (d, 1)])
+        grown = grown * stack.reshape([x for d in stack.shape for x in (1, d)])
+        out = grown.reshape([a * b for a, b in zip(out.shape, stack.shape)])
+    return out
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackSpec, make_attack
+from .attacks import AttackSpec, product_attack
 from .channels import matrix_from_pairs
 from .errors import CapacityError, ConfigError, QidError
 from .operators import DECISION_TOL, STRUCTURAL_TOL
@@ -266,7 +266,7 @@ def _profile_csv(report: TradeoffReport) -> str:
 def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -> bool:
     """Run one (n, attack) experiment, write artifacts, return all-hold."""
     spec = AttackSpec(kind=spec.kind, n=n, params=dict(spec.params))
-    inst = ProtocolInstance.from_channel(make_attack(spec))
+    inst = ProtocolInstance.from_channel(product_attack(spec))
     dense = n <= cfg.dense_limit
     report = verify_tradeoff(
         inst,
@@ -284,7 +284,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -
             "max_state_deviation": eq.max_state_deviation,
             "passed": eq.passed,
         }
-        theta = theta_matrix(inst.channel)
+        theta = theta_matrix(inst.kraus_channel)
         cat_b, cat_e = catalogues_for(inst, cfg.tolerances.decision)
         expectation = []
         for cat in (cat_b, cat_e):

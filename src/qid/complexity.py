@@ -317,7 +317,7 @@ def expectation_identity_check(
     lhs_dense = None
     if dense:
         if theta is None:
-            theta = theta_matrix(inst.channel)
+            theta = theta_matrix(inst.kraus_channel)
         cum = cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e)
         lhs_dense = float(np.trace(theta @ cum.dense()).real)
     return ExpectationCheck(l=l, lhs=lhs, lhs_dense=lhs_dense, rhs=rhs, tol=tol)

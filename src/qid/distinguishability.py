@@ -62,10 +62,11 @@ def support_projector(rho: DensityOperator, tol: float = SPECTRAL_TOL) -> Projec
 
 
 def _overlap_table(states: Sequence[DensityOperator], supports: Sequence[Projector]) -> np.ndarray:
-    rho = np.stack([s.mat for s in states])
-    proj = np.stack([p.mat for p in supports])
-    # ov[i, j] = tr(rho_i P_j); real for Hermitian operands.
-    return np.einsum("iab,jba->ij", rho, proj).real
+    # ov[i, j] = tr(rho_i P_j) = sum(rho_i * P_j^T), one product over flattened
+    # matrices; real for Hermitian operands.
+    rho = np.stack([s.mat for s in states]).reshape(len(states), -1)
+    proj = np.stack([p.mat.T for p in supports]).reshape(len(supports), -1)
+    return (rho @ proj.T).real
 
 
 def perfectly_distinguishable(

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Literal
 
 import numpy as np
 
 from .channels import (
+    ProductChannel,
     QuantumChannel,
     apply_channel_to_vector,
     apply_channel_to_vector_raw,
+    kron_power,
     validate_channel,
     vector_marginals,
 )
@@ -31,6 +34,10 @@ SIDES = ("B", "E")
 # Dense A' (x) B (x) E states scale as 2^(6N) in memory; above this the
 # structured identities must be used instead.
 DENSE_THETA_LIMIT = 2
+
+# Largest set of dense complex128 receiver states (2^N on each side) the
+# product path builds: N = 8 needs 512 MiB for qubit outputs, N = 9 4 GiB.
+MAX_STATE_BYTES = 1 << 30
 
 Basis = Literal["Z", "X"]
 Side = Literal["B", "E"]
@@ -76,29 +83,44 @@ def epr_state(n: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128).ravel() / math.sqrt(dim)
 
 
+def _check_channel(channel: QuantumChannel, what: str) -> None:
+    report = validate_channel(channel, 1e-9)
+    if not report.passed:
+        raise ValidationError(
+            f"{what} fails completeness by {report.completeness_violation:.3e}"
+        )
+
+
+def _factor_marginals(factor: QuantumChannel, basis: Basis, side: Side) -> np.ndarray:
+    """One side's 2x2-block marginals of a one-qubit channel for inputs 0 and 1 of a basis."""
+    pick = SIDES.index(side)
+    return np.stack([vector_marginals(factor, encode(bit, basis, 1))[pick] for bit in (0, 1)])
+
+
 @dataclass(frozen=True)
 class ProtocolInstance:
     """A fixed (n, channel) pair with Bob's and Eve's reduced states cached.
 
     ``rho_b[z]`` is Bob's state for the Z-encoded message z and
     ``sigma_e[x]`` Eve's state for the X-encoded message x; both caches
-    cover all 2^n messages and are immutable after construction.
+    cover all 2^n messages and are immutable after construction.  The
+    channel is either a ``QuantumChannel`` on all n qubits or a
+    ``ProductChannel``, whose states are Kronecker powers of its
+    factor's marginals.
     """
 
     n: int
-    channel: QuantumChannel
+    channel: QuantumChannel | ProductChannel
     rho_b: tuple[DensityOperator, ...]
     sigma_e: tuple[DensityOperator, ...]
 
     @classmethod
-    def from_channel(cls, channel: QuantumChannel) -> "ProtocolInstance":
+    def from_channel(cls, channel: QuantumChannel | ProductChannel) -> "ProtocolInstance":
         if any(d != 2 for d in channel.in_dims):
             raise DimensionError("protocol channels must act on qubit registers")
-        report = validate_channel(channel, 1e-9)
-        if not report.passed:
-            raise ValidationError(
-                f"channel fails completeness by {report.completeness_violation:.3e}"
-            )
+        if isinstance(channel, ProductChannel):
+            return cls._from_product(channel)
+        _check_channel(channel, "channel")
         n = len(channel.in_dims)
         rho_b = []
         sigma_e = []
@@ -109,14 +131,48 @@ class ProtocolInstance:
             sigma_e.append(DensityOperator(emat, channel.out_dims_e))
         return cls(n=n, channel=channel, rho_b=tuple(rho_b), sigma_e=tuple(sigma_e))
 
+    @classmethod
+    def _from_product(cls, channel: ProductChannel) -> "ProtocolInstance":
+        """Each state is the Kronecker product of the factor's marginals, one per bit."""
+        n = channel.n
+        nbytes = 2**n * (channel.dim_b**2 + channel.dim_e**2) * 16
+        if nbytes > MAX_STATE_BYTES:
+            raise CapacityError(
+                f"{channel.name or 'product channel'} at n={n}: receiver states need "
+                f"{nbytes / 2**20:.0f} MiB, over the {MAX_STATE_BYTES / 2**20:.0f} MiB limit"
+            )
+        _check_channel(channel.factor, "product factor")
+        rho_b = kron_power(_factor_marginals(channel.factor, "Z", "B"), n)
+        sigma_e = kron_power(_factor_marginals(channel.factor, "X", "E"), n)
+        return cls(
+            n=n,
+            channel=channel,
+            rho_b=tuple(DensityOperator(m, channel.out_dims_b) for m in rho_b),
+            sigma_e=tuple(DensityOperator(m, channel.out_dims_e) for m in sigma_e),
+        )
 
-def make_instance(channel: QuantumChannel) -> ProtocolInstance:
+    @cached_property
+    def kraus_channel(self) -> QuantumChannel:
+        """The channel in N-qubit Kraus form, for the dense checks.
+
+        A product channel's stack is built on first use, once per
+        instance, through ``attacks.dense_channel`` and its capacity
+        limits.
+        """
+        if isinstance(self.channel, QuantumChannel):
+            return self.channel
+        from .attacks import dense_channel  # attacks imports this module
+
+        return dense_channel(self.channel)
+
+
+def make_instance(channel: QuantumChannel | ProductChannel) -> ProtocolInstance:
     return ProtocolInstance.from_channel(channel)
 
 
 def joint_state(inst: ProtocolInstance, msg: int, basis: Basis) -> DensityOperator:
     """Channel output on H_B (x) H_E for one encoded message."""
-    return apply_channel_to_vector(inst.channel, encode(msg, basis, inst.n))
+    return apply_channel_to_vector(inst.kraus_channel, encode(msg, basis, inst.n))
 
 
 def receiver_state(inst: ProtocolInstance, msg: int, basis: Basis, side: Side) -> DensityOperator:
@@ -133,10 +189,13 @@ def receiver_state(inst: ProtocolInstance, msg: int, basis: Basis, side: Side) -
         return inst.rho_b[msg]
     if basis == "X" and side == "E":
         return inst.sigma_e[msg]
-    bmat, emat = vector_marginals(inst.channel, encode(msg, basis, inst.n))
-    if side == "B":
-        return DensityOperator(bmat, inst.channel.out_dims_b)
-    return DensityOperator(emat, inst.channel.out_dims_e)
+    dims = inst.channel.out_dims_b if side == "B" else inst.channel.out_dims_e
+    if isinstance(inst.channel, ProductChannel):
+        marg = _factor_marginals(inst.channel.factor, basis, side)
+        mat = reduce(np.kron, (marg[int(bit)] for bit in message_bits(msg, inst.n)))
+    else:
+        mat = vector_marginals(inst.channel, encode(msg, basis, inst.n))[SIDES.index(side)]
+    return DensityOperator(mat, dims)
 
 
 def theta_matrix(channel: QuantumChannel, force: bool = False) -> np.ndarray:
@@ -157,7 +216,7 @@ def theta_matrix(channel: QuantumChannel, force: bool = False) -> np.ndarray:
 
 def global_state_theta(inst: ProtocolInstance, force: bool = False) -> DensityOperator:
     """Whole state on H_A' (x) H_B (x) H_E in the entanglement picture."""
-    mat = theta_matrix(inst.channel, force=force)
+    mat = theta_matrix(inst.kraus_channel, force=force)
     dims = (2,) * inst.n + inst.channel.out_dims
     return DensityOperator(mat, dims)
 
@@ -191,7 +250,7 @@ def aposteriori(
         return 2.0 ** (-inst.n), joint_state(inst, msg, basis)
     if method != "dense":
         raise ValidationError(f"unknown method {method!r}")
-    theta = theta_matrix(inst.channel, force=force)
+    theta = theta_matrix(inst.kraus_channel, force=force)
     probe = encode(msg, basis, inst.n)
     prob, block = _project_aposteriori(theta, probe, inst.channel.out_dim)
     if prob <= 0.0:
@@ -227,7 +286,7 @@ def equivalence_check(
     trace-preserving) channels can be shown to fail the uniformity of
     the outcome probabilities.
     """
-    channel = target.channel if isinstance(target, ProtocolInstance) else target
+    channel = target.kraus_channel if isinstance(target, ProtocolInstance) else target
     n = len(channel.in_dims)
     theta = theta_matrix(channel, force=force)
     uniform = 2.0 ** (-n)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackSpec, natural_povms
+from .attacks import AttackSpec, natural_povms, product_attack, standard_attacks
 from .complexity import (
     ComplexityProfile,
     DecoderCatalogue,
@@ -200,21 +200,18 @@ def outcome_distribution(
     povm: Sequence[np.ndarray],
     tol: float = 1e-8,
 ) -> np.ndarray:
-    """Joint table P(msg, k) = 2^-n tr(state_msg M_k) over messages/outcomes."""
-    mats = [m.mat if hasattr(m, "mat") else as_matrix(m) for m in povm]
-    dim = mats[0].shape[0] if mats else 0
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for m in mats:
-        acc += m
-    if float(np.max(np.abs(acc - np.eye(dim)))) > tol:
+    """Joint table P(msg, k) = 2^-n tr(state_msg M_k) over messages/outcomes.
+
+    tr(rho M) = sum(rho * M^T), so the whole table is one product of the
+    flattened states with the flattened transposed POVM elements.
+    """
+    mats = np.stack([m.mat if hasattr(m, "mat") else as_matrix(m) for m in povm])
+    dim = mats.shape[1]
+    if float(np.max(np.abs(mats.sum(axis=0) - np.eye(dim)))) > tol:
         raise ValidationError("POVM does not sum to the identity")
-    table = np.zeros((2**inst.n, len(mats)))
-    weight = 2.0 ** (-inst.n)
-    for msg in range(2**inst.n):
-        rho = receiver_state(inst, msg, basis, side).mat
-        for k, m in enumerate(mats):
-            table[msg, k] = weight * float(np.trace(rho @ m).real)
-    return table
+    states = np.stack([receiver_state(inst, msg, basis, side).mat for msg in range(2**inst.n)])
+    table = states.reshape(len(states), -1) @ mats.transpose(0, 2, 1).reshape(len(mats), -1).T
+    return 2.0 ** (-inst.n) * table.real
 
 
 def mutual_information(joint: np.ndarray, tol: float = 1e-12) -> float:
@@ -317,7 +314,7 @@ def verify_tradeoff(
     lp_records: list[LPRecord] = []
     cross_norms: list[CrossNormRecord] = []
     if dense:
-        theta = theta_matrix(inst.channel)
+        theta = theta_matrix(inst.kraus_channel)
         db, de = inst.channel.dim_b, inst.channel.dim_e
         dense_b = [
             (len(e.codeword), program_projector(cat_b, i, db, de).dense())
@@ -398,15 +395,13 @@ def no_cloning_check(
     c_offset: int = 0,
     decision_tol: float = DECISION_TOL,
 ) -> NoCloningReport:
-    from .attacks import make_attack, standard_attacks
-
     if specs is None:
         specs = standard_attacks(n)
     threshold = n - 3 - 2 * c_offset
     records = []
     cloner_literal = True
     for spec in specs:
-        inst = ProtocolInstance.from_channel(make_attack(spec))
+        inst = ProtocolInstance.from_channel(product_attack(spec))
         cat_b, cat_e = catalogues_for(inst, decision_tol)
         prof_b, prof_e = proxy_complexity(cat_b), proxy_complexity(cat_e)
         records.append(

@@ -21,6 +21,7 @@ from qid.tradeoff import (
     discussion_counterexample,
     landau_pollak_check,
     max_complexity_corollary,
+    no_cloning_check,
     shannon_tradeoff_check,
     tradeoff_bound,
     verify_tradeoff,
@@ -230,6 +231,23 @@ def test_criterion_08_no_cloning_scenario():
         "the symmetric cloner is literal on both sides",
         ok and cloner_ok and oracle_ok,
         f"cnot {maxima('cnot_probe', n)}, measure_x {maxima('measure_x', n)}",
+    )
+
+
+def test_criterion_08_no_cloning_at_six_qubits():
+    # N = 6 is the first n at which a perfect cloner contradicts the corollary;
+    # the product path reaches it without any N-qubit Kraus stack.
+    report = no_cloning_check(6)
+    by_kind = {r.kind: (r.max_b, r.max_e) for r in report.records}
+    ok = report.all_hold and len(report.records) == 7
+    ok = ok and report.cloner_at_literal_ceiling and by_kind["universal_cloner"] == (7, 7)
+    ok = ok and report.perfect_cloner_contradiction and report.min_contradiction_n == 6
+    verdict(
+        8,
+        "at N=6 every attack meets the threshold, the cloner sits at the literal "
+        "ceiling and a perfect cloner is a contradiction",
+        ok,
+        f"{by_kind}",
     )
 
 

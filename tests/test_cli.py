@@ -124,22 +124,40 @@ class TestSimulate:
             == EXIT_CAPACITY
         )
 
-    def test_oversized_kraus_set_exits_capacity(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            n=6,
-            attacks=[{"kind": "depolarize", "params": {"p": 0.5}}],
-        )
+    @pytest.mark.parametrize(
+        "attack",
+        [{"kind": "depolarize", "params": {"p": 0.5}}, {"kind": "identity"}],
+        ids=["depolarize", "identity"],
+    )
+    def test_receiver_states_over_byte_limit_exit_capacity(self, tmp_path, monkeypatch, attack):
+        # 2 * 2^9 dense 512 x 512 receiver states would take 4 GiB, over MAX_STATE_BYTES.
+        import qid.protocol as protocol
+
+        def no_build(*args):
+            raise AssertionError("receiver states built before the capacity check")
+
+        monkeypatch.setattr(protocol, "kron_power", no_build)
+        cfg = write_config(tmp_path / "cfg.json", n=9, attacks=[attack])
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
         assert not out.exists()
 
-    def test_output_side_over_dense_limit_exits_capacity(self, tmp_path):
-        # identity at N = 7 has 4^7 output rows, over the 4096 dense limit
-        cfg = write_config(tmp_path / "cfg.json", n=7, attacks=[{"kind": "identity"}])
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
-        assert not out.exists()
+    def test_six_qubits_beyond_the_kraus_limit_hold(self, tmp_path):
+        # depolarize's N = 6 Kraus stack (16 GiB) and universal_cloner's are never built.
+        attacks = [
+            {"kind": "depolarize", "params": {"p": 0.5}},
+            {"kind": "universal_cloner"},
+            {"kind": "cnot_probe"},
+        ]
+        cfg = write_config(tmp_path / "cfg.json", n=6, attacks=attacks)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        reports = sorted(out.glob("report_*.json"))
+        assert len(reports) == 3
+        for path in reports:
+            data = json.loads(path.read_text())
+            assert data["all_hold"] is True
+            assert data["lp_records"] == [] and "equivalence" not in data
 
     def test_missing_config_exits_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
