@@ -77,7 +77,6 @@ from .protocol import (
     equivalence_check,
     global_state_theta,
     joint_state,
-    make_instance,
     receiver_state,
 )
 from .tradeoff import (

@@ -84,11 +84,12 @@ class QuantumChannel(_SplitSizes):
 
 @dataclass(frozen=True)
 class ProductChannel(_SplitSizes):
-    """The ``n``-fold tensor power of a one-qubit channel ``factor``.
+    """The ``n``-fold tensor power of a channel ``factor`` on qubit inputs.
 
-    Only the factor is stored.  Outputs are grouped (B1..Bn, E1..En)
-    like the N-qubit Kraus form, whose stack grows as K^n (out*in)^n and
-    is only materialized as the dense oracle (``attacks.dense_channel``).
+    Only the factor is stored; a plain channel is its own factor, taken
+    once.  Outputs are grouped (B1..Bn, E1..En) like the Kraus form of
+    the whole channel, whose stack grows as K^n (out*in)^n and is only
+    materialized as the dense oracle (``attacks.dense_channel``).
     """
 
     factor: QuantumChannel
@@ -96,8 +97,8 @@ class ProductChannel(_SplitSizes):
     name: str = ""
 
     def __post_init__(self):
-        if self.factor.in_dims != (2,):
-            raise DimensionError(f"product factor must act on one qubit, got {self.factor.in_dims}")
+        if set(self.factor.in_dims) != {2}:
+            raise DimensionError(f"product factor inputs must be qubits, got {self.factor.in_dims}")
         if self.n < 1:
             raise DimensionError("product channel needs n >= 1 factors")
 

@@ -284,7 +284,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -
             "max_state_deviation": eq.max_state_deviation,
             "passed": eq.passed,
         }
-        theta = theta_matrix(inst.kraus_channel)
+        theta = theta_matrix(inst)
         cat_b, cat_e = catalogues_for(inst, cfg.tolerances.decision)
         expectation = []
         for cat in (cat_b, cat_e):

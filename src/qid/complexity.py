@@ -212,15 +212,9 @@ class StructuredProjector:
     dim_e: int
     terms: tuple[tuple[int, np.ndarray], ...]
 
-    @property
-    def messages(self) -> tuple[int, ...]:
-        return tuple(msg for msg, _ in self.terms)
-
-    def dense(self, force: bool = False) -> np.ndarray:
-        if self.n > DENSE_THETA_LIMIT and not force:
-            raise CapacityError(
-                f"dense projector needs n <= {DENSE_THETA_LIMIT}; pass force=True"
-            )
+    def dense(self) -> np.ndarray:
+        if self.n > DENSE_THETA_LIMIT:
+            raise CapacityError(f"dense projector needs n <= {DENSE_THETA_LIMIT} (got {self.n})")
         dim_a = 2**self.n
         total = dim_a * self.dim_b * self.dim_e
         out = np.zeros((total, total), dtype=np.complex128)
@@ -255,6 +249,8 @@ def cumulative_projector(cat: DecoderCatalogue, l: int, dim_b: int, dim_e: int) 
     terms: list[tuple[int, np.ndarray]] = []
     for entry in cat.entries:
         if len(entry.codeword) <= l:
+            if not entry.cls.pvm:
+                raise ValidationError("catalogue entry carries no PVM")
             for msg, proj in zip(entry.cls.members, entry.cls.pvm):
                 terms.append((msg, proj.mat))
     return StructuredProjector(
@@ -269,7 +265,7 @@ def cumulative_projector(cat: DecoderCatalogue, l: int, dim_b: int, dim_e: int) 
 
 @dataclass(frozen=True)
 class ExpectationCheck:
-    """Structured (and optionally dense) expectation vs catalogue count."""
+    """Structured (and, up to the dense limit, dense) expectation vs catalogue count."""
 
     l: int
     lhs: float
@@ -290,34 +286,24 @@ def expectation_identity_check(
     cat: DecoderCatalogue,
     l: int,
     theta: np.ndarray | None = None,
-    dense: bool | None = None,
     tol: float = 1e-9,
 ) -> ExpectationCheck:
     """Verify tr(Theta P-hat_l) equals 2^-n times the covered-message count.
 
     The structured path reduces the trace to sums of tr(rho_msg E_msg)
-    over catalogue terms; when the dense path is enabled (n within the
-    dense limit, or a precomputed ``theta`` is supplied) the literal
-    trace against the materialized global state is compared too.
+    over the terms of the cumulative projector; for n within the dense
+    limit the literal trace against the materialized global state
+    (``theta``, or built here when not supplied) is compared too.
     """
     n = inst.n
     states = inst.rho_b if cat.side == "B" else inst.sigma_e
-    lhs = 0.0
-    covered = 0
-    for entry in cat.entries:
-        if len(entry.codeword) > l:
-            continue
-        covered += entry.cls.size
-        for msg, proj in zip(entry.cls.members, entry.cls.pvm):
-            lhs += float(np.trace(states[msg].mat @ proj.mat).real)
-    lhs *= 2.0 ** (-n)
-    rhs = 2.0 ** (-n) * covered
-    if dense is None:
-        dense = n <= DENSE_THETA_LIMIT
+    cum = cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e)
+    traces = (float(np.trace(states[msg].mat @ proj).real) for msg, proj in cum.terms)
+    lhs = 2.0 ** (-n) * sum(traces)
+    rhs = 2.0 ** (-n) * len(cum.terms)
     lhs_dense = None
-    if dense:
+    if n <= DENSE_THETA_LIMIT:
         if theta is None:
-            theta = theta_matrix(inst.kraus_channel)
-        cum = cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e)
+            theta = theta_matrix(inst)
         lhs_dense = float(np.trace(theta @ cum.dense()).real)
     return ExpectationCheck(l=l, lhs=lhs, lhs_dense=lhs_dense, rhs=rhs, tol=tol)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .channels import (
     validate_channel,
     vector_marginals,
 )
-from .errors import CapacityError, DimensionError, ValidationError
-from .operators import DensityOperator
+from .errors import CapacityError, ValidationError
+from .operators import MAX_DIM, DensityOperator
 
 BASES = ("Z", "X")
 SIDES = ("B", "E")
@@ -56,10 +56,6 @@ def _check_basis(basis: str) -> str:
     return basis
 
 
-def message_bits(msg: int, n: int) -> str:
-    return format(_check_message(msg, n), f"0{n}b")
-
-
 def encode(msg: int, basis: Basis, n: int) -> np.ndarray:
     """Pure state vector |msg> (Z) or the conjugate-basis |msg-bar> (X)."""
     msg = _check_message(msg, n)
@@ -77,7 +73,7 @@ def epr_state(n: int) -> np.ndarray:
     """N EPR pairs with all A' factors first, then all A factors."""
     if n < 1:
         raise ValidationError("need n >= 1")
-    if 4**n > 4096:
+    if 4**n > MAX_DIM:
         raise CapacityError(f"EPR register of {2 * n} qubits exceeds the dense limit")
     dim = 2**n
     return np.eye(dim, dtype=np.complex128).ravel() / math.sqrt(dim)
@@ -91,10 +87,20 @@ def _check_channel(channel: QuantumChannel, what: str) -> None:
         )
 
 
-def _factor_marginals(factor: QuantumChannel, basis: Basis, side: Side) -> np.ndarray:
-    """One side's 2x2-block marginals of a one-qubit channel for inputs 0 and 1 of a basis."""
+def _as_product(channel: QuantumChannel | ProductChannel) -> ProductChannel:
+    """A plain channel is its own factor, taken once."""
+    if isinstance(channel, ProductChannel):
+        return channel
+    return ProductChannel(channel, 1)
+
+
+def _factor_marginals(
+    factor: QuantumChannel, basis: Basis, side: Side, messages: Iterable[int]
+) -> np.ndarray:
+    """One side's marginals of a factor for the given encoded messages of its register."""
     pick = SIDES.index(side)
-    return np.stack([vector_marginals(factor, encode(bit, basis, 1))[pick] for bit in (0, 1)])
+    k = len(factor.in_dims)
+    return np.stack([vector_marginals(factor, encode(msg, basis, k))[pick] for msg in messages])
 
 
 @dataclass(frozen=True)
@@ -104,9 +110,9 @@ class ProtocolInstance:
     ``rho_b[z]`` is Bob's state for the Z-encoded message z and
     ``sigma_e[x]`` Eve's state for the X-encoded message x; both caches
     cover all 2^n messages and are immutable after construction.  The
-    channel is either a ``QuantumChannel`` on all n qubits or a
-    ``ProductChannel``, whose states are Kronecker powers of its
-    factor's marginals.
+    channel is a ``QuantumChannel`` on all n qubits or a
+    ``ProductChannel``; either way each state is the Kronecker product
+    of its factor's marginals, one per factor.
     """
 
     n: int
@@ -116,39 +122,24 @@ class ProtocolInstance:
 
     @classmethod
     def from_channel(cls, channel: QuantumChannel | ProductChannel) -> "ProtocolInstance":
-        if any(d != 2 for d in channel.in_dims):
-            raise DimensionError("protocol channels must act on qubit registers")
-        if isinstance(channel, ProductChannel):
-            return cls._from_product(channel)
-        _check_channel(channel, "channel")
-        n = len(channel.in_dims)
-        rho_b = []
-        sigma_e = []
-        for msg in range(2**n):
-            bmat, _ = vector_marginals(channel, encode(msg, "Z", n))
-            _, emat = vector_marginals(channel, encode(msg, "X", n))
-            rho_b.append(DensityOperator(bmat, channel.out_dims_b))
-            sigma_e.append(DensityOperator(emat, channel.out_dims_e))
-        return cls(n=n, channel=channel, rho_b=tuple(rho_b), sigma_e=tuple(sigma_e))
-
-    @classmethod
-    def _from_product(cls, channel: ProductChannel) -> "ProtocolInstance":
-        """Each state is the Kronecker product of the factor's marginals, one per bit."""
-        n = channel.n
-        nbytes = 2**n * (channel.dim_b**2 + channel.dim_e**2) * 16
+        product = _as_product(channel)
+        n = len(product.in_dims)
+        nbytes = 2**n * (product.dim_b**2 + product.dim_e**2) * 16
         if nbytes > MAX_STATE_BYTES:
             raise CapacityError(
-                f"{channel.name or 'product channel'} at n={n}: receiver states need "
+                f"{channel.name or 'channel'} at n={n}: receiver states need "
                 f"{nbytes / 2**20:.0f} MiB, over the {MAX_STATE_BYTES / 2**20:.0f} MiB limit"
             )
-        _check_channel(channel.factor, "product factor")
-        rho_b = kron_power(_factor_marginals(channel.factor, "Z", "B"), n)
-        sigma_e = kron_power(_factor_marginals(channel.factor, "X", "E"), n)
+        factor = product.factor
+        _check_channel(factor, "product factor")
+        every = range(factor.in_dim)
+        rho_b = kron_power(_factor_marginals(factor, "Z", "B", every), product.n)
+        sigma_e = kron_power(_factor_marginals(factor, "X", "E", every), product.n)
         return cls(
             n=n,
             channel=channel,
-            rho_b=tuple(DensityOperator(m, channel.out_dims_b) for m in rho_b),
-            sigma_e=tuple(DensityOperator(m, channel.out_dims_e) for m in sigma_e),
+            rho_b=tuple(DensityOperator(m, product.out_dims_b) for m in rho_b),
+            sigma_e=tuple(DensityOperator(m, product.out_dims_e) for m in sigma_e),
         )
 
     @cached_property
@@ -166,10 +157,6 @@ class ProtocolInstance:
         return dense_channel(self.channel)
 
 
-def make_instance(channel: QuantumChannel | ProductChannel) -> ProtocolInstance:
-    return ProtocolInstance.from_channel(channel)
-
-
 def joint_state(inst: ProtocolInstance, msg: int, basis: Basis) -> DensityOperator:
     """Channel output on H_B (x) H_E for one encoded message."""
     return apply_channel_to_vector(inst.kraus_channel, encode(msg, basis, inst.n))
@@ -179,7 +166,9 @@ def receiver_state(inst: ProtocolInstance, msg: int, basis: Basis, side: Side) -
     """Reduced state of one side for one encoded message.
 
     The theorem consumes (Z, B) and (X, E), which are served from the
-    instance cache; the other two pairings are computed on demand.
+    instance cache; the other two pairings are computed on demand, as
+    the Kronecker product of the factor's marginals, one per digit of
+    the message.
     """
     msg = _check_message(msg, inst.n)
     _check_basis(basis)
@@ -189,23 +178,23 @@ def receiver_state(inst: ProtocolInstance, msg: int, basis: Basis, side: Side) -
         return inst.rho_b[msg]
     if basis == "X" and side == "E":
         return inst.sigma_e[msg]
-    dims = inst.channel.out_dims_b if side == "B" else inst.channel.out_dims_e
-    if isinstance(inst.channel, ProductChannel):
-        marg = _factor_marginals(inst.channel.factor, basis, side)
-        mat = reduce(np.kron, (marg[int(bit)] for bit in message_bits(msg, inst.n)))
-    else:
-        mat = vector_marginals(inst.channel, encode(msg, basis, inst.n))[SIDES.index(side)]
+    product = _as_product(inst.channel)
+    digits = np.unravel_index(msg, (product.factor.in_dim,) * product.n)
+    mat = reduce(np.kron, _factor_marginals(product.factor, basis, side, digits))
+    dims = product.out_dims_b if side == "B" else product.out_dims_e
     return DensityOperator(mat, dims)
 
 
-def theta_matrix(channel: QuantumChannel, force: bool = False) -> np.ndarray:
-    """Raw dense matrix of (id (x) channel) applied to the EPR register."""
-    n = len(channel.in_dims)
-    if n > DENSE_THETA_LIMIT and not force:
-        raise CapacityError(
-            f"dense global state needs n <= {DENSE_THETA_LIMIT} (got {n}); "
-            "pass force=True to override"
-        )
+def theta_matrix(target: ProtocolInstance | QuantumChannel) -> np.ndarray:
+    """Raw dense matrix of (id (x) channel) applied to the EPR register.
+
+    The size is checked before an instance's Kraus form is built.
+    """
+    is_inst = isinstance(target, ProtocolInstance)
+    n = target.n if is_inst else len(target.in_dims)
+    if n > DENSE_THETA_LIMIT:
+        raise CapacityError(f"dense global state needs n <= {DENSE_THETA_LIMIT} (got {n})")
+    channel = target.kraus_channel if is_inst else target
     dim_a = 2**n
     phi = epr_state(n).reshape(dim_a, dim_a)
     # Row k of w is the vector (1 (x) K_k)|phi>, so theta = sum_k w_k w_k^dag.
@@ -214,9 +203,9 @@ def theta_matrix(channel: QuantumChannel, force: bool = False) -> np.ndarray:
     return w.T @ w.conj()
 
 
-def global_state_theta(inst: ProtocolInstance, force: bool = False) -> DensityOperator:
+def global_state_theta(inst: ProtocolInstance) -> DensityOperator:
     """Whole state on H_A' (x) H_B (x) H_E in the entanglement picture."""
-    mat = theta_matrix(inst.kraus_channel, force=force)
+    mat = theta_matrix(inst)
     dims = (2,) * inst.n + inst.channel.out_dims
     return DensityOperator(mat, dims)
 
@@ -235,7 +224,6 @@ def aposteriori(
     basis: Basis,
     msg: int,
     method: str = "structured",
-    force: bool = False,
 ):
     """Outcome probability and conditional state on H_B (x) H_E.
 
@@ -250,7 +238,7 @@ def aposteriori(
         return 2.0 ** (-inst.n), joint_state(inst, msg, basis)
     if method != "dense":
         raise ValidationError(f"unknown method {method!r}")
-    theta = theta_matrix(inst.kraus_channel, force=force)
+    theta = theta_matrix(inst)
     probe = encode(msg, basis, inst.n)
     prob, block = _project_aposteriori(theta, probe, inst.channel.out_dim)
     if prob <= 0.0:
@@ -278,7 +266,6 @@ class EquivalenceReport:
 def equivalence_check(
     target: ProtocolInstance | QuantumChannel,
     tol: float = 1e-10,
-    force: bool = False,
 ) -> EquivalenceReport:
     """Verify the entanglement-based picture reproduces prepare-and-send.
 
@@ -286,9 +273,9 @@ def equivalence_check(
     trace-preserving) channels can be shown to fail the uniformity of
     the outcome probabilities.
     """
+    theta = theta_matrix(target)
     channel = target.kraus_channel if isinstance(target, ProtocolInstance) else target
     n = len(channel.in_dims)
-    theta = theta_matrix(channel, force=force)
     uniform = 2.0 ** (-n)
     max_prob = 0.0
     max_state = 0.0

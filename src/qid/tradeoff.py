@@ -314,7 +314,7 @@ def verify_tradeoff(
     lp_records: list[LPRecord] = []
     cross_norms: list[CrossNormRecord] = []
     if dense:
-        theta = theta_matrix(inst.kraus_channel)
+        theta = theta_matrix(inst)
         db, de = inst.channel.dim_b, inst.channel.dim_e
         dense_b = [
             (len(e.codeword), program_projector(cat_b, i, db, de).dense())

@@ -124,6 +124,23 @@ class TestSimulate:
             == EXIT_CAPACITY
         )
 
+    def test_dense_limit_above_two_exits_capacity_before_the_oracle(self, tmp_path, monkeypatch):
+        import qid.attacks as attacks
+
+        def no_build(*args):
+            raise AssertionError("dense oracle built before the dense-size check")
+
+        monkeypatch.setattr(attacks, "dense_channel", no_build)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            n=3,
+            dense_limit=3,
+            attacks=[{"kind": "depolarize", "params": {"p": 0.5}}],
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "attack",
         [{"kind": "depolarize", "params": {"p": 0.5}}, {"kind": "identity"}],

@@ -226,6 +226,14 @@ class TestCumulativeProjector:
         high = cumulative_projector(cat_b, 99, 4, 4).dense()
         np.testing.assert_array_equal(low, high)
 
+    def test_entry_without_pvm_rejected(self):
+        # Its messages would count toward the catalogue but carry no projector.
+        entry = CatalogueEntry(codeword="0", cls=DistinguishableClass(members=(0, 1)))
+        cat = DecoderCatalogue(n=1, side="B", basis="Z", entries=(entry,))
+        assert cumulative_projector(cat, 0, 2, 2).terms == ()
+        with pytest.raises(ValidationError, match="PVM"):
+            cumulative_projector(cat, 1, 2, 2)
+
 
 class TestExpectationIdentity:
     def test_identity_attack_counts_everything(self, instance):

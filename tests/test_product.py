@@ -22,10 +22,16 @@ from qid.attacks import (
     natural_povms,
     product_attack,
 )
-from qid.channels import ProductChannel, isometry_to_channel, kron_power
+from qid.channels import ProductChannel, QuantumChannel, isometry_to_channel, kron_power
 from qid.distinguishability import _overlap_table, support_projector
 from qid.errors import CapacityError, DimensionError, ValidationError
-from qid.protocol import ProtocolInstance, receiver_state
+from qid.protocol import (
+    ProtocolInstance,
+    aposteriori,
+    equivalence_check,
+    global_state_theta,
+    receiver_state,
+)
 from qid.tradeoff import outcome_distribution, verify_tradeoff
 
 from helpers import random_complex, random_unitary
@@ -77,6 +83,20 @@ def test_off_diagonal_pairings_match_dense_oracle(kind, attack_spec, instance):
             np.testing.assert_allclose(ours.mat, ref.mat, rtol=0, atol=ATOL)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_two_qubit_factor_squared_matches_four_qubit_attack(kind, attack_spec, instance):
+    # A plain channel on two qubits, taken twice, is the same attack on four.
+    fast = ProtocolInstance.from_channel(ProductChannel(make_attack(attack_spec(kind, 2)), 2))
+    dense = instance(kind, 4)
+    assert_same_states(fast, dense)
+    for msg in range(16):
+        for basis, side in (("Z", "E"), ("X", "B")):
+            ours = receiver_state(fast, msg, basis, side)
+            ref = receiver_state(dense, msg, basis, side)
+            assert ours.dims == ref.dims
+            np.testing.assert_allclose(ours.mat, ref.mat, rtol=0, atol=ATOL)
+
+
 def test_dense_oracle_is_built_once_and_equals_make_attack(monkeypatch):
     spec = AttackSpec("depolarize", 2, {"p": 0.25})
     inst = ProtocolInstance.from_channel(product_attack(spec))
@@ -124,6 +144,23 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             ProtocolInstance.from_channel(product_attack(AttackSpec("measure_x", 3)))
 
+    def test_dense_checks_above_the_limit_refused_before_the_oracle(self, monkeypatch, attack_spec):
+        def no_build(*args):
+            raise AssertionError("dense oracle built before the dense-size check")
+
+        monkeypatch.setattr(attacks_mod, "dense_channel", no_build)
+        spec = attack_spec("depolarize", 3)
+        inst = ProtocolInstance.from_channel(product_attack(spec))
+        with pytest.raises(CapacityError, match="n <= 2"):
+            verify_tradeoff(inst, spec, dense=True)
+        for dense_check in (
+            lambda: equivalence_check(inst),
+            lambda: aposteriori(inst, "Z", 0, method="dense"),
+            lambda: global_state_theta(inst),
+        ):
+            with pytest.raises(CapacityError, match="n <= 2"):
+                dense_check()
+
     def test_oracle_keeps_the_kraus_limits(self):
         inst = ProtocolInstance.from_channel(
             product_attack(AttackSpec("depolarize", 6, {"p": 0.5}))
@@ -141,10 +178,12 @@ class TestValidation:
         with pytest.raises(ValidationError, match="product factor"):
             ProtocolInstance.from_channel(ProductChannel(broken, 3))
 
-    def test_factor_must_act_on_one_qubit(self):
-        two_qubit = make_attack(AttackSpec("identity", 2))
-        with pytest.raises(DimensionError):
-            ProductChannel(two_qubit, 2)
+    def test_factor_inputs_must_be_qubits(self):
+        qutrit = QuantumChannel(
+            kraus=[np.eye(9, 3)], in_dims=(3,), out_dims_b=(3,), out_dims_e=(3,)
+        )
+        with pytest.raises(DimensionError, match="qubits"):
+            ProductChannel(qutrit, 2)
         with pytest.raises(DimensionError):
             ProductChannel(product_attack(AttackSpec("identity", 1)).factor, 0)
 

@@ -12,7 +12,6 @@ from qid.protocol import (
     equivalence_check,
     global_state_theta,
     joint_state,
-    message_bits,
     receiver_state,
     theta_matrix,
 )
@@ -39,9 +38,6 @@ class TestEncode:
     def test_message_range_enforced(self):
         with pytest.raises(ValidationError):
             encode(4, "Z", 2)
-
-    def test_message_bits(self):
-        assert message_bits(5, 4) == "0101"
 
 
 class TestEprState:
@@ -126,8 +122,6 @@ class TestGlobalState:
     def test_dense_cap(self, instance):
         with pytest.raises(CapacityError):
             global_state_theta(instance("identity", 3))
-        forced = global_state_theta(instance("identity", 3), force=True)
-        assert forced.dim == 512
 
 
 class TestAposteriori:
