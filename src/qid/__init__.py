@@ -23,8 +23,6 @@ from .channels import (
     QuantumChannel,
     apply_channel,
     apply_channel_to_vector,
-    channel_from_dict,
-    channel_to_dict,
     isometry_to_channel,
     validate_channel,
 )
@@ -36,14 +34,12 @@ from .complexity import (
     build_catalogue,
     cumulative_projector,
     expectation_identity_check,
-    low_complexity_count,
     program_projector,
     proxy_complexity,
 )
 from .distinguishability import (
     DistinguishableClass,
     distinguishable_partition,
-    perfectly_distinguishable,
     support_projector,
 )
 from .errors import (
@@ -71,7 +67,6 @@ from .operators import (
 from .protocol import (
     DENSE_THETA_LIMIT,
     ProtocolInstance,
-    aposteriori,
     encode,
     epr_state,
     equivalence_check,

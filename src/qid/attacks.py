@@ -21,7 +21,7 @@ from .channels import (
     QuantumChannel,
     isometry_to_channel,
     kron_power,
-    validate_channel,
+    require_complete,
 )
 from .errors import CapacityError, ValidationError
 from .operators import MAX_DIM, basis_ket, ket_bra
@@ -190,12 +190,7 @@ def dense_channel(product: ProductChannel) -> QuantumChannel:
 def make_attack(spec: AttackSpec) -> QuantumChannel:
     """Build and validate the N-qubit Kraus form of an attack spec."""
     ch = dense_channel(product_attack(spec))
-    report = validate_channel(ch, 1e-9)
-    if not report.passed:
-        raise ValidationError(
-            f"attack {spec.label()} fails Kraus completeness by "
-            f"{report.completeness_violation:.3e}"
-        )
+    require_complete(ch, f"attack {spec.label()}")
     return ch
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .operators import DensityOperator, as_matrix, dagger
+from .operators import COMPLETENESS_TOL, DensityOperator, as_matrix, dagger
 
 
 class _SplitSizes:
@@ -134,15 +134,23 @@ def kron_power(stack: np.ndarray, n: int) -> np.ndarray:
 class ChannelReport:
     passed: bool
     completeness_violation: float
-    n_kraus: int
 
 
-def validate_channel(ch: QuantumChannel, tol: float = 1e-9) -> ChannelReport:
-    """Check Kraus completeness sum(K^dag K) = 1 within ``tol``."""
+def validate_channel(ch: QuantumChannel) -> ChannelReport:
+    """Check Kraus completeness sum(K^dag K) = 1 within ``COMPLETENESS_TOL``."""
     m = ch.kraus.reshape(-1, ch.in_dim)  # stacked vertically: sum(K^dag K) = m^dag m
     acc = m.conj().T @ m
     dev = float(np.max(np.abs(acc - np.eye(ch.in_dim))))
-    return ChannelReport(passed=dev <= tol, completeness_violation=dev, n_kraus=len(ch.kraus))
+    return ChannelReport(passed=dev <= COMPLETENESS_TOL, completeness_violation=dev)
+
+
+def require_complete(ch: QuantumChannel, what: str) -> None:
+    """Raise ``ValidationError`` naming ``what`` unless ``ch`` passes ``validate_channel``."""
+    report = validate_channel(ch)
+    if not report.passed:
+        raise ValidationError(
+            f"{what} fails Kraus completeness by {report.completeness_violation:.3e}"
+        )
 
 
 def apply_channel(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
@@ -199,7 +207,6 @@ def isometry_to_channel(
     out_dims_e,
     env_dim: int = 1,
     name: str = "",
-    tol: float = 1e-9,
 ) -> QuantumChannel:
     """Channel from an isometry V: H_A -> H_B (x) H_E (x) H_env.
 
@@ -216,7 +223,7 @@ def isometry_to_channel(
             f"isometry shape {v.shape} != ({out_dim * env_dim}, {in_dim})"
         )
     dev = float(np.max(np.abs(dagger(v) @ v - np.eye(in_dim))))
-    if dev > tol:
+    if dev > COMPLETENESS_TOL:
         raise ValidationError(f"not an isometry: max |V^dag V - 1| = {dev:.3e}")
     return QuantumChannel(
         kraus=v.reshape(out_dim, env_dim, in_dim).transpose(1, 0, 2),
@@ -238,26 +245,3 @@ def matrix_from_pairs(rows) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError("matrix encoding must be a 2-D grid of [re, im] pairs")
     return np.ascontiguousarray(arr[..., 0] + 1j * arr[..., 1])
-
-
-def channel_to_dict(ch: QuantumChannel) -> dict:
-    return {
-        "name": ch.name,
-        "in_dims": list(ch.in_dims),
-        "out_dims_B": list(ch.out_dims_b),
-        "out_dims_E": list(ch.out_dims_e),
-        "kraus": [matrix_to_pairs(k) for k in ch.kraus],
-    }
-
-
-def channel_from_dict(data: dict) -> QuantumChannel:
-    try:
-        return QuantumChannel(
-            kraus=tuple(matrix_from_pairs(k) for k in data["kraus"]),
-            in_dims=tuple(data["in_dims"]),
-            out_dims_b=tuple(data["out_dims_B"]),
-            out_dims_e=tuple(data["out_dims_E"]),
-            name=str(data.get("name", "")),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"channel serialization missing key {exc}") from exc

@@ -25,7 +25,7 @@ import numpy as np
 from .attacks import AttackSpec, product_attack
 from .channels import matrix_from_pairs
 from .errors import CapacityError, ConfigError, QidError
-from .operators import DECISION_TOL, STRUCTURAL_TOL
+from .operators import DECISION_TOL, OVERLAP_TOL, STRUCTURAL_TOL
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
 from .tradeoff import (
@@ -40,8 +40,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
-
-OVERLAP_TOL = 1e-10
 
 
 def _round12(value):
@@ -110,6 +108,12 @@ def _integer(value, key: str, minimum: int | None = None) -> int:
     return value
 
 
+def _tolerance(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
+        raise ConfigError(f"tolerance '{key}' must be a number in (0, 1), got {value!r}")
+    return float(value)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         data = json.loads(Path(path).read_text())
@@ -138,8 +142,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         ]
         tol_data = data.get("tolerances", {})
         tols = Tolerances(
-            structural=float(tol_data.get("structural", STRUCTURAL_TOL)),
-            decision=float(tol_data.get("decision", DECISION_TOL)),
+            structural=_tolerance(tol_data.get("structural", STRUCTURAL_TOL), "structural"),
+            decision=_tolerance(tol_data.get("decision", DECISION_TOL), "decision"),
         )
         sweep = data.get("sweep", {})
         sweep_n = tuple(_integer(v, "n_values", 1) for v in sweep.get("n_values", []))
@@ -328,8 +332,7 @@ def cmd_sweep(args) -> int:
     n_values = cfg.sweep_n or (cfg.n,)
     out_dir = Path(args.out or cfg.out_dir)
     jobs = [(n, spec) for n in n_values for spec in cfg.attacks]
-    workers = max(1, args.workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = list(
             pool.map(lambda job: run_single(cfg, job[0], job[1], out_dir), jobs)
         )
@@ -390,6 +393,13 @@ def cmd_overlap(args) -> int:
     return EXIT_OK if worst <= OVERLAP_TOL else EXIT_VIOLATION
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qid",
@@ -405,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a grid over n values and attacks")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", default=None)
-    sweep.add_argument("--workers", type=int, default=4)
+    sweep.add_argument("--workers", type=_positive_int, default=4)
     sweep.set_defaults(func=cmd_sweep)
 
     lp = sub.add_parser("check-lp", help="Landau-Pollak check on serialized operators")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distinguishability import DistinguishableClass
 from .errors import CapacityError, DimensionError, ValidationError
-from .operators import ket_bra
+from .operators import VERDICT_TOL, ket_bra
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, encode, theta_matrix
 
 LITERAL_PREFIX = "1"
@@ -68,12 +68,6 @@ class DecoderCatalogue:
     def literal_length(self) -> int:
         return self.n + 1
 
-    def entry_of(self, msg: int) -> CatalogueEntry | None:
-        for entry in self.entries:
-            if msg in entry.cls.members:
-                return entry
-        return None
-
     def kraft_sum(self) -> Fraction:
         """Exact Kraft sum of the full code (entries plus literal block)."""
         total = Fraction(2**self.n, 2**self.literal_length)
@@ -97,6 +91,7 @@ class ComplexityProfile:
         object.__setattr__(self, "lengths", tuple(int(v) for v in self.lengths))
 
     def count(self, l: int) -> int:
+        """Number of messages whose proxy complexity is at most l."""
         return sum(1 for v in self.lengths if v <= l)
 
     def max_length(self) -> int:
@@ -192,11 +187,6 @@ def proxy_complexity(cat: DecoderCatalogue) -> ComplexityProfile:
     return ComplexityProfile(n=cat.n, side=cat.side, basis=cat.basis, lengths=tuple(lengths))
 
 
-def low_complexity_count(profile: ComplexityProfile, l: int) -> int:
-    """Number of messages whose proxy complexity is at most l."""
-    return profile.count(l)
-
-
 @dataclass(frozen=True)
 class StructuredProjector:
     """Sum of (message projector on A') (x) (receiver projector) (x) 1.
@@ -271,13 +261,12 @@ class ExpectationCheck:
     lhs: float
     lhs_dense: float | None
     rhs: float
-    tol: float
 
     @property
     def agree(self) -> bool:
-        ok = abs(self.lhs - self.rhs) <= self.tol
+        ok = abs(self.lhs - self.rhs) <= VERDICT_TOL
         if self.lhs_dense is not None:
-            ok = ok and abs(self.lhs_dense - self.rhs) <= self.tol
+            ok = ok and abs(self.lhs_dense - self.rhs) <= VERDICT_TOL
         return ok
 
 
@@ -286,7 +275,6 @@ def expectation_identity_check(
     cat: DecoderCatalogue,
     l: int,
     theta: np.ndarray | None = None,
-    tol: float = 1e-9,
 ) -> ExpectationCheck:
     """Verify tr(Theta P-hat_l) equals 2^-n times the covered-message count.
 
@@ -306,4 +294,4 @@ def expectation_identity_check(
         if theta is None:
             theta = theta_matrix(inst)
         lhs_dense = float(np.trace(theta @ cum.dense()).real)
-    return ExpectationCheck(l=l, lhs=lhs, lhs_dense=lhs_dense, rhs=rhs, tol=tol)
+    return ExpectationCheck(l=l, lhs=lhs, lhs_dense=lhs_dense, rhs=rhs)

@@ -53,10 +53,10 @@ class DistinguishableClass:
         return self.members[0]
 
 
-def support_projector(rho: DensityOperator, tol: float = SPECTRAL_TOL) -> Projector:
-    """Projector onto the span of eigenvectors with eigenvalue > tol."""
+def support_projector(rho: DensityOperator) -> Projector:
+    """Projector onto the span of eigenvectors with eigenvalue > ``SPECTRAL_TOL``."""
     vals, vecs = hermitian_eigensystem(rho.mat)
-    cols = vecs[:, vals > tol]
+    cols = vecs[:, vals > SPECTRAL_TOL]
     mat = cols @ np.conj(cols).T
     return Projector(mat, rho.dims)
 
@@ -69,27 +69,6 @@ def _overlap_table(states: Sequence[DensityOperator], supports: Sequence[Project
     return (rho @ proj.T).real
 
 
-def perfectly_distinguishable(
-    states: Sequence[DensityOperator],
-    tol: float = DECISION_TOL,
-) -> list[Projector] | None:
-    """Support projectors if all pairs have orthogonal supports, else None."""
-    states = list(states)
-    if not states:
-        return []
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise DimensionError("states must share one dimension")
-    supports = [support_projector(s) for s in states]
-    ov = _overlap_table(states, supports)
-    k = len(states)
-    for i in range(k):
-        for j in range(k):
-            if i != j and ov[i, j] > tol:
-                return None
-    return supports
-
-
 def distinguishable_partition(
     states: Sequence[DensityOperator],
     tol: float = DECISION_TOL,
@@ -98,9 +77,10 @@ def distinguishable_partition(
 
     Messages are visited in lexicographic order; each joins the first
     existing class all of whose members have supports orthogonal to its
-    own (both directions below ``tol``), otherwise it opens a new class.
+    own (both directions at most ``tol``), otherwise it opens a new class.
     The rule is deterministic, so identical inputs give identical
-    partitions.
+    partitions.  A family is perfectly distinguishable exactly when its
+    partition is one class.
     """
     states = list(states)
     if not states:

@@ -16,12 +16,21 @@ import numpy as np
 from ._kernels import jacobi_eigh
 from .errors import CapacityError, DimensionError, ValidationError
 
-# Three tolerance tiers: representation-level checks, eigenvalues
-# computed by the Hermitian eigensolver, and distinguishability
-# decisions built on top of those.
-STRUCTURAL_TOL = 1e-10
-SPECTRAL_TOL = 1e-8
-DECISION_TOL = 1e-7
+# Every threshold the package compares against.  Three tiers come first:
+# representation-level checks, eigenvalues computed by the Hermitian
+# eigensolver, and distinguishability decisions built on top of those.
+# Only two are settable, through the config's tolerances block:
+# ``structural`` is passed to ``protocol.equivalence_check`` and
+# ``decision`` to ``distinguishability.distinguishable_partition``.
+STRUCTURAL_TOL = 1e-10  # hermiticity, unit trace, positivity; protocol equivalence
+SPECTRAL_TOL = 1e-8  # eigenvalues at or below this lie outside a state's support
+DECISION_TOL = 1e-7  # support overlaps at or below this count as orthogonal
+COMPLETENESS_TOL = 1e-9  # max |sum K^dag K - 1| of a channel, |V^dag V - 1| of an isometry
+IDEMPOTENCE_TOL = 1e-9  # max |P^2 - P| of a projector
+POVM_TOL = 1e-8  # max |sum M_k - 1| of a measurement
+PROBABILITY_TOL = 1e-12  # joint tables: negative entries, total, negative information residue
+VERDICT_TOL = 1e-9  # slack on every inequality a report says holds or agrees
+OVERLAP_TOL = 1e-10  # conjugate-basis overlap norms against 2^-n
 
 # Dense operators beyond this side length are out of scope.
 MAX_DIM = 4096
@@ -126,17 +135,17 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def hermitian_eigensystem(a, tol: float = STRUCTURAL_TOL):
+def hermitian_eigensystem(a):
     """Descending eigenvalues and orthonormal eigenvector columns.
 
     Uses LAPACK through ``numpy.linalg.eigh``; raises ``ValidationError``
-    when the input is not Hermitian within ``tol``.
+    when the input is not Hermitian within ``STRUCTURAL_TOL``.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("eigensystem needs a square matrix")
     dev = float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
-    if dev > tol:
+    if dev > STRUCTURAL_TOL:
         raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     h = (a + dagger(a)) / 2.0
     return jacobi_eigh(h)
@@ -158,8 +167,8 @@ class StateReport:
         return self.hermitian_ok and self.trace_ok and self.psd_ok
 
 
-def validate_state(rho, tol: float = STRUCTURAL_TOL) -> StateReport:
-    """Check hermiticity, unit trace and positivity of a candidate state."""
+def validate_state(rho) -> StateReport:
+    """Check hermiticity, unit trace and positivity within ``STRUCTURAL_TOL``."""
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise DimensionError("validate_state needs a square matrix")
@@ -168,9 +177,9 @@ def validate_state(rho, tol: float = STRUCTURAL_TOL) -> StateReport:
     vals, _ = jacobi_eigh((rho + dagger(rho)) / 2.0)
     psd_dev = float(max(0.0, -vals.min())) if vals.size else 0.0
     return StateReport(
-        hermitian_ok=herm_dev <= tol,
-        trace_ok=trace_dev <= tol,
-        psd_ok=psd_dev <= tol,
+        hermitian_ok=herm_dev <= STRUCTURAL_TOL,
+        trace_ok=trace_dev <= STRUCTURAL_TOL,
+        psd_ok=psd_dev <= STRUCTURAL_TOL,
         hermitian_violation=herm_dev,
         trace_violation=trace_dev,
         psd_violation=psd_dev,
@@ -195,7 +204,7 @@ class DensityOperator:
         if m.shape[0] != m.shape[1]:
             raise DimensionError("density operator must be square")
         dims = _check_dims(self.dims, m.shape[0])
-        report = validate_state(m, STRUCTURAL_TOL)
+        report = validate_state(m)
         if not report.passed:
             raise ValidationError(
                 "invalid density operator: "
@@ -232,7 +241,7 @@ class Projector:
         if herm_dev > STRUCTURAL_TOL:
             raise ValidationError(f"projector not Hermitian: deviation {herm_dev:.3e}")
         idem_dev = float(np.max(np.abs(m @ m - m)))
-        if idem_dev > 1e-9:
+        if idem_dev > IDEMPOTENCE_TOL:
             raise ValidationError(f"projector not idempotent: deviation {idem_dev:.3e}")
         object.__setattr__(self, "mat", _freeze(m))
         object.__setattr__(self, "dims", dims)

@@ -22,11 +22,11 @@ from .channels import (
     apply_channel_to_vector,
     apply_channel_to_vector_raw,
     kron_power,
-    validate_channel,
+    require_complete,
     vector_marginals,
 )
 from .errors import CapacityError, ValidationError
-from .operators import MAX_DIM, DensityOperator
+from .operators import MAX_DIM, STRUCTURAL_TOL, DensityOperator
 
 BASES = ("Z", "X")
 SIDES = ("B", "E")
@@ -79,16 +79,8 @@ def epr_state(n: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128).ravel() / math.sqrt(dim)
 
 
-def _check_channel(channel: QuantumChannel, what: str) -> None:
-    report = validate_channel(channel, 1e-9)
-    if not report.passed:
-        raise ValidationError(
-            f"{what} fails completeness by {report.completeness_violation:.3e}"
-        )
-
-
 def _as_product(channel: QuantumChannel | ProductChannel) -> ProductChannel:
-    """A plain channel is its own factor, taken once."""
+    """A plain channel is its own factor, taken once; its inputs must be qubits."""
     if isinstance(channel, ProductChannel):
         return channel
     return ProductChannel(channel, 1)
@@ -131,7 +123,7 @@ class ProtocolInstance:
                 f"{nbytes / 2**20:.0f} MiB, over the {MAX_STATE_BYTES / 2**20:.0f} MiB limit"
             )
         factor = product.factor
-        _check_channel(factor, "product factor")
+        require_complete(factor, "product factor")
         every = range(factor.in_dim)
         rho_b = kron_power(_factor_marginals(factor, "Z", "B", every), product.n)
         sigma_e = kron_power(_factor_marginals(factor, "X", "E", every), product.n)
@@ -188,10 +180,11 @@ def receiver_state(inst: ProtocolInstance, msg: int, basis: Basis, side: Side) -
 def theta_matrix(target: ProtocolInstance | QuantumChannel) -> np.ndarray:
     """Raw dense matrix of (id (x) channel) applied to the EPR register.
 
-    The size is checked before an instance's Kraus form is built.
+    The size is checked before an instance's Kraus form is built, and a
+    plain channel's inputs must be qubits, like a product factor's.
     """
     is_inst = isinstance(target, ProtocolInstance)
-    n = target.n if is_inst else len(target.in_dims)
+    n = target.n if is_inst else len(_as_product(target).in_dims)
     if n > DENSE_THETA_LIMIT:
         raise CapacityError(f"dense global state needs n <= {DENSE_THETA_LIMIT} (got {n})")
     channel = target.kraus_channel if is_inst else target
@@ -208,42 +201,6 @@ def global_state_theta(inst: ProtocolInstance) -> DensityOperator:
     mat = theta_matrix(inst)
     dims = (2,) * inst.n + inst.channel.out_dims
     return DensityOperator(mat, dims)
-
-
-def _project_aposteriori(theta: np.ndarray, probe: np.ndarray, d_rest: int):
-    """Probability and conditional block for a rank-1 probe on A'."""
-    d_a = probe.size
-    t4 = theta.reshape(d_a, d_rest, d_a, d_rest)
-    block = np.einsum("a,abcd,c->bd", np.conj(probe), t4, probe)
-    prob = float(np.trace(block).real)
-    return prob, block
-
-
-def aposteriori(
-    inst: ProtocolInstance,
-    basis: Basis,
-    msg: int,
-    method: str = "structured",
-):
-    """Outcome probability and conditional state on H_B (x) H_E.
-
-    The structured path uses the closed form: probability 2^-n and
-    state equal to the channel output for the encoded message.  The
-    dense path extracts both from the materialized global state and is
-    what the equivalence check compares against.
-    """
-    msg = _check_message(msg, inst.n)
-    _check_basis(basis)
-    if method == "structured":
-        return 2.0 ** (-inst.n), joint_state(inst, msg, basis)
-    if method != "dense":
-        raise ValidationError(f"unknown method {method!r}")
-    theta = theta_matrix(inst)
-    probe = encode(msg, basis, inst.n)
-    prob, block = _project_aposteriori(theta, probe, inst.channel.out_dim)
-    if prob <= 0.0:
-        raise ValidationError(f"zero-probability branch for ({basis}, {msg})")
-    return prob, DensityOperator(block / prob, inst.channel.out_dims)
 
 
 @dataclass(frozen=True)
@@ -265,7 +222,7 @@ class EquivalenceReport:
 
 def equivalence_check(
     target: ProtocolInstance | QuantumChannel,
-    tol: float = 1e-10,
+    tol: float = STRUCTURAL_TOL,
 ) -> EquivalenceReport:
     """Verify the entanglement-based picture reproduces prepare-and-send.
 
@@ -277,12 +234,15 @@ def equivalence_check(
     channel = target.kraus_channel if isinstance(target, ProtocolInstance) else target
     n = len(channel.in_dims)
     uniform = 2.0 ** (-n)
+    t4 = theta.reshape(2**n, channel.out_dim, 2**n, channel.out_dim)
     max_prob = 0.0
     max_state = 0.0
     for basis in BASES:
         for msg in range(2**n):
             probe = encode(msg, basis, n)
-            prob, block = _project_aposteriori(theta, probe, channel.out_dim)
+            # Projecting A' on the probe leaves the a-posteriori block on B (x) E.
+            block = np.einsum("a,abcd,c->bd", np.conj(probe), t4, probe)
+            prob = float(np.trace(block).real)
             max_prob = max(max_prob, abs(prob - uniform))
             ref = apply_channel_to_vector_raw(channel, probe)
             if prob > 0.0:

@@ -29,7 +29,15 @@ from .complexity import (
 )
 from .distinguishability import distinguishable_partition
 from .errors import DimensionError, ValidationError
-from .operators import DECISION_TOL, as_matrix, ket_bra, operator_norm
+from .operators import (
+    DECISION_TOL,
+    POVM_TOL,
+    PROBABILITY_TOL,
+    VERDICT_TOL,
+    as_matrix,
+    ket_bra,
+    operator_norm,
+)
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, encode, receiver_state, theta_matrix
 
 
@@ -40,10 +48,10 @@ class LPCheck:
     holds: bool
 
 
-def landau_pollak_check(projectors: Sequence, rho, tol: float = 1e-9) -> LPCheck:
+def landau_pollak_check(projectors: Sequence[np.ndarray], rho: np.ndarray) -> LPCheck:
     """Evaluate sum_i tr(rho A_i) <= 1 + sqrt(sum_{i!=j} ||A_i A_j||^2)."""
-    mats = [p.mat if hasattr(p, "mat") else as_matrix(p) for p in projectors]
-    rho_mat = rho.mat if hasattr(rho, "mat") else as_matrix(rho)
+    mats = [as_matrix(p) for p in projectors]
+    rho_mat = as_matrix(rho)
     dim = rho_mat.shape[0]
     if any(m.shape != (dim, dim) for m in mats):
         raise DimensionError("projectors and state must share one dimension")
@@ -54,7 +62,7 @@ def landau_pollak_check(projectors: Sequence, rho, tol: float = 1e-9) -> LPCheck
             if i != j:
                 cross += operator_norm(a @ b) ** 2
     rhs = 1.0 + math.sqrt(cross)
-    return LPCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
+    return LPCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + VERDICT_TOL)
 
 
 def conjugate_overlap_norm(x: int, z: int, n: int) -> float:
@@ -102,7 +110,7 @@ class GridPoint:
 
     @property
     def holds(self) -> bool:
-        return self.count_b + self.count_e <= self.bound + 1e-9
+        return self.count_b + self.count_e <= self.bound + VERDICT_TOL
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,7 @@ class CrossNormRecord:
 
     @property
     def holds(self) -> bool:
-        return self.norm <= self.limit + 1e-9
+        return self.norm <= self.limit + VERDICT_TOL
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,7 @@ class ShannonCheck:
 
     @property
     def holds(self) -> bool:
-        return self.total <= self.limit + 1e-9
+        return self.total <= self.limit + VERDICT_TOL
 
 
 @dataclass(frozen=True)
@@ -198,30 +206,29 @@ def outcome_distribution(
     basis: str,
     side: str,
     povm: Sequence[np.ndarray],
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Joint table P(msg, k) = 2^-n tr(state_msg M_k) over messages/outcomes.
 
     tr(rho M) = sum(rho * M^T), so the whole table is one product of the
     flattened states with the flattened transposed POVM elements.
     """
-    mats = np.stack([m.mat if hasattr(m, "mat") else as_matrix(m) for m in povm])
+    mats = np.stack([as_matrix(m) for m in povm])
     dim = mats.shape[1]
-    if float(np.max(np.abs(mats.sum(axis=0) - np.eye(dim)))) > tol:
+    if float(np.max(np.abs(mats.sum(axis=0) - np.eye(dim)))) > POVM_TOL:
         raise ValidationError("POVM does not sum to the identity")
     states = np.stack([receiver_state(inst, msg, basis, side).mat for msg in range(2**inst.n)])
     table = states.reshape(len(states), -1) @ mats.transpose(0, 2, 1).reshape(len(mats), -1).T
     return 2.0 ** (-inst.n) * table.real
 
 
-def mutual_information(joint: np.ndarray, tol: float = 1e-12) -> float:
+def mutual_information(joint: np.ndarray) -> float:
     """Shannon mutual information (bits) of a joint probability table."""
     p = np.asarray(joint, dtype=np.float64)
     if p.ndim != 2:
         raise DimensionError("joint table must be 2-D")
-    if p.min() < -tol:
+    if p.min() < -PROBABILITY_TOL:
         raise ValidationError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > PROBABILITY_TOL:
         raise ValidationError(f"table sums to {p.sum()!r}, not 1")
     p = np.clip(p, 0.0, None)
     pa = p.sum(axis=1)
@@ -230,7 +237,7 @@ def mutual_information(joint: np.ndarray, tol: float = 1e-12) -> float:
     mask = p > 0.0
     val = float(np.sum(p[mask] * np.log2(p[mask] / outer[mask])))
     # rounding on independent tables can leave a ~1e-16 negative residue
-    return 0.0 if -1e-12 < val < 0.0 else val
+    return 0.0 if -PROBABILITY_TOL < val < 0.0 else val
 
 
 def shannon_tradeoff_check(

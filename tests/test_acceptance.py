@@ -80,7 +80,7 @@ def test_criterion_03_expectation_identities():
             theta = theta_matrix(inst.channel)
             for cat in catalogues_for(inst):
                 for l in range(n + 2):
-                    chk = expectation_identity_check(inst, cat, l, theta=theta, tol=1e-9)
+                    chk = expectation_identity_check(inst, cat, l, theta=theta)
                     worst = max(
                         worst, abs(chk.lhs - chk.rhs), abs(chk.lhs_dense - chk.rhs)
                     )

@@ -117,7 +117,7 @@ class TestParameterLimits:
 def test_every_attack_validates_up_to_three_qubits(channel):
     for n in (1, 2, 3):
         for spec in standard_attacks(n):
-            report = validate_channel(channel(spec.kind, n), 1e-9)
+            report = validate_channel(channel(spec.kind, n))
             assert report.passed, (spec.label(), report.completeness_violation)
 
 

@@ -6,8 +6,6 @@ from qid.channels import (
     apply_channel,
     apply_channel_to_vector,
     apply_channel_to_vector_raw,
-    channel_from_dict,
-    channel_to_dict,
     isometry_to_channel,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -123,7 +121,7 @@ class TestValidateChannel:
 
         for n in (1, 2, 3):
             for spec in standard_attacks(n):
-                assert validate_channel(channel(spec.kind, n), CHANNEL_TOL).passed
+                assert validate_channel(channel(spec.kind, n)).passed
 
     def test_scaled_kraus_breaks_completeness(self, channel):
         ch = channel("identity", 1)
@@ -153,21 +151,6 @@ class TestSerialization:
         rng = np.random.default_rng(36)
         m = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         np.testing.assert_array_equal(matrix_from_pairs(matrix_to_pairs(m)), m)
-
-    def test_channel_round_trip_preserves_action(self, channel):
-        ch = channel("universal_cloner", 1)
-        back = channel_from_dict(channel_to_dict(ch))
-        assert back.in_dims == ch.in_dims
-        assert back.out_dims_b == ch.out_dims_b
-        assert back.out_dims_e == ch.out_dims_e
-        rho = qubit_state(np.eye(2) / 2)
-        np.testing.assert_array_equal(
-            apply_channel(back, rho).mat, apply_channel(ch, rho).mat
-        )
-
-    def test_missing_key_raises(self):
-        with pytest.raises(ValidationError):
-            channel_from_dict({"kraus": []})
 
 
 def test_library_outputs_are_valid_states(instance):

@@ -84,6 +84,40 @@ class TestConfig:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            {"decision": -1},
+            {"decision": 0},
+            {"decision": 1},
+            {"decision": True},
+            {"decision": 1e300},
+            {"decision": "1e-7"},
+            {"structural": float("nan")},
+            {"structural": float("inf")},
+        ],
+        ids=["negative", "zero", "one", "bool", "huge", "string", "nan", "inf"],
+    )
+    def test_bad_tolerance_exits_config(self, tmp_path, tolerances):
+        # measure_z at N = 2 gives Bob one class, so a bad decision value would flip it.
+        cfg = write_config(
+            tmp_path / "cfg.json", n=2, attacks=[{"kind": "measure_z"}], tolerances=tolerances
+        )
+        with pytest.raises(ConfigError, match="tolerance"):
+            load_config(cfg)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_sweep_workers_below_one_is_a_usage_error(self, tmp_path, workers):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_colliding_artifact_names_exit_config(self, tmp_path):
         # Both labels format as depolarize_p0.123456, so one job would overwrite the other.
         attacks = [

@@ -11,7 +11,6 @@ from qid.complexity import (
     build_catalogue,
     cumulative_projector,
     expectation_identity_check,
-    low_complexity_count,
     program_projector,
     proxy_complexity,
 )
@@ -144,12 +143,12 @@ class TestProxyComplexity:
     def test_counts(self, instance):
         cat_b, _ = catalogues_for(instance("identity", 2))
         profile = proxy_complexity(cat_b)
-        assert low_complexity_count(profile, 0) == 0
-        assert low_complexity_count(profile, 1) == 4
+        assert profile.count(0) == 0
+        assert profile.count(1) == 4
         cat_b_mx, _ = catalogues_for(instance("measure_x", 2))
         profile_mx = proxy_complexity(cat_b_mx)
-        assert low_complexity_count(profile_mx, 2) == 0
-        assert low_complexity_count(profile_mx, 3) == 4
+        assert profile_mx.count(2) == 0
+        assert profile_mx.count(3) == 4
 
     def test_adding_an_entry_never_lengthens(self):
         part = classes_from_members([(0, 1), (2, 3), (4, 5), (6, 7)])

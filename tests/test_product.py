@@ -27,7 +27,6 @@ from qid.distinguishability import _overlap_table, support_projector
 from qid.errors import CapacityError, DimensionError, ValidationError
 from qid.protocol import (
     ProtocolInstance,
-    aposteriori,
     equivalence_check,
     global_state_theta,
     receiver_state,
@@ -155,7 +154,6 @@ class TestCapacity:
             verify_tradeoff(inst, spec, dense=True)
         for dense_check in (
             lambda: equivalence_check(inst),
-            lambda: aposteriori(inst, "Z", 0, method="dense"),
             lambda: global_state_theta(inst),
         ):
             with pytest.raises(CapacityError, match="n <= 2"):

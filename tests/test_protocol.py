@@ -3,10 +3,9 @@ import pytest
 
 from qid.attacks import standard_attacks
 from qid.channels import QuantumChannel, apply_channel_to_vector
-from qid.errors import CapacityError, ValidationError
+from qid.errors import CapacityError, DimensionError, ValidationError
 from qid.operators import ket_bra, partial_trace, validate_state
 from qid.protocol import (
-    aposteriori,
     encode,
     epr_state,
     equivalence_check,
@@ -125,32 +124,22 @@ class TestGlobalState:
 
 
 class TestAposteriori:
-    def test_structured_probability_is_exactly_uniform(self, instance):
-        inst = instance("depolarize", 2)
-        probs = [aposteriori(inst, "Z", z)[0] for z in range(4)]
-        assert probs == [0.25] * 4
-        assert sum(probs) == 1.0
+    """``joint_state`` is the a-posteriori state on H_B (x) H_E of one encoded message.
+
+    Its agreement with the projection of the dense global state is
+    ``equivalence_check`` (see ``TestEquivalence``).
+    """
 
     def test_structured_state_is_channel_output(self, instance):
         inst = instance("universal_cloner", 1)
-        _, state = aposteriori(inst, "Z", 1)
+        state = joint_state(inst, 1, "Z")
         ref = apply_channel_to_vector(inst.channel, encode(1, "Z", 1))
         np.testing.assert_array_equal(state.mat, ref.mat)
-
-    def test_dense_path_agrees_with_structured(self, instance):
-        for kind in ("identity", "measure_z", "universal_cloner"):
-            inst = instance(kind, 2)
-            for basis in ("Z", "X"):
-                for msg in range(4):
-                    p_dense, s_dense = aposteriori(inst, basis, msg, method="dense")
-                    p_struct, s_struct = aposteriori(inst, basis, msg)
-                    assert abs(p_dense - p_struct) < 1e-10
-                    np.testing.assert_allclose(s_dense.mat, s_struct.mat, atol=1e-10)
 
     def test_x_restriction_is_eve_cache(self, instance):
         inst = instance("measure_z", 2)
         for x in range(4):
-            _, state = aposteriori(inst, "X", x)
+            state = joint_state(inst, x, "X")
             np.testing.assert_allclose(
                 state.ptrace([2, 3]).mat, inst.sigma_e[x].mat, atol=1e-12
             )
@@ -190,6 +179,15 @@ class TestEquivalence:
         report = equivalence_check(bad)
         assert not report.passed
         assert report.max_probability_deviation > 0.01
+
+    def test_non_qubit_channel_raises_dimension_error(self):
+        # The EPR register holds qubits; a qutrit input is refused before any contraction.
+        qutrit = QuantumChannel(
+            kraus=[np.eye(9, 3)], in_dims=(3,), out_dims_b=(3,), out_dims_e=(3,)
+        )
+        for dense_check in (theta_matrix, equivalence_check):
+            with pytest.raises(DimensionError, match="qubits"):
+                dense_check(qutrit)
 
 
 def test_theta_matrix_trace_one(channel):

@@ -79,7 +79,7 @@ class TestLandauPollak:
                     program_projector(cat_e, j, db, de).dense()
                     for j in range(len(cat_e.entries))
                 ]
-                assert landau_pollak_check(family, theta).holds
+                assert landau_pollak_check(family, theta.mat).holds
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
