@@ -12,9 +12,8 @@ uncertainty relation.
 from .attacks import (
     KINDS,
     AttackSpec,
-    dense_channel,
     make_attack,
-    natural_povms,
+    natural_bases,
     product_attack,
     standard_attacks,
 )
@@ -23,6 +22,7 @@ from .channels import (
     QuantumChannel,
     apply_channel,
     apply_channel_to_vector,
+    dense_channel,
     isometry_to_channel,
     validate_channel,
 )
@@ -72,7 +72,6 @@ from .protocol import (
     equivalence_check,
     global_state_theta,
     joint_state,
-    receiver_state,
 )
 from .tradeoff import (
     TradeoffReport,

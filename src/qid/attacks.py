@@ -19,13 +19,12 @@ import numpy as np
 from .channels import (
     ProductChannel,
     QuantumChannel,
+    dense_channel,
     isometry_to_channel,
-    kron_power,
     require_complete,
 )
-from .errors import CapacityError, ValidationError
-from .operators import MAX_DIM, basis_ket, ket_bra
-from .protocol import encode
+from .errors import ValidationError
+from .operators import basis_ket, ket_bra
 
 KINDS = (
     "identity",
@@ -36,10 +35,6 @@ KINDS = (
     "depolarize",
     "intercept_resend_angle",
 )
-
-# Largest complex128 Kraus set dense_channel will build (depolarize at
-# N = 5 needs 512 MiB; at N = 6 it would need 16 GiB).
-MAX_KRAUS_BYTES = 1 << 30
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -142,16 +137,6 @@ def _single_qubit_kraus(kind: str, params: Mapping[str, float]) -> list[np.ndarr
     raise ValidationError(f"unknown attack kind {kind!r}")
 
 
-def _tensor_power(factor: QuantumChannel, n: int) -> np.ndarray:
-    """N-fold tensor power of a one-qubit Kraus stack, outputs ordered (B1..BN, E1..EN).
-
-    Broadcasting axes (kraus, b, e, a) keeps them grouped (k1..kN, b1..bN, e1..eN, a1..aN),
-    first qubit slowest.  No caller keeps the result, so it is freed once the channel copies it.
-    """
-    out = kron_power(factor.kraus.reshape(-1, factor.dim_b, factor.dim_e, factor.in_dim), n)
-    return out.reshape(len(out), -1, out.shape[-1])
-
-
 def product_attack(spec: AttackSpec) -> ProductChannel:
     """The attack as its one-qubit channel and qubit count; no N-qubit Kraus stack is built."""
     factor = QuantumChannel(
@@ -162,29 +147,6 @@ def product_attack(spec: AttackSpec) -> ProductChannel:
         name=spec.label(),
     )
     return ProductChannel(factor, spec.n, spec.label())
-
-
-def dense_channel(product: ProductChannel) -> QuantumChannel:
-    """N-qubit Kraus form of a product channel: the dense oracle.
-
-    Raises ``CapacityError`` before allocating when the stack would
-    exceed ``MAX_KRAUS_BYTES`` or an output side would exceed ``MAX_DIM``.
-    """
-    factor, n = product.factor, product.n
-    nbytes = len(factor.kraus) ** n * factor.out_dim**n * factor.in_dim**n * 16
-    if nbytes > MAX_KRAUS_BYTES or product.out_dim > MAX_DIM:
-        raise CapacityError(
-            f"attack {product.name} at n={n}: {nbytes / 2**20:.0f} MiB of Kraus operators, "
-            f"output side {product.out_dim}; limits {MAX_KRAUS_BYTES / 2**20:.0f} MiB "
-            f"and {MAX_DIM} per side"
-        )
-    return QuantumChannel(
-        kraus=_tensor_power(factor, n),
-        in_dims=product.in_dims,
-        out_dims_b=product.out_dims_b,
-        out_dims_e=product.out_dims_e,
-        name=product.name,
-    )
 
 
 def make_attack(spec: AttackSpec) -> QuantumChannel:
@@ -207,17 +169,11 @@ def standard_attacks(n: int) -> list[AttackSpec]:
     ]
 
 
-def _basis_pvm(n: int, basis: str) -> list[np.ndarray]:
-    return [ket_bra(encode(idx, basis, n)) for idx in range(2**n)]
-
-
-def natural_povms(spec: AttackSpec):
-    """Per-attack measurement choices for the Shannon cross-check.
+def natural_bases(spec: AttackSpec) -> tuple[str, str]:
+    """Bob's and Eve's measurement bases for the Shannon cross-check.
 
     Bob always reads the computational basis.  Eve reads her classical
     record (computational basis) except for the universal cloner, where
     her clone carries conjugate-basis information.
     """
-    bob = _basis_pvm(spec.n, "Z")
-    eve = _basis_pvm(spec.n, "X" if spec.kind == "universal_cloner" else "Z")
-    return bob, eve
+    return "Z", "X" if spec.kind == "universal_cloner" else "Z"

@@ -12,8 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
-from .operators import COMPLETENESS_TOL, DensityOperator, as_matrix, dagger
+from .errors import CapacityError, DimensionError, ValidationError
+from .operators import COMPLETENESS_TOL, MAX_DIM, DensityOperator, as_matrix, dagger
+
+# Largest complex128 Kraus set dense_channel will build (depolarize at
+# N = 5 needs 512 MiB; at N = 6 it would need 16 GiB).
+MAX_KRAUS_BYTES = 1 << 30
 
 
 class _SplitSizes:
@@ -89,7 +93,7 @@ class ProductChannel(_SplitSizes):
     Only the factor is stored; a plain channel is its own factor, taken
     once.  Outputs are grouped (B1..Bn, E1..En) like the Kraus form of
     the whole channel, whose stack grows as K^n (out*in)^n and is only
-    materialized as the dense oracle (``attacks.dense_channel``).
+    materialized as the dense oracle (``dense_channel``).
     """
 
     factor: QuantumChannel
@@ -128,6 +132,39 @@ def kron_power(stack: np.ndarray, n: int) -> np.ndarray:
         grown = grown * stack.reshape([x for d in stack.shape for x in (1, d)])
         out = grown.reshape([a * b for a, b in zip(out.shape, stack.shape)])
     return out
+
+
+def _tensor_power(factor: QuantumChannel, n: int) -> np.ndarray:
+    """N-fold tensor power of a factor's Kraus stack, outputs ordered (B1..BN, E1..EN).
+
+    Broadcasting axes (kraus, b, e, a) keeps them grouped (k1..kN, b1..bN, e1..eN, a1..aN),
+    first factor slowest.  No caller keeps the result, so it is freed once the channel copies it.
+    """
+    out = kron_power(factor.kraus.reshape(-1, factor.dim_b, factor.dim_e, factor.in_dim), n)
+    return out.reshape(len(out), -1, out.shape[-1])
+
+
+def dense_channel(product: ProductChannel) -> QuantumChannel:
+    """Kraus form of a product channel on all its qubits: the dense oracle.
+
+    Raises ``CapacityError`` before allocating when the stack would
+    exceed ``MAX_KRAUS_BYTES`` or an output side would exceed ``MAX_DIM``.
+    """
+    factor, n = product.factor, product.n
+    nbytes = len(factor.kraus) ** n * factor.out_dim**n * factor.in_dim**n * 16
+    if nbytes > MAX_KRAUS_BYTES or product.out_dim > MAX_DIM:
+        raise CapacityError(
+            f"attack {product.name} at n={n}: {nbytes / 2**20:.0f} MiB of Kraus operators, "
+            f"output side {product.out_dim}; limits {MAX_KRAUS_BYTES / 2**20:.0f} MiB "
+            f"and {MAX_DIM} per side"
+        )
+    return QuantumChannel(
+        kraus=_tensor_power(factor, n),
+        in_dims=product.in_dims,
+        out_dims_b=product.out_dims_b,
+        out_dims_e=product.out_dims_e,
+        name=product.name,
+    )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from .attacks import AttackSpec, product_attack
 from .channels import matrix_from_pairs
 from .errors import CapacityError, ConfigError, QidError
-from .operators import DECISION_TOL, OVERLAP_TOL, STRUCTURAL_TOL
+from .operators import DECISION_TOL, OVERLAP_TOL
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
 from .tradeoff import (
@@ -67,7 +67,6 @@ def _fmt(value) -> str:
 
 @dataclass
 class Tolerances:
-    structural: float = STRUCTURAL_TOL
     decision: float = DECISION_TOL
 
 
@@ -88,7 +87,7 @@ CONFIG_KEYS = {
     "n", "attacks", "c_offset", "dense_limit", "seed", "tolerances", "sweep", "outputs",
 }
 SECTION_KEYS = {
-    "tolerances": {"structural", "decision"},
+    "tolerances": {"decision"},
     "sweep": {"n_values"},
     "outputs": {"dir"},
 }
@@ -114,6 +113,15 @@ def _tolerance(value, key: str) -> float:
     return float(value)
 
 
+def _params(value) -> dict[str, float]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"attack 'params' must be a JSON object, got {value!r}")
+    for key, v in value.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"attack parameter '{key}' must be a real number, got {v!r}")
+    return {k: float(v) for k, v in value.items()}
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         data = json.loads(Path(path).read_text())
@@ -136,15 +144,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
             AttackSpec(
                 kind=str(a["kind"]),
                 n=n,
-                params={k: float(v) for k, v in a.get("params", {}).items()},
+                params=_params(a.get("params", {})),
             )
             for a in raw_attacks
         ]
         tol_data = data.get("tolerances", {})
-        tols = Tolerances(
-            structural=_tolerance(tol_data.get("structural", STRUCTURAL_TOL), "structural"),
-            decision=_tolerance(tol_data.get("decision", DECISION_TOL), "decision"),
-        )
+        tols = Tolerances(decision=_tolerance(tol_data.get("decision", DECISION_TOL), "decision"))
         sweep = data.get("sweep", {})
         sweep_n = tuple(_integer(v, "n_values", 1) for v in sweep.get("n_values", []))
         cfg = ExperimentConfig(
@@ -282,7 +287,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -
     extras: dict = {}
     ok = report.all_hold
     if dense:
-        eq = equivalence_check(inst, tol=cfg.tolerances.structural)
+        eq = equivalence_check(inst)
         extras["equivalence"] = {
             "max_probability_deviation": eq.max_probability_deviation,
             "max_state_deviation": eq.max_state_deviation,
@@ -370,7 +375,7 @@ def cmd_check_lp(args) -> int:
 
 def cmd_overlap(args) -> int:
     n = args.n
-    if n < 1 or 2**n > 64:
+    if 2**n > 64:
         raise CapacityError("overlap table supports 1 <= n <= 6")
     expected = 2.0**-n
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -424,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp.set_defaults(func=cmd_check_lp)
 
     ov = sub.add_parser("overlap", help="conjugate-basis overlap norm table")
-    ov.add_argument("--n", type=int, required=True)
+    ov.add_argument("--n", type=_positive_int, required=True)
     ov.set_defaults(func=cmd_overlap)
     return parser
 

@@ -19,15 +19,13 @@ from .errors import CapacityError, DimensionError, ValidationError
 # Every threshold the package compares against.  Three tiers come first:
 # representation-level checks, eigenvalues computed by the Hermitian
 # eigensolver, and distinguishability decisions built on top of those.
-# Only two are settable, through the config's tolerances block:
-# ``structural`` is passed to ``protocol.equivalence_check`` and
-# ``decision`` to ``distinguishability.distinguishable_partition``.
+# Only one is settable, through the config's tolerances block:
+# ``decision`` is passed to ``distinguishability.distinguishable_partition``.
 STRUCTURAL_TOL = 1e-10  # hermiticity, unit trace, positivity; protocol equivalence
 SPECTRAL_TOL = 1e-8  # eigenvalues at or below this lie outside a state's support
 DECISION_TOL = 1e-7  # support overlaps at or below this count as orthogonal
 COMPLETENESS_TOL = 1e-9  # max |sum K^dag K - 1| of a channel, |V^dag V - 1| of an isometry
 IDEMPOTENCE_TOL = 1e-9  # max |P^2 - P| of a projector
-POVM_TOL = 1e-8  # max |sum M_k - 1| of a measurement
 PROBABILITY_TOL = 1e-12  # joint tables: negative entries, total, negative information residue
 VERDICT_TOL = 1e-9  # slack on every inequality a report says holds or agrees
 OVERLAP_TOL = 1e-10  # conjugate-basis overlap norms against 2^-n

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Iterable, Literal
+from functools import cached_property
+from typing import Literal
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .channels import (
     QuantumChannel,
     apply_channel_to_vector,
     apply_channel_to_vector_raw,
+    dense_channel,
     kron_power,
     require_complete,
     vector_marginals,
@@ -43,23 +44,13 @@ Basis = Literal["Z", "X"]
 Side = Literal["B", "E"]
 
 
-def _check_message(msg: int, n: int) -> int:
+def encode(msg: int, basis: Basis, n: int) -> np.ndarray:
+    """Pure state vector |msg> (Z) or the conjugate-basis |msg-bar> (X)."""
     msg = int(msg)
     if not 0 <= msg < 2**n:
         raise ValidationError(f"message {msg} out of range for n={n}")
-    return msg
-
-
-def _check_basis(basis: str) -> str:
     if basis not in BASES:
         raise ValidationError(f"basis must be one of {BASES}, got {basis!r}")
-    return basis
-
-
-def encode(msg: int, basis: Basis, n: int) -> np.ndarray:
-    """Pure state vector |msg> (Z) or the conjugate-basis |msg-bar> (X)."""
-    msg = _check_message(msg, n)
-    _check_basis(basis)
     dim = 2**n
     if basis == "Z":
         v = np.zeros(dim, dtype=np.complex128)
@@ -79,20 +70,13 @@ def epr_state(n: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128).ravel() / math.sqrt(dim)
 
 
-def _as_product(channel: QuantumChannel | ProductChannel) -> ProductChannel:
-    """A plain channel is its own factor, taken once; its inputs must be qubits."""
-    if isinstance(channel, ProductChannel):
-        return channel
-    return ProductChannel(channel, 1)
-
-
-def _factor_marginals(
-    factor: QuantumChannel, basis: Basis, side: Side, messages: Iterable[int]
-) -> np.ndarray:
-    """One side's marginals of a factor for the given encoded messages of its register."""
+def _factor_marginals(factor: QuantumChannel, basis: Basis, side: Side) -> np.ndarray:
+    """One side's marginals of a factor for every encoded message of its register."""
     pick = SIDES.index(side)
     k = len(factor.in_dims)
-    return np.stack([vector_marginals(factor, encode(msg, basis, k))[pick] for msg in messages])
+    return np.stack(
+        [vector_marginals(factor, encode(msg, basis, k))[pick] for msg in range(factor.in_dim)]
+    )
 
 
 @dataclass(frozen=True)
@@ -102,19 +86,23 @@ class ProtocolInstance:
     ``rho_b[z]`` is Bob's state for the Z-encoded message z and
     ``sigma_e[x]`` Eve's state for the X-encoded message x; both caches
     cover all 2^n messages and are immutable after construction.  The
-    channel is a ``QuantumChannel`` on all n qubits or a
-    ``ProductChannel``; either way each state is the Kronecker product
-    of its factor's marginals, one per factor.
+    channel is a ``ProductChannel`` (a plain channel is its own factor,
+    taken once), so each state is the Kronecker product of its factor's
+    marginals, one per factor.
     """
 
     n: int
-    channel: QuantumChannel | ProductChannel
+    channel: ProductChannel
     rho_b: tuple[DensityOperator, ...]
     sigma_e: tuple[DensityOperator, ...]
 
     @classmethod
     def from_channel(cls, channel: QuantumChannel | ProductChannel) -> "ProtocolInstance":
-        product = _as_product(channel)
+        product = (
+            channel
+            if isinstance(channel, ProductChannel)
+            else ProductChannel(channel, 1, channel.name)
+        )
         n = len(product.in_dims)
         nbytes = 2**n * (product.dim_b**2 + product.dim_e**2) * 16
         if nbytes > MAX_STATE_BYTES:
@@ -124,12 +112,11 @@ class ProtocolInstance:
             )
         factor = product.factor
         require_complete(factor, "product factor")
-        every = range(factor.in_dim)
-        rho_b = kron_power(_factor_marginals(factor, "Z", "B", every), product.n)
-        sigma_e = kron_power(_factor_marginals(factor, "X", "E", every), product.n)
+        rho_b = kron_power(_factor_marginals(factor, "Z", "B"), product.n)
+        sigma_e = kron_power(_factor_marginals(factor, "X", "E"), product.n)
         return cls(
             n=n,
-            channel=channel,
+            channel=product,
             rho_b=tuple(DensityOperator(m, product.out_dims_b) for m in rho_b),
             sigma_e=tuple(DensityOperator(m, product.out_dims_e) for m in sigma_e),
         )
@@ -138,14 +125,9 @@ class ProtocolInstance:
     def kraus_channel(self) -> QuantumChannel:
         """The channel in N-qubit Kraus form, for the dense checks.
 
-        A product channel's stack is built on first use, once per
-        instance, through ``attacks.dense_channel`` and its capacity
-        limits.
+        The stack is built on first use, once per instance, through
+        ``dense_channel`` and its capacity limits.
         """
-        if isinstance(self.channel, QuantumChannel):
-            return self.channel
-        from .attacks import dense_channel  # attacks imports this module
-
         return dense_channel(self.channel)
 
 
@@ -154,40 +136,15 @@ def joint_state(inst: ProtocolInstance, msg: int, basis: Basis) -> DensityOperat
     return apply_channel_to_vector(inst.kraus_channel, encode(msg, basis, inst.n))
 
 
-def receiver_state(inst: ProtocolInstance, msg: int, basis: Basis, side: Side) -> DensityOperator:
-    """Reduced state of one side for one encoded message.
-
-    The theorem consumes (Z, B) and (X, E), which are served from the
-    instance cache; the other two pairings are computed on demand, as
-    the Kronecker product of the factor's marginals, one per digit of
-    the message.
-    """
-    msg = _check_message(msg, inst.n)
-    _check_basis(basis)
-    if side not in SIDES:
-        raise ValidationError(f"side must be one of {SIDES}, got {side!r}")
-    if basis == "Z" and side == "B":
-        return inst.rho_b[msg]
-    if basis == "X" and side == "E":
-        return inst.sigma_e[msg]
-    product = _as_product(inst.channel)
-    digits = np.unravel_index(msg, (product.factor.in_dim,) * product.n)
-    mat = reduce(np.kron, _factor_marginals(product.factor, basis, side, digits))
-    dims = product.out_dims_b if side == "B" else product.out_dims_e
-    return DensityOperator(mat, dims)
-
-
-def theta_matrix(target: ProtocolInstance | QuantumChannel) -> np.ndarray:
+def theta_matrix(inst: ProtocolInstance) -> np.ndarray:
     """Raw dense matrix of (id (x) channel) applied to the EPR register.
 
-    The size is checked before an instance's Kraus form is built, and a
-    plain channel's inputs must be qubits, like a product factor's.
+    The size is checked before the instance's Kraus form is built.
     """
-    is_inst = isinstance(target, ProtocolInstance)
-    n = target.n if is_inst else len(_as_product(target).in_dims)
+    n = inst.n
     if n > DENSE_THETA_LIMIT:
         raise CapacityError(f"dense global state needs n <= {DENSE_THETA_LIMIT} (got {n})")
-    channel = target.kraus_channel if is_inst else target
+    channel = inst.kraus_channel
     dim_a = 2**n
     phi = epr_state(n).reshape(dim_a, dim_a)
     # Row k of w is the vector (1 (x) K_k)|phi>, so theta = sum_k w_k w_k^dag.
@@ -210,29 +167,20 @@ class EquivalenceReport:
     n: int
     max_probability_deviation: float
     max_state_deviation: float
-    tol: float
 
     @property
     def passed(self) -> bool:
         return (
-            self.max_probability_deviation <= self.tol
-            and self.max_state_deviation <= self.tol
+            self.max_probability_deviation <= STRUCTURAL_TOL
+            and self.max_state_deviation <= STRUCTURAL_TOL
         )
 
 
-def equivalence_check(
-    target: ProtocolInstance | QuantumChannel,
-    tol: float = STRUCTURAL_TOL,
-) -> EquivalenceReport:
-    """Verify the entanglement-based picture reproduces prepare-and-send.
-
-    Accepts a raw channel as well, so deliberately corrupted (non
-    trace-preserving) channels can be shown to fail the uniformity of
-    the outcome probabilities.
-    """
-    theta = theta_matrix(target)
-    channel = target.kraus_channel if isinstance(target, ProtocolInstance) else target
-    n = len(channel.in_dims)
+def equivalence_check(inst: ProtocolInstance) -> EquivalenceReport:
+    """Verify the entanglement-based picture reproduces prepare-and-send."""
+    theta = theta_matrix(inst)
+    channel = inst.kraus_channel
+    n = inst.n
     uniform = 2.0 ** (-n)
     t4 = theta.reshape(2**n, channel.out_dim, 2**n, channel.out_dim)
     max_prob = 0.0
@@ -253,5 +201,4 @@ def equivalence_check(
         n=n,
         max_probability_deviation=max_prob,
         max_state_deviation=max_state,
-        tol=tol,
     )

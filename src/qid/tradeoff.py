@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackSpec, natural_povms, product_attack, standard_attacks
+from .attacks import AttackSpec, natural_bases, product_attack, standard_attacks
 from .complexity import (
     ComplexityProfile,
     DecoderCatalogue,
@@ -31,14 +31,14 @@ from .distinguishability import distinguishable_partition
 from .errors import DimensionError, ValidationError
 from .operators import (
     DECISION_TOL,
-    POVM_TOL,
     PROBABILITY_TOL,
     VERDICT_TOL,
+    DensityOperator,
     as_matrix,
     ket_bra,
     operator_norm,
 )
-from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, encode, receiver_state, theta_matrix
+from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, encode, theta_matrix
 
 
 @dataclass(frozen=True)
@@ -201,24 +201,21 @@ class TradeoffReport:
         )
 
 
-def outcome_distribution(
-    inst: ProtocolInstance,
-    basis: str,
-    side: str,
-    povm: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Joint table P(msg, k) = 2^-n tr(state_msg M_k) over messages/outcomes.
+def outcome_distribution(states: Sequence[DensityOperator], measured: str) -> np.ndarray:
+    """Joint table P(msg, k) = <k|rho_msg|k> / #messages for uniform messages.
 
-    tr(rho M) = sum(rho * M^T), so the whole table is one product of the
-    flattened states with the flattened transposed POVM elements.
+    The outcomes |k> are the ``encode`` basis ``measured`` of the
+    states' qubit register.  One product rho @ basis^T gives every
+    rho|k>, and a row-wise contraction with <k| reads the diagonal.
     """
-    mats = np.stack([as_matrix(m) for m in povm])
-    dim = mats.shape[1]
-    if float(np.max(np.abs(mats.sum(axis=0) - np.eye(dim)))) > POVM_TOL:
-        raise ValidationError("POVM does not sum to the identity")
-    states = np.stack([receiver_state(inst, msg, basis, side).mat for msg in range(2**inst.n)])
-    table = states.reshape(len(states), -1) @ mats.transpose(0, 2, 1).reshape(len(mats), -1).T
-    return 2.0 ** (-inst.n) * table.real
+    dims = states[0].dims
+    if set(dims) != {2}:
+        raise DimensionError(f"a basis read needs a qubit register, got dims {dims}")
+    n = len(dims)
+    basis = np.stack([encode(k, measured, n) for k in range(2**n)])
+    images = np.stack([s.mat for s in states]) @ basis.T
+    table = np.einsum("ka,mak->mk", basis.conj(), images)
+    return table.real / len(states)
 
 
 def mutual_information(joint: np.ndarray) -> float:
@@ -240,14 +237,10 @@ def mutual_information(joint: np.ndarray) -> float:
     return 0.0 if -PROBABILITY_TOL < val < 0.0 else val
 
 
-def shannon_tradeoff_check(
-    inst: ProtocolInstance,
-    bob_povm: Sequence[np.ndarray],
-    eve_povm: Sequence[np.ndarray],
-) -> ShannonCheck:
-    """I(msg : Bob | Z) + I(msg : Eve | X) <= n for the given measurements."""
-    i_bz = mutual_information(outcome_distribution(inst, "Z", "B", bob_povm))
-    i_ex = mutual_information(outcome_distribution(inst, "X", "E", eve_povm))
+def shannon_tradeoff_check(inst: ProtocolInstance, bob_basis: str, eve_basis: str) -> ShannonCheck:
+    """I(msg : Bob | Z) + I(msg : Eve | X) <= n, each side read in the given basis."""
+    i_bz = mutual_information(outcome_distribution(inst.rho_b, bob_basis))
+    i_ex = mutual_information(outcome_distribution(inst.sigma_e, eve_basis))
     return ShannonCheck(i_bz=i_bz, i_ex=i_ex, limit=float(inst.n))
 
 
@@ -345,8 +338,7 @@ def verify_tradeoff(
             family += [q for w, q in dense_e if w <= m]
             lp = landau_pollak_check(family, theta)
             lp_records.append(LPRecord(l=l, m=m, lhs=lp.lhs, rhs=lp.rhs, holds=lp.holds))
-    bob_povm, eve_povm = natural_povms(attack)
-    shannon = shannon_tradeoff_check(inst, bob_povm, eve_povm)
+    shannon = shannon_tradeoff_check(inst, *natural_bases(attack))
     return TradeoffReport(
         n=n,
         attack=attack,

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from qid.attacks import natural_povms, standard_attacks
+from qid.attacks import natural_bases, standard_attacks
 from qid.cli import main as cli_main
 from qid.complexity import expectation_identity_check, program_projector, proxy_complexity
 from qid.operators import ket_bra
@@ -59,7 +59,7 @@ def test_criterion_02_protocol_equivalence():
     ok = True
     for n in (1, 2):
         for spec in standard_attacks(n):
-            report = equivalence_check(_instance(spec.kind, n), tol=1e-10)
+            report = equivalence_check(_instance(spec.kind, n))
             worst_prob = max(worst_prob, report.max_probability_deviation)
             worst_state = max(worst_state, report.max_state_deviation)
             ok = ok and report.passed
@@ -77,7 +77,7 @@ def test_criterion_03_expectation_identities():
     for n in (1, 2):
         for spec in standard_attacks(n):
             inst = _instance(spec.kind, n)
-            theta = theta_matrix(inst.channel)
+            theta = theta_matrix(inst)
             for cat in catalogues_for(inst):
                 for l in range(n + 2):
                     chk = expectation_identity_check(inst, cat, l, theta=theta)
@@ -98,7 +98,7 @@ def test_criterion_04_landau_pollak_suite():
     for n in (1, 2):
         for spec in standard_attacks(n):
             inst = _instance(spec.kind, n)
-            theta = theta_matrix(inst.channel)
+            theta = theta_matrix(inst)
             cat_b, cat_e = catalogues_for(inst)
             db, de = inst.channel.dim_b, inst.channel.dim_e
             family = [
@@ -255,8 +255,7 @@ def test_criterion_09_shannon_cross_check():
     ok = True
     for n in (1, 2, 3):
         for spec in standard_attacks(n):
-            bob, eve = natural_povms(spec)
-            check = shannon_tradeoff_check(_instance(spec.kind, n), bob, eve)
+            check = shannon_tradeoff_check(_instance(spec.kind, n), *natural_bases(spec))
             ok = ok and check.holds
             if spec.kind in ("identity", "measure_x"):
                 ok = ok and abs(check.total - n) <= 1e-9

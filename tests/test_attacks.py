@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 import qid.attacks as attacks_mod
-from qid.attacks import (
-    KINDS,
-    AttackSpec,
-    make_attack,
-    natural_povms,
-    standard_attacks,
-)
+import qid.channels as channels_mod
+from qid.attacks import KINDS, AttackSpec, make_attack, standard_attacks
 from qid.channels import validate_channel, vector_marginals
 from qid.errors import CapacityError, ValidationError
 from qid.operators import permutation_matrix, tensor
@@ -136,14 +131,14 @@ def test_output_side_over_dense_limit_raises_before_allocating(kind, monkeypatch
     def no_build(*args):
         raise AssertionError("Kraus tensor power built before the capacity check")
 
-    monkeypatch.setattr(attacks_mod, "_tensor_power", no_build)
+    monkeypatch.setattr(channels_mod, "_tensor_power", no_build)
     with pytest.raises(CapacityError):
         make_attack(AttackSpec(kind, 7))
 
 
 def test_kraus_byte_limit_is_inclusive(monkeypatch):
     # depolarize at N = 2: 16 operators of 16 x 4 complex128 = 16 KiB.
-    monkeypatch.setattr(attacks_mod, "MAX_KRAUS_BYTES", 16 * 1024)
+    monkeypatch.setattr(channels_mod, "MAX_KRAUS_BYTES", 16 * 1024)
     make_attack(AttackSpec("depolarize", 2, {"p": 0.5}))
     with pytest.raises(CapacityError):
         make_attack(AttackSpec("depolarize", 3, {"p": 0.5}))
@@ -177,11 +172,3 @@ def test_broadcast_tensor_power_matches_kron_then_regroup(kind, n, attack_spec, 
 
 def test_standard_library_covers_all_kinds():
     assert tuple(s.kind for s in standard_attacks(1)) == KINDS
-
-
-def test_natural_povms_are_complete(attack_spec):
-    for kind in KINDS:
-        bob, eve = natural_povms(attack_spec(kind, 2))
-        for povm in (bob, eve):
-            acc = sum(povm)
-            np.testing.assert_allclose(acc, np.eye(4), atol=1e-12)

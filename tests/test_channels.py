@@ -14,7 +14,7 @@ from qid.channels import (
 )
 from qid.errors import DimensionError, ValidationError
 from qid.operators import DensityOperator, basis_ket, ket_bra, tensor
-from qid.protocol import encode, epr_state, equivalence_check, theta_matrix
+from qid.protocol import ProtocolInstance, encode, epr_state, equivalence_check, theta_matrix
 
 from helpers import random_complex, random_density, random_isometry_channel
 
@@ -255,7 +255,8 @@ class TestStackedKraus:
         phi = epr_state(n).reshape(2**n, 2**n)
         vecs = [(phi @ k.T).ravel() for k in stacked.kraus]
         expected = sum(np.outer(w, np.conj(w)) for w in vecs)
-        np.testing.assert_allclose(theta_matrix(stacked), expected, rtol=0, atol=1e-14)
+        inst = ProtocolInstance.from_channel(stacked)
+        np.testing.assert_allclose(theta_matrix(inst), expected, rtol=0, atol=1e-14)
 
     def test_equivalence_check_reference(self, stacked):
         n = len(stacked.in_dims)
@@ -266,4 +267,4 @@ class TestStackedKraus:
                 np.testing.assert_allclose(
                     apply_channel_to_vector_raw(stacked, probe), expected, rtol=0, atol=1e-14
                 )
-        assert equivalence_check(stacked).passed
+        assert equivalence_check(ProtocolInstance.from_channel(stacked)).passed

@@ -65,6 +65,26 @@ class TestConfig:
         cfg = write_config(tmp_path / "cfg.json", tolerances={"spectral": 1e-8})
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_structural_tolerance_key_exits_config(self, tmp_path):
+        # the equivalence check always uses STRUCTURAL_TOL, so the key was removed
+        cfg = write_config(tmp_path / "cfg.json", tolerances={"structural": 1e-6})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "params",
+        [[0.5], "p", {"p": True}, {"p": "0.5"}, {"p": None}],
+        ids=["list", "string", "bool_value", "string_value", "null_value"],
+    )
+    def test_bad_attack_params_exit_config(self, tmp_path, params):
+        cfg = write_config(tmp_path / "cfg.json", attacks=[{"kind": "depolarize", "params": params}])
+        with pytest.raises(ConfigError, match="params|parameter"):
+            load_config(cfg)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "overrides",
@@ -93,8 +113,8 @@ class TestConfig:
             {"decision": True},
             {"decision": 1e300},
             {"decision": "1e-7"},
-            {"structural": float("nan")},
-            {"structural": float("inf")},
+            {"decision": float("nan")},
+            {"decision": float("inf")},
         ],
         ids=["negative", "zero", "one", "bool", "huge", "string", "nan", "inf"],
     )
@@ -159,12 +179,12 @@ class TestSimulate:
         )
 
     def test_dense_limit_above_two_exits_capacity_before_the_oracle(self, tmp_path, monkeypatch):
-        import qid.attacks as attacks
+        import qid.protocol as protocol
 
         def no_build(*args):
             raise AssertionError("dense oracle built before the dense-size check")
 
-        monkeypatch.setattr(attacks, "dense_channel", no_build)
+        monkeypatch.setattr(protocol, "dense_channel", no_build)
         cfg = write_config(
             tmp_path / "cfg.json",
             n=3,
@@ -283,6 +303,12 @@ class TestOverlap:
 
     def test_overlap_capacity(self):
         assert main(["overlap", "--n", "9"]) == EXIT_CAPACITY
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_overlap_n_below_one_is_a_usage_error(self, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["overlap", "--n", n])
+        assert exc.value.code == 2
 
 
 def test_exit_status_reflects_violations(tmp_path, monkeypatch):

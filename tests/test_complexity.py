@@ -258,7 +258,7 @@ class TestExpectationIdentity:
         for n in (1, 2):
             for spec in standard_attacks(n):
                 inst = instance(spec.kind, n)
-                theta = theta_matrix(inst.channel)
+                theta = theta_matrix(inst)
                 for cat in catalogues_for(inst):
                     for l in range(n + 2):
                         chk = expectation_identity_check(inst, cat, l, theta=theta)

@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qid.attacks import standard_attacks
+from qid.attacks import natural_bases, standard_attacks
 from qid.complexity import StructuredProjector, program_projector
 from qid.errors import DimensionError, ValidationError
 from qid.operators import DensityOperator, ket_bra
-from qid.protocol import encode, global_state_theta
+from qid.protocol import ProtocolInstance, encode, global_state_theta
 from qid.tradeoff import (
     average_complexity_check,
     catalogues_for,
@@ -26,7 +26,7 @@ from qid.tradeoff import (
     verify_tradeoff,
 )
 
-from helpers import random_density, random_projector
+from helpers import random_density, random_isometry_channel, random_projector
 
 
 def binary_entropy(p):
@@ -232,36 +232,27 @@ class TestCorollaries:
 
 
 class TestOutcomeDistribution:
-    def test_identity_diagonal_table(self, instance, attack_spec):
-        from qid.attacks import natural_povms
-
-        inst = instance("identity", 2)
-        bob, _ = natural_povms(attack_spec("identity", 2))
-        table = outcome_distribution(inst, "Z", "B", bob)
+    def test_identity_diagonal_table(self, instance):
+        table = outcome_distribution(instance("identity", 2).rho_b, "Z")
         np.testing.assert_allclose(table, np.eye(4) / 4, atol=1e-12)
 
-    def test_blind_side_gives_product_table(self, instance, attack_spec):
-        from qid.attacks import natural_povms
-
-        inst = instance("measure_x", 2)
-        bob, _ = natural_povms(attack_spec("measure_x", 2))
-        table = outcome_distribution(inst, "Z", "B", bob)
+    def test_blind_side_gives_product_table(self, instance):
+        table = outcome_distribution(instance("measure_x", 2).rho_b, "Z")
         rows = table.sum(axis=1)
         cols = table.sum(axis=0)
         np.testing.assert_allclose(table, np.outer(rows, cols), atol=1e-12)
 
-    def test_rows_sum_to_uniform_weight(self, instance, attack_spec):
-        from qid.attacks import natural_povms
-
-        inst = instance("universal_cloner", 2)
-        _, eve = natural_povms(attack_spec("universal_cloner", 2))
-        table = outcome_distribution(inst, "X", "E", eve)
+    def test_rows_sum_to_uniform_weight(self, instance):
+        table = outcome_distribution(instance("universal_cloner", 2).sigma_e, "X")
         np.testing.assert_allclose(table.sum(axis=1), np.full(4, 0.25), atol=1e-12)
 
-    def test_invalid_povm_rejected(self, instance):
-        inst = instance("identity", 1)
-        with pytest.raises(ValidationError):
-            outcome_distribution(inst, "Z", "B", [np.eye(2) * 0.5])
+    def test_non_qubit_register_rejected(self):
+        # Eve's side of the random isometry is one qutrit: no qubit basis to read.
+        ch = random_isometry_channel(np.random.default_rng(44))
+        inst = ProtocolInstance.from_channel(ch)
+        assert inst.sigma_e[0].dims == (3,)
+        with pytest.raises(DimensionError, match="qubit"):
+            outcome_distribution(inst.sigma_e, "Z")
 
 
 class TestMutualInformation:
@@ -296,40 +287,30 @@ class TestMutualInformation:
 
 class TestShannon:
     def test_identity_saturates(self, instance, attack_spec):
-        from qid.attacks import natural_povms
-
-        bob, eve = natural_povms(attack_spec("identity", 2))
-        check = shannon_tradeoff_check(instance("identity", 2), bob, eve)
+        bases = natural_bases(attack_spec("identity", 2))
+        check = shannon_tradeoff_check(instance("identity", 2), *bases)
         assert abs(check.i_bz - 2.0) < 1e-9
         assert abs(check.i_ex) < 1e-9
         assert abs(check.total - 2.0) < 1e-9
 
     def test_measure_x_saturates_from_eve(self, instance, attack_spec):
-        from qid.attacks import natural_povms
-
-        bob, eve = natural_povms(attack_spec("measure_x", 2))
-        check = shannon_tradeoff_check(instance("measure_x", 2), bob, eve)
+        bases = natural_bases(attack_spec("measure_x", 2))
+        check = shannon_tradeoff_check(instance("measure_x", 2), *bases)
         assert abs(check.i_bz) < 1e-9
         assert abs(check.i_ex - 2.0) < 1e-9
 
     def test_breidbart_single_qubit(self, instance, attack_spec):
-        from qid.attacks import natural_povms
-
         spec = attack_spec("intercept_resend_angle", 1)
-        bob, eve = natural_povms(spec)
-        check = shannon_tradeoff_check(instance("intercept_resend_angle", 1), bob, eve)
+        check = shannon_tradeoff_check(instance("intercept_resend_angle", 1), *natural_bases(spec))
         # closed forms: Bob sees a BSC(1/4), Eve a BSC(sin^2(pi/8))
         assert abs(check.i_bz - (1.0 - binary_entropy(0.25))) < 1e-9
         assert abs(check.i_ex - (1.0 - binary_entropy(math.sin(math.pi / 8) ** 2))) < 1e-9
         assert check.total < 1.0
         assert check.holds
 
-    def test_all_attacks_hold_at_n2(self, instance, attack_spec):
-        from qid.attacks import natural_povms
-
+    def test_all_attacks_hold_at_n2(self, instance):
         for spec in standard_attacks(2):
-            bob, eve = natural_povms(spec)
-            check = shannon_tradeoff_check(instance(spec.kind, 2), bob, eve)
+            check = shannon_tradeoff_check(instance(spec.kind, 2), *natural_bases(spec))
             assert check.holds, spec.label()
 
 
