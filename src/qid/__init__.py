@@ -66,6 +66,7 @@ from .operators import (
 )
 from .protocol import (
     DENSE_THETA_LIMIT,
+    FAMILY_BASIS,
     ProtocolInstance,
     encode,
     epr_state,

@@ -20,6 +20,11 @@ from .operators import COMPLETENESS_TOL, MAX_DIM, DensityOperator, as_matrix, da
 MAX_KRAUS_BYTES = 1 << 30
 
 
+def mib(nbytes: int) -> str:
+    """A byte count in whole MiB, rounded up, with integer arithmetic only."""
+    return f"{-(-nbytes // 2**20)} MiB"
+
+
 class _SplitSizes:
     """Sizes derived from a channel's ``in_dims``, ``out_dims_b`` and ``out_dims_e``."""
 
@@ -128,9 +133,15 @@ def kron_power(stack: np.ndarray, n: int) -> np.ndarray:
     """
     out = stack
     for _ in range(n - 1):
-        grown = out.reshape([x for d in out.shape for x in (d, 1)])
-        grown = grown * stack.reshape([x for d in stack.shape for x in (1, d)])
-        out = grown.reshape([a * b for a, b in zip(out.shape, stack.shape)])
+        # Multiply into an interleaved view of the result, so the result owns its memory.
+        shape = [a * b for a, b in zip(out.shape, stack.shape)]
+        grown = np.empty(shape, np.result_type(out, stack))
+        np.multiply(
+            out.reshape([x for d in out.shape for x in (d, 1)]),
+            stack.reshape([x for d in stack.shape for x in (1, d)]),
+            out=grown.reshape([x for a, b in zip(out.shape, stack.shape) for x in (a, b)]),
+        )
+        out = grown
     return out
 
 
@@ -151,12 +162,16 @@ def dense_channel(product: ProductChannel) -> QuantumChannel:
     exceed ``MAX_KRAUS_BYTES`` or an output side would exceed ``MAX_DIM``.
     """
     factor, n = product.factor, product.n
-    nbytes = len(factor.kraus) ** n * factor.out_dim**n * factor.in_dim**n * 16
-    if nbytes > MAX_KRAUS_BYTES or product.out_dim > MAX_DIM:
+    # Each factor multiplies the output side by at least 4, so past the byte
+    # limit's bit length the stack is refused anyway; k keeps integers small.
+    k = min(n, MAX_KRAUS_BYTES.bit_length())
+    nbytes = 16 * (len(factor.kraus) * factor.out_dim * factor.in_dim) ** k
+    side = factor.out_dim**k
+    if nbytes > MAX_KRAUS_BYTES or side > MAX_DIM:
+        more = "more than " if k < n else ""
         raise CapacityError(
-            f"attack {product.name} at n={n}: {nbytes / 2**20:.0f} MiB of Kraus operators, "
-            f"output side {product.out_dim}; limits {MAX_KRAUS_BYTES / 2**20:.0f} MiB "
-            f"and {MAX_DIM} per side"
+            f"attack {product.name} at n={n}: {more}{mib(nbytes)} of Kraus operators, "
+            f"output side {more}{side}; limits {mib(MAX_KRAUS_BYTES)} and {MAX_DIM} per side"
         )
     return QuantumChannel(
         kraus=_tensor_power(factor, n),
@@ -278,7 +293,10 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def matrix_from_pairs(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.float64)
+    try:
+        arr = np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:  # ragged grids and non-numeric entries
+        raise ValidationError(f"matrix encoding is not a grid of numbers: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError("matrix encoding must be a 2-D grid of [re, im] pairs")
     return np.ascontiguousarray(arr[..., 0] + 1j * arr[..., 1])

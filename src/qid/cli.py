@@ -20,12 +20,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .attacks import AttackSpec, product_attack
 from .channels import matrix_from_pairs
 from .errors import CapacityError, ConfigError, QidError
-from .operators import DECISION_TOL, OVERLAP_TOL
+from .operators import DECISION_TOL, OVERLAP_TOL, DensityOperator, Projector
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
 from .tradeoff import (
@@ -91,6 +89,7 @@ SECTION_KEYS = {
     "sweep": {"n_values"},
     "outputs": {"dir"},
 }
+ATTACK_KEYS = {"kind", "params"}
 
 
 def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
@@ -111,6 +110,13 @@ def _tolerance(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
         raise ConfigError(f"tolerance '{key}' must be a number in (0, 1), got {value!r}")
     return float(value)
+
+
+def _attack(entry: dict, n: int) -> AttackSpec:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"an attack must be a JSON object, got {entry!r}")
+    _reject_unknown(entry, ATTACK_KEYS, "attack")
+    return AttackSpec(kind=str(entry["kind"]), n=n, params=_params(entry.get("params", {})))
 
 
 def _params(value) -> dict[str, float]:
@@ -140,18 +146,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw_attacks = data["attacks"]
         if not isinstance(raw_attacks, list) or not raw_attacks:
             raise ConfigError("config needs a nonempty 'attacks' list")
-        attacks = [
-            AttackSpec(
-                kind=str(a["kind"]),
-                n=n,
-                params=_params(a.get("params", {})),
-            )
-            for a in raw_attacks
-        ]
+        attacks = [_attack(a, n) for a in raw_attacks]
         tol_data = data.get("tolerances", {})
         tols = Tolerances(decision=_tolerance(tol_data.get("decision", DECISION_TOL), "decision"))
         sweep = data.get("sweep", {})
         sweep_n = tuple(_integer(v, "n_values", 1) for v in sweep.get("n_values", []))
+        if len(set(sweep_n)) != len(sweep_n):
+            raise ConfigError(f"'n_values' repeats a value: {list(sweep_n)}")
+        out_dir = data.get("outputs", {}).get("dir", "qid-out")
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ConfigError(f"'outputs.dir' must be a non-empty string, got {out_dir!r}")
         cfg = ExperimentConfig(
             n=n,
             attacks=attacks,
@@ -160,7 +164,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             seed=_integer(data.get("seed", 0), "seed"),
             tolerances=tols,
             sweep_n=sweep_n,
-            out_dir=str(data.get("outputs", {}).get("dir", "qid-out")),
+            out_dir=out_dir,
         )
     except (KeyError, TypeError, ValueError, QidError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
@@ -299,16 +303,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -
         for cat in (cat_b, cat_e):
             for l in range(n + 2):
                 chk = expectation_identity_check(inst, cat, l, theta=theta)
-                expectation.append(
-                    {
-                        "side": cat.side,
-                        "l": chk.l,
-                        "lhs": chk.lhs,
-                        "lhs_dense": chk.lhs_dense,
-                        "rhs": chk.rhs,
-                        "agree": chk.agree,
-                    }
-                )
+                expectation.append(dict(vars(chk), side=cat.side, agree=chk.agree))
         extras["expectation"] = expectation
         ok = ok and eq.passed and all(e["agree"] for e in expectation)
     stem = f"{spec.label()}_n{n}"
@@ -344,7 +339,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if all(results) else EXIT_VIOLATION
 
 
-def _load_matrices(path: str | Path, key: str) -> list[np.ndarray]:
+def _load_operators(path: str | Path, key: str, kind: type) -> list:
+    """Every matrix of a ``check-lp`` file, as ``kind`` (``Projector`` or ``DensityOperator``)."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -356,17 +352,19 @@ def _load_matrices(path: str | Path, key: str) -> list[np.ndarray]:
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a list")
     try:
-        if data and isinstance(data[0][0][0], list):
-            return [matrix_from_pairs(m) for m in data]
-        return [matrix_from_pairs(data)]
+        grids = data if data and isinstance(data[0][0][0], list) else [data]
+        return [kind(m, m.shape[:1]) for m in map(matrix_from_pairs, grids)]
     except (QidError, TypeError, IndexError) as exc:
-        raise ConfigError(f"{path}: bad matrix encoding: {exc}") from exc
+        raise ConfigError(f"{path}: bad {kind.__name__}: {exc}") from exc
 
 
 def cmd_check_lp(args) -> int:
-    family = _load_matrices(args.family, "projectors")
-    state = _load_matrices(args.state, "matrix")[0]
-    lp = landau_pollak_check(family, state)
+    family = _load_operators(args.family, "projectors", Projector)
+    state = _load_operators(args.state, "matrix", DensityOperator)[0]
+    if any(p.dim != state.dim for p in family):
+        dims = sorted({p.dim for p in family})
+        raise ConfigError(f"family dimensions {dims} differ from the state's {state.dim}")
+    lp = landau_pollak_check([p.mat for p in family], state.mat)
     print(f"lhs = {_fmt(lp.lhs)}")
     print(f"rhs = {_fmt(lp.rhs)}")
     print(f"holds = {_fmt(lp.holds)}")

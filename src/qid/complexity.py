@@ -19,10 +19,9 @@ import numpy as np
 
 from .distinguishability import DistinguishableClass
 from .errors import CapacityError, DimensionError, ValidationError
-from .operators import VERDICT_TOL, ket_bra
-from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, encode, theta_matrix
+from .operators import MAX_DIM, VERDICT_TOL, ket_bra
+from .protocol import FAMILY_BASIS, ProtocolInstance, encode
 
-LITERAL_PREFIX = "1"
 CATALOGUE_PREFIX = "0"
 
 
@@ -34,16 +33,15 @@ class CatalogueEntry:
 
 @dataclass(frozen=True)
 class DecoderCatalogue:
-    """Prefix-free decoder set for one (side, basis) state family."""
+    """Prefix-free decoder set for one side's state family (see ``FAMILY_BASIS``)."""
 
     n: int
     side: str
-    basis: str
     entries: tuple[CatalogueEntry, ...]
 
     def __post_init__(self):
-        if self.side not in ("B", "E") or self.basis not in ("Z", "X"):
-            raise ValidationError(f"bad side/basis tag ({self.side}, {self.basis})")
+        if self.side not in FAMILY_BASIS:
+            raise ValidationError(f"side must be one of {tuple(FAMILY_BASIS)}, got {self.side!r}")
         seen: set[int] = set()
         words = []
         for entry in self.entries:
@@ -78,11 +76,10 @@ class DecoderCatalogue:
 
 @dataclass(frozen=True)
 class ComplexityProfile:
-    """Per-message proxy complexity for one (side, basis) family."""
+    """Per-message proxy complexity for one side's state family."""
 
     n: int
     side: str
-    basis: str
     lengths: tuple[int, ...]
 
     def __post_init__(self):
@@ -102,7 +99,7 @@ class ComplexityProfile:
 
     def to_csv_rows(self) -> list[tuple[str, str, str, int]]:
         return [
-            (format(msg, f"0{self.n}b"), self.side, self.basis, v)
+            (format(msg, f"0{self.n}b"), self.side, FAMILY_BASIS[self.side], v)
             for msg, v in enumerate(self.lengths)
         ]
 
@@ -154,7 +151,6 @@ def build_catalogue(
     partition: Iterable[DistinguishableClass],
     n: int,
     side: str,
-    basis: str,
 ) -> DecoderCatalogue:
     """Huffman-code the size->=2 classes of a partition into a catalogue.
 
@@ -174,7 +170,7 @@ def build_catalogue(
         CatalogueEntry(codeword=CATALOGUE_PREFIX + w, cls=c)
         for w, c in zip(words, classes)
     )
-    return DecoderCatalogue(n=n, side=side, basis=basis, entries=entries)
+    return DecoderCatalogue(n=n, side=side, entries=entries)
 
 
 def proxy_complexity(cat: DecoderCatalogue) -> ComplexityProfile:
@@ -184,7 +180,7 @@ def proxy_complexity(cat: DecoderCatalogue) -> ComplexityProfile:
         code_len = len(entry.codeword)
         for msg in entry.cls.members:
             lengths[msg] = min(lengths[msg], code_len)
-    return ComplexityProfile(n=cat.n, side=cat.side, basis=cat.basis, lengths=tuple(lengths))
+    return ComplexityProfile(n=cat.n, side=cat.side, lengths=tuple(lengths))
 
 
 @dataclass(frozen=True)
@@ -192,24 +188,22 @@ class StructuredProjector:
     """Sum of (message projector on A') (x) (receiver projector) (x) 1.
 
     Stored as (message, receiver projector) terms plus a side tag; the
-    dense form on H_A' (x) H_B (x) H_E is only materialized at small n.
+    dense form on H_A' (x) H_B (x) H_E is only built up to ``MAX_DIM`` per side.
     """
 
     n: int
     side: str
-    basis: str
     dim_b: int
     dim_e: int
     terms: tuple[tuple[int, np.ndarray], ...]
 
     def dense(self) -> np.ndarray:
-        if self.n > DENSE_THETA_LIMIT:
-            raise CapacityError(f"dense projector needs n <= {DENSE_THETA_LIMIT} (got {self.n})")
-        dim_a = 2**self.n
-        total = dim_a * self.dim_b * self.dim_e
+        total = 2**self.n * self.dim_b * self.dim_e
+        if total > MAX_DIM:
+            raise CapacityError(f"dense projector side {total} exceeds the limit of {MAX_DIM}")
         out = np.zeros((total, total), dtype=np.complex128)
         for msg, proj in self.terms:
-            probe = ket_bra(encode(msg, self.basis, self.n))
+            probe = ket_bra(encode(msg, FAMILY_BASIS[self.side], self.n))
             if self.side == "B":
                 out += np.kron(np.kron(probe, proj), np.eye(self.dim_e))
             else:
@@ -217,17 +211,21 @@ class StructuredProjector:
         return out
 
 
+def _projector(
+    cat: DecoderCatalogue, entries: Iterable[CatalogueEntry], dim_b: int, dim_e: int
+) -> StructuredProjector:
+    """Structured projector with the PVM terms of the given catalogue entries."""
+    terms: list[tuple[int, np.ndarray]] = []
+    for entry in entries:
+        if not entry.cls.pvm:
+            raise ValidationError("catalogue entry carries no PVM")
+        terms.extend((msg, proj.mat) for msg, proj in zip(entry.cls.members, entry.cls.pvm))
+    return StructuredProjector(n=cat.n, side=cat.side, dim_b=dim_b, dim_e=dim_e, terms=tuple(terms))
+
+
 def program_projector(cat: DecoderCatalogue, index: int, dim_b: int, dim_e: int) -> StructuredProjector:
     """Projector attached to one catalogue entry's decoder."""
-    entry = cat.entries[index]
-    if not entry.cls.pvm:
-        raise ValidationError("catalogue entry carries no PVM")
-    terms = tuple(
-        (msg, proj.mat) for msg, proj in zip(entry.cls.members, entry.cls.pvm)
-    )
-    return StructuredProjector(
-        n=cat.n, side=cat.side, basis=cat.basis, dim_b=dim_b, dim_e=dim_e, terms=terms
-    )
+    return _projector(cat, [cat.entries[index]], dim_b, dim_e)
 
 
 def cumulative_projector(cat: DecoderCatalogue, l: int, dim_b: int, dim_e: int) -> StructuredProjector:
@@ -236,62 +234,44 @@ def cumulative_projector(cat: DecoderCatalogue, l: int, dim_b: int, dim_e: int) 
     Literal decoders ignore the quantum input and are excluded here;
     their contribution to counts is purely combinatorial.
     """
-    terms: list[tuple[int, np.ndarray]] = []
-    for entry in cat.entries:
-        if len(entry.codeword) <= l:
-            if not entry.cls.pvm:
-                raise ValidationError("catalogue entry carries no PVM")
-            for msg, proj in zip(entry.cls.members, entry.cls.pvm):
-                terms.append((msg, proj.mat))
-    return StructuredProjector(
-        n=cat.n,
-        side=cat.side,
-        basis=cat.basis,
-        dim_b=dim_b,
-        dim_e=dim_e,
-        terms=tuple(terms),
-    )
+    return _projector(cat, [e for e in cat.entries if len(e.codeword) <= l], dim_b, dim_e)
 
 
 @dataclass(frozen=True)
 class ExpectationCheck:
-    """Structured (and, up to the dense limit, dense) expectation vs catalogue count."""
+    """Structured and dense expectation vs catalogue count."""
 
     l: int
     lhs: float
-    lhs_dense: float | None
+    lhs_dense: float
     rhs: float
 
     @property
     def agree(self) -> bool:
-        ok = abs(self.lhs - self.rhs) <= VERDICT_TOL
-        if self.lhs_dense is not None:
-            ok = ok and abs(self.lhs_dense - self.rhs) <= VERDICT_TOL
-        return ok
+        return (
+            abs(self.lhs - self.rhs) <= VERDICT_TOL
+            and abs(self.lhs_dense - self.rhs) <= VERDICT_TOL
+        )
 
 
 def expectation_identity_check(
     inst: ProtocolInstance,
     cat: DecoderCatalogue,
     l: int,
-    theta: np.ndarray | None = None,
+    theta: np.ndarray,
 ) -> ExpectationCheck:
     """Verify tr(Theta P-hat_l) equals 2^-n times the covered-message count.
 
     The structured path reduces the trace to sums of tr(rho_msg E_msg)
-    over the terms of the cumulative projector; for n within the dense
-    limit the literal trace against the materialized global state
-    (``theta``, or built here when not supplied) is compared too.
+    over the terms of the cumulative projector; the literal trace
+    against the dense global state ``theta`` (``theta_matrix(inst)``,
+    which only exists for n within the dense limit) is compared too.
     """
     n = inst.n
-    states = inst.rho_b if cat.side == "B" else inst.sigma_e
+    states = inst.family(cat.side)
     cum = cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e)
     traces = (float(np.trace(states[msg].mat @ proj).real) for msg, proj in cum.terms)
     lhs = 2.0 ** (-n) * sum(traces)
     rhs = 2.0 ** (-n) * len(cum.terms)
-    lhs_dense = None
-    if n <= DENSE_THETA_LIMIT:
-        if theta is None:
-            theta = theta_matrix(inst)
-        lhs_dense = float(np.trace(theta @ cum.dense()).real)
+    lhs_dense = float(np.trace(theta @ cum.dense()).real)
     return ExpectationCheck(l=l, lhs=lhs, lhs_dense=lhs_dense, rhs=rhs)

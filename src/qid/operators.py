@@ -185,6 +185,12 @@ def validate_state(rho) -> StateReport:
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
+    """Read-only complex128 ``m``: taken over if read-only down to its owner, else copied."""
+    owner = m
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is None and m.dtype == np.complex128:
+        return m
     m = np.array(m, dtype=np.complex128)
     m.setflags(write=False)
     return m

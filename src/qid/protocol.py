@@ -23,6 +23,7 @@ from .channels import (
     apply_channel_to_vector_raw,
     dense_channel,
     kron_power,
+    mib,
     require_complete,
     vector_marginals,
 )
@@ -30,7 +31,10 @@ from .errors import CapacityError, ValidationError
 from .operators import MAX_DIM, STRUCTURAL_TOL, DensityOperator
 
 BASES = ("Z", "X")
-SIDES = ("B", "E")
+
+# The theorem's two state families: Bob's side holds the Z-encoded
+# messages, Eve's side the X-encoded ones.  A side names its family.
+FAMILY_BASIS = {"B": "Z", "E": "X"}
 
 # Dense A' (x) B (x) E states scale as 2^(6N) in memory; above this the
 # structured identities must be used instead.
@@ -70,10 +74,9 @@ def epr_state(n: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128).ravel() / math.sqrt(dim)
 
 
-def _factor_marginals(factor: QuantumChannel, basis: Basis, side: Side) -> np.ndarray:
-    """One side's marginals of a factor for every encoded message of its register."""
-    pick = SIDES.index(side)
-    k = len(factor.in_dims)
+def _factor_marginals(factor: QuantumChannel, side: Side) -> np.ndarray:
+    """One side's marginals of a factor for every message of its register, in the side's basis."""
+    basis, pick, k = FAMILY_BASIS[side], list(FAMILY_BASIS).index(side), len(factor.in_dims)
     return np.stack(
         [vector_marginals(factor, encode(msg, basis, k))[pick] for msg in range(factor.in_dim)]
     )
@@ -88,7 +91,8 @@ class ProtocolInstance:
     cover all 2^n messages and are immutable after construction.  The
     channel is a ``ProductChannel`` (a plain channel is its own factor,
     taken once), so each state is the Kronecker product of its factor's
-    marginals, one per factor.
+    marginals, one per factor.  The states are read-only views of two
+    frozen stacks, held once.
     """
 
     n: int
@@ -103,23 +107,29 @@ class ProtocolInstance:
             if isinstance(channel, ProductChannel)
             else ProductChannel(channel, 1, channel.name)
         )
-        n = len(product.in_dims)
-        nbytes = 2**n * (product.dim_b**2 + product.dim_e**2) * 16
+        factor = product.factor
+        n = len(factor.in_dims) * product.n
+        # Every factor at least doubles the state bytes, so past the
+        # limit's bit length the count is over it; k keeps it small.
+        k = min(product.n, MAX_STATE_BYTES.bit_length())
+        nbytes = 16 * factor.in_dim**k * (factor.dim_b ** (2 * k) + factor.dim_e ** (2 * k))
         if nbytes > MAX_STATE_BYTES:
             raise CapacityError(
                 f"{channel.name or 'channel'} at n={n}: receiver states need "
-                f"{nbytes / 2**20:.0f} MiB, over the {MAX_STATE_BYTES / 2**20:.0f} MiB limit"
+                f"{'more than ' if k < product.n else ''}{mib(nbytes)}; "
+                f"the limit is {mib(MAX_STATE_BYTES)}"
             )
-        factor = product.factor
         require_complete(factor, "product factor")
-        rho_b = kron_power(_factor_marginals(factor, "Z", "B"), product.n)
-        sigma_e = kron_power(_factor_marginals(factor, "X", "E"), product.n)
-        return cls(
-            n=n,
-            channel=product,
-            rho_b=tuple(DensityOperator(m, product.out_dims_b) for m in rho_b),
-            sigma_e=tuple(DensityOperator(m, product.out_dims_e) for m in sigma_e),
-        )
+        families = {}
+        for side, dims in (("B", product.out_dims_b), ("E", product.out_dims_e)):
+            stack = kron_power(_factor_marginals(factor, side), product.n)
+            stack.setflags(write=False)  # each state below is a view of it, not a copy
+            families[side] = tuple(DensityOperator(m, dims) for m in stack)
+        return cls(n=n, channel=product, rho_b=families["B"], sigma_e=families["E"])
+
+    def family(self, side: Side) -> tuple[DensityOperator, ...]:
+        """The receiver states of one side: ``rho_b`` for B, ``sigma_e`` for E."""
+        return {"B": self.rho_b, "E": self.sigma_e}[side]
 
     @cached_property
     def kraus_channel(self) -> QuantumChannel:

@@ -38,7 +38,7 @@ from .operators import (
     ket_bra,
     operator_norm,
 )
-from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, encode, theta_matrix
+from .protocol import DENSE_THETA_LIMIT, FAMILY_BASIS, ProtocolInstance, encode, theta_matrix
 
 
 @dataclass(frozen=True)
@@ -171,10 +171,6 @@ class AverageCheck:
     avg_sum: float
     reference: float
 
-    @property
-    def meets_reference(self) -> bool:
-        return self.avg_sum >= self.reference
-
 
 @dataclass(frozen=True)
 class TradeoffReport:
@@ -244,29 +240,34 @@ def shannon_tradeoff_check(inst: ProtocolInstance, bob_basis: str, eve_basis: st
     return ShannonCheck(i_bz=i_bz, i_ex=i_ex, limit=float(inst.n))
 
 
+def corollary_threshold(n: int, c_offset: int = 0) -> int:
+    """Least max-complexity sum the corollary allows: n - 3 - 2c."""
+    return n - 3 - 2 * c_offset
+
+
 def max_complexity_corollary(
     profile_b: ComplexityProfile,
     profile_e: ComplexityProfile,
-    n: int,
+    *,
     c_offset: int = 0,
 ) -> CorollaryCheck:
-    """max_z len_B(z) + max_x len_E(x) >= n - 3 - 2c."""
+    """max_z len_B(z) + max_x len_E(x) >= n - 3 - 2c, with n from the profiles."""
     return CorollaryCheck(
         max_b=profile_b.max_length(),
         max_e=profile_e.max_length(),
-        threshold=n - 3 - 2 * c_offset,
+        threshold=corollary_threshold(profile_b.n, c_offset),
     )
 
 
 def average_complexity_check(
     profile_b: ComplexityProfile,
     profile_e: ComplexityProfile,
-    n: int,
+    *,
     c_offset: int = 0,
 ) -> AverageCheck:
     return AverageCheck(
         avg_sum=profile_b.average() + profile_e.average(),
-        reference=float(n - c_offset),
+        reference=float(profile_b.n - c_offset),
     )
 
 
@@ -275,10 +276,10 @@ def catalogues_for(
     decision_tol: float = DECISION_TOL,
 ) -> tuple[DecoderCatalogue, DecoderCatalogue]:
     """Bob/Z and Eve/X decoder catalogues for one protocol instance."""
-    part_b = distinguishable_partition(inst.rho_b, decision_tol)
-    part_e = distinguishable_partition(inst.sigma_e, decision_tol)
-    cat_b = build_catalogue(part_b, inst.n, "B", "Z")
-    cat_e = build_catalogue(part_e, inst.n, "E", "X")
+    cat_b, cat_e = (
+        build_catalogue(distinguishable_partition(inst.family(side), decision_tol), inst.n, side)
+        for side in FAMILY_BASIS
+    )
     return cat_b, cat_e
 
 
@@ -316,23 +317,18 @@ def verify_tradeoff(
     if dense:
         theta = theta_matrix(inst)
         db, de = inst.channel.dim_b, inst.channel.dim_e
-        dense_b = [
-            (len(e.codeword), program_projector(cat_b, i, db, de).dense())
-            for i, e in enumerate(cat_b.entries)
-        ]
-        dense_e = [
-            (len(e.codeword), program_projector(cat_e, i, db, de).dense())
-            for i, e in enumerate(cat_e.entries)
-        ]
+        dense_b, dense_e = (
+            [
+                (len(e.codeword), program_projector(cat, i, db, de).dense())
+                for i, e in enumerate(cat.entries)
+            ]
+            for cat in (cat_b, cat_e)
+        )
         limit = 2.0 ** (-n / 2.0)
-        for (i, (_, p)), (j, (_, q)) in product(
-            enumerate(dense_b), enumerate(dense_e)
-        ):
-            cross_norms.append(
-                CrossNormRecord(
-                    entry_b=i, entry_e=j, norm=operator_norm(p @ q), limit=limit
-                )
-            )
+        cross_norms = [
+            CrossNormRecord(entry_b=i, entry_e=j, norm=operator_norm(p @ q), limit=limit)
+            for (i, (_, p)), (j, (_, q)) in product(enumerate(dense_b), enumerate(dense_e))
+        ]
         for l, m in product(range(n + 2), repeat=2):
             family = [p for w, p in dense_b if w <= l]
             family += [q for w, q in dense_e if w <= m]
@@ -348,22 +344,10 @@ def verify_tradeoff(
         grid=grid,
         lp_records=tuple(lp_records),
         cross_norms=tuple(cross_norms),
-        corollary1=max_complexity_corollary(prof_b, prof_e, n, c_offset),
+        corollary1=max_complexity_corollary(prof_b, prof_e, c_offset=c_offset),
         shannon=shannon,
-        average=average_complexity_check(prof_b, prof_e, n, c_offset),
+        average=average_complexity_check(prof_b, prof_e, c_offset=c_offset),
     )
-
-
-@dataclass(frozen=True)
-class NoCloningRecord:
-    kind: str
-    max_b: int
-    max_e: int
-    threshold: int
-
-    @property
-    def holds(self) -> bool:
-        return self.max_b + self.max_e >= self.threshold
 
 
 @dataclass(frozen=True)
@@ -374,18 +358,19 @@ class NoCloningReport:
     best symmetric cloner hits the literal ceiling on both sides, and a
     hypothetical perfect cloner (both maxima 1) is an arithmetic
     contradiction once n - 3 - 2c exceeds 2, i.e. from n = 6 + 2c on.
+    Each record pairs an attack label with its corollary check.
     """
 
     n: int
     c_offset: int
-    records: tuple[NoCloningRecord, ...]
+    records: tuple[tuple[str, CorollaryCheck], ...]
     cloner_at_literal_ceiling: bool
     perfect_cloner_contradiction: bool
     min_contradiction_n: int
 
     @property
     def all_hold(self) -> bool:
-        return all(r.holds for r in self.records)
+        return all(check.holds for _, check in self.records)
 
 
 def no_cloning_check(
@@ -396,31 +381,23 @@ def no_cloning_check(
 ) -> NoCloningReport:
     if specs is None:
         specs = standard_attacks(n)
-    threshold = n - 3 - 2 * c_offset
     records = []
     cloner_literal = True
     for spec in specs:
         inst = ProtocolInstance.from_channel(product_attack(spec))
         cat_b, cat_e = catalogues_for(inst, decision_tol)
-        prof_b, prof_e = proxy_complexity(cat_b), proxy_complexity(cat_e)
-        records.append(
-            NoCloningRecord(
-                kind=spec.label(),
-                max_b=prof_b.max_length(),
-                max_e=prof_e.max_length(),
-                threshold=threshold,
-            )
+        check = max_complexity_corollary(
+            proxy_complexity(cat_b), proxy_complexity(cat_e), c_offset=c_offset
         )
+        records.append((spec.label(), check))
         if spec.kind == "universal_cloner":
-            cloner_literal = (
-                prof_b.max_length() == n + 1 and prof_e.max_length() == n + 1
-            )
+            cloner_literal = check.max_b == n + 1 and check.max_e == n + 1
     return NoCloningReport(
         n=n,
         c_offset=c_offset,
         records=tuple(records),
         cloner_at_literal_ceiling=cloner_literal,
-        perfect_cloner_contradiction=2 < threshold,
+        perfect_cloner_contradiction=2 < corollary_threshold(n, c_offset),
         min_contradiction_n=6 + 2 * c_offset,
     )
 

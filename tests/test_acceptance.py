@@ -193,9 +193,7 @@ def test_criterion_07_max_complexity_corollary():
     for n in (1, 2, 3, 4):
         for spec in standard_attacks(n):
             cat_b, cat_e = catalogues_for(_instance(spec.kind, n))
-            check = max_complexity_corollary(
-                proxy_complexity(cat_b), proxy_complexity(cat_e), n
-            )
+            check = max_complexity_corollary(proxy_complexity(cat_b), proxy_complexity(cat_e))
             ok = ok and check.holds
     verdict(7, "max-complexity sum >= N - 3 for every attack, N<=4", ok)
 
@@ -238,7 +236,7 @@ def test_criterion_08_no_cloning_at_six_qubits():
     # N = 6 is the first n at which a perfect cloner contradicts the corollary;
     # the product path reaches it without any N-qubit Kraus stack.
     report = no_cloning_check(6)
-    by_kind = {r.kind: (r.max_b, r.max_e) for r in report.records}
+    by_kind = {label: (check.max_b, check.max_e) for label, check in report.records}
     ok = report.all_hold and len(report.records) == 7
     ok = ok and report.cloner_at_literal_ceiling and by_kind["universal_cloner"] == (7, 7)
     ok = ok and report.perfect_cloner_contradiction and report.min_contradiction_n == 6

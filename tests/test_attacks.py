@@ -136,6 +136,12 @@ def test_output_side_over_dense_limit_raises_before_allocating(kind, monkeypatch
         make_attack(AttackSpec(kind, 7))
 
 
+def test_huge_n_raises_capacity_error_from_integer_sizes():
+    # 16 * 8^2000 bytes: far too large for a float, so the message is integer arithmetic.
+    with pytest.raises(CapacityError, match="MiB"):
+        make_attack(AttackSpec("identity", 2000))
+
+
 def test_kraus_byte_limit_is_inclusive(monkeypatch):
     # depolarize at N = 2: 16 operators of 16 x 4 complex128 = 16 KiB.
     monkeypatch.setattr(channels_mod, "MAX_KRAUS_BYTES", 16 * 1024)

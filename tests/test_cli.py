@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,14 @@ from qid.cli import (
     main,
 )
 from qid.errors import ConfigError
+
+
+def pairs(m):
+    """[re, im] encoding of a matrix, or a hand-written encoding as it is."""
+    if isinstance(m, list):
+        return m
+    m = np.asarray(m, dtype=complex)
+    return [[[x.real, x.imag] for x in row] for row in m]
 
 
 def write_config(path, **overrides):
@@ -138,6 +147,35 @@ class TestConfig:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"outputs": {"dir": None}},
+            {"outputs": {"dir": 5}},
+            {"outputs": {"dir": ""}},
+            {"attacks": [{"kind": "identity", "parms": {"p": 0.5}}]},
+            {"attacks": ["identity"]},
+            {"sweep": {"n_values": [1, 1]}},
+        ],
+        ids=[
+            "dir_null",
+            "dir_number",
+            "dir_empty",
+            "attack_key_typo",
+            "attack_not_object",
+            "n_values_repeated",
+        ],
+    )
+    def test_config_holes_exit_config(self, tmp_path, monkeypatch, overrides):
+        # A null or numeric dir used to become ./None or ./5, a misspelled attack key was
+        # ignored, and a repeated n ran its jobs twice into the same files.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_colliding_artifact_names_exit_config(self, tmp_path):
         # Both labels format as depolarize_p0.123456, so one job would overwrite the other.
         attacks = [
@@ -213,6 +251,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [1000, 10**6])
+    def test_huge_n_exits_capacity_at_once(self, tmp_path, n):
+        # The size checks work from the one-qubit factor, so no n-long size
+        # product or float conversion of a huge byte count is ever formed.
+        cfg = write_config(tmp_path / "cfg.json", n=n, attacks=[{"kind": "universal_cloner"}])
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+
     def test_six_qubits_beyond_the_kraus_limit_hold(self, tmp_path):
         # depolarize's N = 6 Kraus stack (16 GiB) and universal_cloner's are never built.
         attacks = [
@@ -282,6 +331,32 @@ class TestCheckLP:
         fam.write_text(json.dumps({"projectors": [matrix_to_pairs(p) for p in (p0, p1)]}))
         state.write_text(json.dumps({"matrix": matrix_to_pairs(np.eye(2, dtype=complex) / 2)}))
         assert main(["check-lp", "--family", str(fam), "--state", str(state)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "family, state",
+        [
+            ([2 * np.eye(2)], np.eye(2) / 2),
+            ([np.diag([1.0, 0.0])], np.diag([1.5, -0.5])),
+            ([np.eye(4)], np.eye(2) / 2),
+            ([np.diag([1.0, 0.0])], np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])),
+            ([np.diag([1.0, np.nan])], np.eye(2) / 2),
+            ([np.diag([1.0, 0.0])], [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
+        ],
+        ids=[
+            "not_projector",
+            "not_psd_state",
+            "dimension_mismatch",
+            "non_square_state",
+            "nan_entry",
+            "ragged_grid",
+        ],
+    )
+    def test_invalid_input_exits_config(self, tmp_path, family, state):
+        fam = tmp_path / "family.json"
+        st = tmp_path / "state.json"
+        fam.write_text(json.dumps({"projectors": [pairs(p) for p in family]}))
+        st.write_text(json.dumps({"matrix": pairs(state)}))
+        assert main(["check-lp", "--family", str(fam), "--state", str(st)]) == EXIT_CONFIG
 
     def test_bad_file_exits_config(self, tmp_path):
         fam = tmp_path / "family.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qid.complexity import (
     CatalogueEntry,
     DecoderCatalogue,
+    StructuredProjector,
     build_catalogue,
     cumulative_projector,
     expectation_identity_check,
@@ -15,8 +16,9 @@ from qid.complexity import (
     proxy_complexity,
 )
 from qid.distinguishability import DistinguishableClass, distinguishable_partition
-from qid.errors import ValidationError
+from qid.errors import CapacityError, ValidationError
 from qid.operators import DensityOperator, Projector, ket_bra, tensor
+from qid.protocol import theta_matrix
 from qid.tradeoff import catalogues_for
 
 
@@ -27,14 +29,14 @@ def classes_from_members(groups):
 class TestBuildCatalogue:
     def test_single_class_gets_bare_prefix(self, instance):
         part = distinguishable_partition(instance("identity", 2).rho_b)
-        cat = build_catalogue(part, 2, "B", "Z")
+        cat = build_catalogue(part, 2, "B")
         assert len(cat.entries) == 1
         assert cat.entries[0].codeword == "0"
         assert proxy_complexity(cat).lengths == (1, 1, 1, 1)
 
     def test_all_singletons_give_empty_catalogue(self, instance):
         part = distinguishable_partition(instance("measure_x", 2).rho_b)
-        cat = build_catalogue(part, 2, "B", "Z")
+        cat = build_catalogue(part, 2, "B")
         assert cat.entries == ()
         assert proxy_complexity(cat).lengths == (3, 3, 3, 3)
 
@@ -42,18 +44,18 @@ class TestBuildCatalogue:
         # sizes 6 and 2 out of 8 messages: two-symbol Huffman is one
         # bit each, so both entries sit at codeword length 2
         part = classes_from_members([range(6), (6, 7)])
-        cat = build_catalogue(part, 3, "B", "Z")
+        cat = build_catalogue(part, 3, "B")
         assert [e.codeword for e in cat.entries] == ["00", "01"]
 
     def test_codewords_are_deterministic(self):
         part = classes_from_members([(0, 1), (2, 3), (4, 5), (6, 7)])
-        first = build_catalogue(part, 3, "B", "Z")
-        second = build_catalogue(list(reversed(part)), 3, "B", "Z")
+        first = build_catalogue(part, 3, "B")
+        second = build_catalogue(list(reversed(part)), 3, "B")
         assert [e.codeword for e in first.entries] == [e.codeword for e in second.entries]
 
     def test_partition_must_cover(self):
         with pytest.raises(ValidationError):
-            build_catalogue(classes_from_members([(0, 1)]), 2, "B", "Z")
+            build_catalogue(classes_from_members([(0, 1)]), 2, "B")
 
     def test_duplicate_membership_rejected(self):
         cls = DistinguishableClass(members=(0, 1))
@@ -61,7 +63,6 @@ class TestBuildCatalogue:
             DecoderCatalogue(
                 n=1,
                 side="B",
-                basis="Z",
                 entries=(
                     CatalogueEntry("00", cls),
                     CatalogueEntry("01", cls),
@@ -73,7 +74,6 @@ class TestBuildCatalogue:
             DecoderCatalogue(
                 n=2,
                 side="B",
-                basis="Z",
                 entries=(
                     CatalogueEntry("0", DistinguishableClass(members=(0, 1))),
                     CatalogueEntry("00", DistinguishableClass(members=(2, 3))),
@@ -85,7 +85,6 @@ class TestBuildCatalogue:
             DecoderCatalogue(
                 n=1,
                 side="B",
-                basis="Z",
                 entries=(CatalogueEntry("10", DistinguishableClass(members=(0, 1))),),
             )
 
@@ -112,7 +111,7 @@ class TestCatalogueProperties:
     @given(random_partitions())
     def test_kraft_and_length_ceiling(self, case):
         n, part = case
-        cat = build_catalogue(part, n, "B", "Z")
+        cat = build_catalogue(part, n, "B")
         assert cat.kraft_sum() <= 1
         profile = proxy_complexity(cat)
         assert all(1 <= v <= n + 1 for v in profile.lengths)
@@ -122,15 +121,15 @@ class TestCatalogueProperties:
     @given(random_partitions())
     def test_rebuild_is_identical(self, case):
         n, part = case
-        a = build_catalogue(part, n, "B", "Z")
-        b = build_catalogue(part, n, "B", "Z")
+        a = build_catalogue(part, n, "B")
+        b = build_catalogue(part, n, "B")
         assert [(e.codeword, e.cls.members) for e in a.entries] == [
             (e.codeword, e.cls.members) for e in b.entries
         ]
 
     def test_kraft_is_exactly_one_for_complete_code(self, instance):
         part = distinguishable_partition(instance("identity", 2).rho_b)
-        cat = build_catalogue(part, 2, "B", "Z")
+        cat = build_catalogue(part, 2, "B")
         assert cat.kraft_sum() == Fraction(1)
 
 
@@ -152,9 +151,9 @@ class TestProxyComplexity:
 
     def test_adding_an_entry_never_lengthens(self):
         part = classes_from_members([(0, 1), (2, 3), (4, 5), (6, 7)])
-        full = build_catalogue(part, 3, "B", "Z")
+        full = build_catalogue(part, 3, "B")
         reduced = DecoderCatalogue(
-            n=3, side="B", basis="Z", entries=full.entries[1:]
+            n=3, side="B", entries=full.entries[1:]
         )
         full_profile = proxy_complexity(full)
         reduced_profile = proxy_complexity(reduced)
@@ -166,6 +165,11 @@ class TestProxyComplexity:
         cat_b, _ = catalogues_for(instance("identity", 1))
         rows = proxy_complexity(cat_b).to_csv_rows()
         assert rows == [("0", "B", "Z", 1), ("1", "B", "Z", 1)]
+
+    def test_csv_rows_take_the_basis_from_the_side(self, instance):
+        cat_b, cat_e = catalogues_for(instance("cnot_probe", 1))
+        assert [row[1:3] for row in proxy_complexity(cat_b).to_csv_rows()] == [("B", "Z")] * 2
+        assert [row[1:3] for row in proxy_complexity(cat_e).to_csv_rows()] == [("E", "X")] * 2
 
 
 def mixed_basis_partition():
@@ -192,7 +196,7 @@ class TestProgramProjectors:
     def test_distinct_entries_are_orthogonal(self):
         states, part = mixed_basis_partition()
         assert [c.members for c in part] == [(0, 2), (1, 3)]
-        cat = build_catalogue(part, 2, "B", "Z")
+        cat = build_catalogue(part, 2, "B")
         p0 = program_projector(cat, 0, 4, 2).dense()
         p1 = program_projector(cat, 1, 4, 2).dense()
         np.testing.assert_allclose(p0 @ p1, np.zeros_like(p0), atol=1e-12)
@@ -200,10 +204,16 @@ class TestProgramProjectors:
     def test_trace_counts_ranks_times_environment(self):
         # tr(sum_z Z_z (x) E_z (x) 1_E) = dim_E * sum_z rank(E_z)
         states, part = mixed_basis_partition()
-        cat = build_catalogue(part, 2, "B", "Z")
+        cat = build_catalogue(part, 2, "B")
         proj = program_projector(cat, 0, 4, 2)
         ranks = sum(np.trace(m).real for _, m in proj.terms)
         assert abs(np.trace(proj.dense()).real - 2 * ranks) < 1e-10
+
+    def test_dense_form_past_the_side_limit_refused(self):
+        # 2^5 messages times 16 x 16 receiver dimensions: a side of 8192.
+        proj = StructuredProjector(n=5, side="E", dim_b=16, dim_e=16, terms=())
+        with pytest.raises(CapacityError, match="4096"):
+            proj.dense()
 
     def test_entry_without_pvm_rejected(self, instance):
         cat_b, _ = catalogues_for(instance("universal_cloner", 1))
@@ -228,7 +238,7 @@ class TestCumulativeProjector:
     def test_entry_without_pvm_rejected(self):
         # Its messages would count toward the catalogue but carry no projector.
         entry = CatalogueEntry(codeword="0", cls=DistinguishableClass(members=(0, 1)))
-        cat = DecoderCatalogue(n=1, side="B", basis="Z", entries=(entry,))
+        cat = DecoderCatalogue(n=1, side="B", entries=(entry,))
         assert cumulative_projector(cat, 0, 2, 2).terms == ()
         with pytest.raises(ValidationError, match="PVM"):
             cumulative_projector(cat, 1, 2, 2)
@@ -238,7 +248,7 @@ class TestExpectationIdentity:
     def test_identity_attack_counts_everything(self, instance):
         inst = instance("identity", 1)
         cat_b, _ = catalogues_for(inst)
-        chk = expectation_identity_check(inst, cat_b, 1)
+        chk = expectation_identity_check(inst, cat_b, 1, theta_matrix(inst))
         assert abs(chk.lhs - 1.0) < 1e-12
         assert abs(chk.lhs_dense - 1.0) < 1e-10
         assert chk.rhs == 0.5 * 2
@@ -247,13 +257,13 @@ class TestExpectationIdentity:
     def test_blind_side_counts_nothing(self, instance):
         inst = instance("measure_x", 2)
         cat_b, _ = catalogues_for(inst)
+        theta = theta_matrix(inst)
         for l in range(3):
-            chk = expectation_identity_check(inst, cat_b, l)
+            chk = expectation_identity_check(inst, cat_b, l, theta)
             assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.lhs_dense == 0.0
 
     def test_structured_and_dense_agree_for_library(self, instance):
         from qid.attacks import standard_attacks
-        from qid.protocol import theta_matrix
 
         for n in (1, 2):
             for spec in standard_attacks(n):

@@ -152,6 +152,20 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 1.0
 
+    def test_read_only_input_is_taken_over_without_a_copy(self):
+        m = np.eye(2, dtype=complex) / 2
+        m.setflags(write=False)
+        assert DensityOperator(m, (2,)).mat is m
+
+    def test_memory_the_caller_can_write_is_copied(self):
+        writable = np.eye(2, dtype=complex) / 2
+        view = writable[:]
+        view.setflags(write=False)  # read-only, but writable through its base
+        for m in (writable, view):
+            rho = DensityOperator(m, (2,))
+            assert not np.shares_memory(rho.mat, writable)
+            assert not rho.mat.flags.writeable
+
     def test_rejects_bad_trace(self):
         with pytest.raises(ValidationError):
             DensityOperator(np.eye(2), (2,))

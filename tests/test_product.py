@@ -7,6 +7,8 @@ way; ``ProtocolInstance.from_channel(make_attack(spec))`` computes them
 from the N-qubit Kraus stack.  Both must agree.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,12 +138,40 @@ class TestCapacity:
             with pytest.raises(CapacityError, match="n <= 2"):
                 dense_check()
 
+    def test_mib_rounds_up_in_integer_arithmetic(self):
+        assert channels_mod.mib(512 * 2**20) == "512 MiB"
+        assert channels_mod.mib(2**20 + 1) == "2 MiB"
+        assert channels_mod.mib(2**2000) == f"{2**1980} MiB"
+
     def test_oracle_keeps_the_kraus_limits(self):
         inst = ProtocolInstance.from_channel(
             product_attack(AttackSpec("depolarize", 6, {"p": 0.5}))
         )
         with pytest.raises(CapacityError):
             inst.kraus_channel
+
+
+class TestMemory:
+    def test_states_are_views_of_one_frozen_stack_per_side(self):
+        inst = ProtocolInstance.from_channel(product_attack(AttackSpec("universal_cloner", 3)))
+        for family in (inst.rho_b, inst.sigma_e):
+            stack = family[0].mat.base
+            assert stack.base is None and not stack.flags.writeable
+            assert all(state.mat.base is stack for state in family)
+
+    def test_instance_holds_its_states_once(self):
+        # At N = 7 the states take 64 MiB; copying them out of the raw stacks peaked at 2x.
+        spec = AttackSpec("universal_cloner", 7)
+        product = product_attack(spec)
+        tracemalloc.start()
+        try:
+            inst = ProtocolInstance.from_channel(product)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        states = sum(state.mat.nbytes for state in inst.rho_b + inst.sigma_e)
+        assert states == 64 * 2**20
+        assert peak <= 1.1 * states
 
 
 class TestValidation:

@@ -132,7 +132,6 @@ class TestCrossNorm:
         q = StructuredProjector(
             n=1,
             side="E",
-            basis="X",
             dim_b=2,
             dim_e=2,
             terms=((0, np.zeros((2, 2), dtype=complex)),),
@@ -210,9 +209,7 @@ class TestCorollaries:
             from qid.complexity import proxy_complexity
 
             cat_b, cat_e = catalogues_for(instance(kind, n))
-            check = max_complexity_corollary(
-                proxy_complexity(cat_b), proxy_complexity(cat_e), n
-            )
+            check = max_complexity_corollary(proxy_complexity(cat_b), proxy_complexity(cat_e))
             assert (check.max_b, check.max_e) == (max_b, max_e)
             assert check.threshold == threshold
             assert check.holds
@@ -220,7 +217,7 @@ class TestCorollaries:
     def test_no_cloning_report(self):
         report = no_cloning_check(4)
         assert report.all_hold
-        by_kind = {r.kind: r for r in report.records}
+        by_kind = dict(report.records)
         assert (by_kind["cnot_probe"].max_b, by_kind["cnot_probe"].max_e) == (1, 5)
         assert (by_kind["measure_x"].max_b, by_kind["measure_x"].max_e) == (5, 1)
         assert report.cloner_at_literal_ceiling
@@ -319,9 +316,7 @@ class TestAverageAndSeparation:
         from qid.complexity import proxy_complexity
 
         cat_b, cat_e = catalogues_for(instance("identity", 2))
-        check = average_complexity_check(
-            proxy_complexity(cat_b), proxy_complexity(cat_e), 2
-        )
+        check = average_complexity_check(proxy_complexity(cat_b), proxy_complexity(cat_e))
         assert check.avg_sum == 4.0
         assert check.reference == 2.0
 
