@@ -20,8 +20,6 @@ from .attacks import (
 from .channels import (
     ProductChannel,
     QuantumChannel,
-    apply_channel,
-    apply_channel_to_vector,
     dense_channel,
     isometry_to_channel,
     validate_channel,
@@ -57,10 +55,7 @@ from .operators import (
     Projector,
     StateReport,
     dagger,
-    hermitian_eigensystem,
     operator_norm,
-    partial_trace,
-    permutation_matrix,
     tensor,
     validate_state,
 )
@@ -71,15 +66,12 @@ from .protocol import (
     encode,
     epr_state,
     equivalence_check,
-    global_state_theta,
-    joint_state,
 )
 from .tradeoff import (
     TradeoffReport,
     average_complexity_check,
     catalogues_for,
     conjugate_overlap_norm,
-    cross_norm_bound,
     discussion_counterexample,
     landau_pollak_check,
     max_complexity_corollary,

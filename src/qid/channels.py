@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionError, ValidationError
-from .operators import COMPLETENESS_TOL, MAX_DIM, DensityOperator, as_matrix, dagger
+from .operators import COMPLETENESS_TOL, MAX_DIM, as_matrix, dagger
 
 # Largest complex128 Kraus set dense_channel will build (depolarize at
 # N = 5 needs 512 MiB; at N = 6 it would need 16 GiB).
@@ -39,10 +39,6 @@ class _SplitSizes:
     @property
     def dim_e(self) -> int:
         return math.prod(self.out_dims_e)
-
-    @property
-    def out_dims(self) -> tuple[int, ...]:
-        return self.out_dims_b + self.out_dims_e
 
     @property
     def out_dim(self) -> int:
@@ -205,20 +201,6 @@ def require_complete(ch: QuantumChannel, what: str) -> None:
         )
 
 
-def apply_channel(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    """Apply sum_i K_i rho K_i^dag; output lives on H_B (x) H_E."""
-    if rho.dim != ch.in_dim:
-        raise DimensionError(f"state dim {rho.dim} != channel input dim {ch.in_dim}")
-    out = apply_channel_raw(ch, rho.mat)
-    return DensityOperator(out, ch.out_dims)
-
-
-def apply_channel_raw(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
-    """Channel action on a raw matrix, without output validation."""
-    images = ch.kraus @ as_matrix(mat)
-    return np.tensordot(images, ch.kraus.conj(), axes=([0, 2], [0, 2]))
-
-
 def _kraus_images(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
     """The vectors K_k |psi> as the rows of a (K, out_dim) array."""
     psi = np.asarray(psi, dtype=np.complex128).ravel()
@@ -231,11 +213,6 @@ def apply_channel_to_vector_raw(ch: QuantumChannel, psi: np.ndarray) -> np.ndarr
     """Raw output matrix sum_k K_k |psi><psi| K_k^dag, without validation."""
     w = _kraus_images(ch, psi)
     return w.T @ w.conj()
-
-
-def apply_channel_to_vector(ch: QuantumChannel, psi: np.ndarray) -> DensityOperator:
-    """Channel action on a pure input |psi><psi| (cheaper than the dense path)."""
-    return DensityOperator(apply_channel_to_vector_raw(ch, psi), ch.out_dims)
 
 
 def vector_marginals(ch: QuantumChannel, psi: np.ndarray):
@@ -286,13 +263,8 @@ def isometry_to_channel(
     )
 
 
-def matrix_to_pairs(m: np.ndarray) -> list:
-    """Nested [re, im] pair encoding used by the JSON interfaces."""
-    m = as_matrix(m)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-
 def matrix_from_pairs(rows) -> np.ndarray:
+    """Matrix from the nested [re, im] pair encoding of the JSON interfaces."""
     try:
         arr = np.asarray(rows, dtype=np.float64)
     except ValueError as exc:  # ragged grids and non-numeric entries

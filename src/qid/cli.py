@@ -17,7 +17,7 @@ import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .attacks import AttackSpec, product_attack
@@ -64,18 +64,13 @@ def _fmt(value) -> str:
 
 
 @dataclass
-class Tolerances:
-    decision: float = DECISION_TOL
-
-
-@dataclass
 class ExperimentConfig:
     n: int
     attacks: list[AttackSpec]
     c_offset: int = 0
     dense_limit: int = DENSE_THETA_LIMIT
     seed: int = 0
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    decision_tol: float = DECISION_TOL
     sweep_n: tuple[int, ...] = ()
     out_dir: str = "qid-out"
 
@@ -106,9 +101,9 @@ def _integer(value, key: str, minimum: int | None = None) -> int:
     return value
 
 
-def _tolerance(value, key: str) -> float:
+def _decision_tol(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
-        raise ConfigError(f"tolerance '{key}' must be a number in (0, 1), got {value!r}")
+        raise ConfigError(f"tolerance 'decision' must be a number in (0, 1), got {value!r}")
     return float(value)
 
 
@@ -147,8 +142,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not isinstance(raw_attacks, list) or not raw_attacks:
             raise ConfigError("config needs a nonempty 'attacks' list")
         attacks = [_attack(a, n) for a in raw_attacks]
-        tol_data = data.get("tolerances", {})
-        tols = Tolerances(decision=_tolerance(tol_data.get("decision", DECISION_TOL), "decision"))
         sweep = data.get("sweep", {})
         sweep_n = tuple(_integer(v, "n_values", 1) for v in sweep.get("n_values", []))
         if len(set(sweep_n)) != len(sweep_n):
@@ -162,7 +155,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             c_offset=_integer(data.get("c_offset", 0), "c_offset"),
             dense_limit=_integer(data.get("dense_limit", DENSE_THETA_LIMIT), "dense_limit"),
             seed=_integer(data.get("seed", 0), "seed"),
-            tolerances=tols,
+            decision_tol=_decision_tol(data.get("tolerances", {}).get("decision", DECISION_TOL)),
             sweep_n=sweep_n,
             out_dir=out_dir,
         )
@@ -285,7 +278,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -
         inst,
         spec,
         c_offset=cfg.c_offset,
-        decision_tol=cfg.tolerances.decision,
+        decision_tol=cfg.decision_tol,
         dense=dense,
     )
     extras: dict = {}
@@ -298,7 +291,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -
             "passed": eq.passed,
         }
         theta = theta_matrix(inst)
-        cat_b, cat_e = catalogues_for(inst, cfg.tolerances.decision)
+        cat_b, cat_e = catalogues_for(inst, cfg.decision_tol)
         expectation = []
         for cat in (cat_b, cat_e):
             for l in range(n + 2):
@@ -340,15 +333,19 @@ def cmd_sweep(args) -> int:
 
 
 def _load_operators(path: str | Path, key: str, kind: type) -> list:
-    """Every matrix of a ``check-lp`` file, as ``kind`` (``Projector`` or ``DensityOperator``)."""
+    """Every matrix of a ``check-lp`` file, as ``kind`` (``Projector`` or ``DensityOperator``).
+
+    The file holds ``{key: matrices}`` or the bare matrices, where
+    ``matrices`` is one matrix or a list of them.
+    """
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if isinstance(data, dict):
-        data = data[key] if key in data else data.get("matrix")
-    if data is None:
-        raise ConfigError(f"{path} holds no {key!r}")
+        if key not in data:
+            raise ConfigError(f"{path} holds no {key!r}")
+        data = data[key]
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a list")
     try:
@@ -360,7 +357,10 @@ def _load_operators(path: str | Path, key: str, kind: type) -> list:
 
 def cmd_check_lp(args) -> int:
     family = _load_operators(args.family, "projectors", Projector)
-    state = _load_operators(args.state, "matrix", DensityOperator)[0]
+    states = _load_operators(args.state, "matrix", DensityOperator)
+    if len(states) != 1:
+        raise ConfigError(f"{args.state} holds {len(states)} matrices, not one state")
+    state = states[0]
     if any(p.dim != state.dim for p in family):
         dims = sorted({p.dim for p in family})
         raise ConfigError(f"family dimensions {dims} differ from the state's {state.dim}")
@@ -373,7 +373,7 @@ def cmd_check_lp(args) -> int:
 
 def cmd_overlap(args) -> int:
     n = args.n
-    if 2**n > 64:
+    if n > 6:
         raise CapacityError("overlap table supports 1 <= n <= 6")
     expected = 2.0**-n
     writer = csv.writer(sys.stdout, lineterminator="\n")

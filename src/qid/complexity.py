@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,13 +64,6 @@ class DecoderCatalogue:
     @property
     def literal_length(self) -> int:
         return self.n + 1
-
-    def kraft_sum(self) -> Fraction:
-        """Exact Kraft sum of the full code (entries plus literal block)."""
-        total = Fraction(2**self.n, 2**self.literal_length)
-        for entry in self.entries:
-            total += Fraction(1, 2 ** len(entry.codeword))
-        return total
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .operators import (
-    DECISION_TOL,
-    SPECTRAL_TOL,
-    DensityOperator,
-    Projector,
-    hermitian_eigensystem,
-)
+from ._kernels import jacobi_eigh
+from .operators import DECISION_TOL, SPECTRAL_TOL, DensityOperator, Projector, dagger
 
 
 @dataclass(frozen=True)
@@ -54,19 +49,35 @@ class DistinguishableClass:
 
 
 def support_projector(rho: DensityOperator) -> Projector:
-    """Projector onto the span of eigenvectors with eigenvalue > ``SPECTRAL_TOL``."""
-    vals, vecs = hermitian_eigensystem(rho.mat)
+    """Projector onto the span of eigenvectors with eigenvalue > ``SPECTRAL_TOL``.
+
+    ``rho`` passed the Hermiticity check on construction, so its
+    Hermitian part goes to the eigensolver directly.
+    """
+    m = rho.mat
+    vals, vecs = jacobi_eigh((m + dagger(m)) / 2.0)
     cols = vecs[:, vals > SPECTRAL_TOL]
     mat = cols @ np.conj(cols).T
     return Projector(mat, rho.dims)
 
 
+# States per product in ``_overlap_table``, the only copy of them it makes.
+OVERLAP_BLOCK = 16
+
+
 def _overlap_table(states: Sequence[DensityOperator], supports: Sequence[Projector]) -> np.ndarray:
-    # ov[i, j] = tr(rho_i P_j) = sum(rho_i * P_j^T), one product over flattened
-    # matrices; real for Hermitian operands.
-    rho = np.stack([s.mat for s in states]).reshape(len(states), -1)
-    proj = np.stack([p.mat.T for p in supports]).reshape(len(supports), -1)
-    return (rho @ proj.T).real
+    # ov[i, j] = tr(rho_i P_j) = sum(rho_i * conj(P_j)) for Hermitian P_j, read
+    # off products over flattened matrices: the conjugated supports are stacked
+    # once and the states one block at a time.
+    proj = np.stack([p.mat for p in supports]).reshape(len(supports), -1)
+    np.conj(proj, out=proj)
+    ov = np.empty((len(states), len(supports)))
+    for i in range(0, len(states), OVERLAP_BLOCK):
+        block = states[i : i + OVERLAP_BLOCK]
+        rho = np.stack([s.mat for s in block]).reshape(len(block), -1)
+        ov[i : i + len(block)] = (rho @ proj.T).real
+        del rho  # before the next block is stacked
+    return ov
 
 
 def distinguishable_partition(

@@ -85,68 +85,12 @@ def _check_dims(dims, side: int) -> tuple[int, ...]:
     return dims
 
 
-def partial_trace(m, dims, keep) -> np.ndarray:
-    """Trace out every subsystem not listed in ``keep``.
-
-    ``dims`` lists the subsystem dimensions of the square matrix ``m``;
-    ``keep`` is a set of subsystem indices to retain (in their original
-    order).  The trace of the result equals the trace of the input.
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError("partial_trace needs a square matrix")
-    dims = _check_dims(dims, m.shape[0])
-    k = len(dims)
-    keep = tuple(sorted(set(int(i) for i in keep)))
-    if not keep or any(i < 0 or i >= k for i in keep):
-        raise DimensionError(f"keep={keep} is not a nonempty subset of range({k})")
-    t = m.reshape(dims + dims)
-    row_labels = list(range(k))
-    col_labels = [i + k if i in keep else i for i in range(k)]
-    out_labels = [i for i in keep] + [i + k for i in keep]
-    out = np.einsum(t, row_labels + col_labels, out_labels)
-    d = math.prod(dims[i] for i in keep)
-    return np.ascontiguousarray(out.reshape(d, d))
-
-
-def permutation_matrix(dims, perm) -> np.ndarray:
-    """Unitary that reorders tensor factors: new factor j is old factor perm[j]."""
-    dims = tuple(int(d) for d in dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(len(dims))):
-        raise DimensionError(f"perm {perm} is not a permutation of range({len(dims)})")
-    d = math.prod(dims)
-    src = np.arange(d)
-    digits = np.array(np.unravel_index(src, dims))
-    new_dims = tuple(dims[p] for p in perm)
-    dst = np.ravel_multi_index(tuple(digits[list(perm)]), new_dims)
-    out = np.zeros((d, d), dtype=np.complex128)
-    out[dst, src] = 1.0
-    return out
-
-
 def operator_norm(a) -> float:
     """Largest singular value (computed by LAPACK's SVD)."""
     a = as_matrix(a)
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def hermitian_eigensystem(a):
-    """Descending eigenvalues and orthonormal eigenvector columns.
-
-    Uses LAPACK through ``numpy.linalg.eigh``; raises ``ValidationError``
-    when the input is not Hermitian within ``STRUCTURAL_TOL``.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("eigensystem needs a square matrix")
-    dev = float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
-    if dev > STRUCTURAL_TOL:
-        raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-    h = (a + dagger(a)) / 2.0
-    return jacobi_eigh(h)
 
 
 @dataclass(frozen=True)
@@ -223,11 +167,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def ptrace(self, keep) -> "DensityOperator":
-        keep = tuple(sorted(set(int(i) for i in keep)))
-        out = partial_trace(self.mat, self.dims, keep)
-        return DensityOperator(out, tuple(self.dims[i] for i in keep))
-
 
 @dataclass(frozen=True)
 class Projector:
@@ -253,7 +192,3 @@ class Projector:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return int(round(float(np.trace(self.mat).real)))

@@ -19,7 +19,6 @@ import numpy as np
 from .channels import (
     ProductChannel,
     QuantumChannel,
-    apply_channel_to_vector,
     apply_channel_to_vector_raw,
     dense_channel,
     kron_power,
@@ -141,11 +140,6 @@ class ProtocolInstance:
         return dense_channel(self.channel)
 
 
-def joint_state(inst: ProtocolInstance, msg: int, basis: Basis) -> DensityOperator:
-    """Channel output on H_B (x) H_E for one encoded message."""
-    return apply_channel_to_vector(inst.kraus_channel, encode(msg, basis, inst.n))
-
-
 def theta_matrix(inst: ProtocolInstance) -> np.ndarray:
     """Raw dense matrix of (id (x) channel) applied to the EPR register.
 
@@ -161,13 +155,6 @@ def theta_matrix(inst: ProtocolInstance) -> np.ndarray:
     images = phi @ channel.kraus.transpose(0, 2, 1)
     w = images.reshape(len(channel.kraus), dim_a * channel.out_dim)
     return w.T @ w.conj()
-
-
-def global_state_theta(inst: ProtocolInstance) -> DensityOperator:
-    """Whole state on H_A' (x) H_B (x) H_E in the entanglement picture."""
-    mat = theta_matrix(inst)
-    dims = (2,) * inst.n + inst.channel.out_dims
-    return DensityOperator(mat, dims)
 
 
 @dataclass(frozen=True)

@@ -72,15 +72,6 @@ def conjugate_overlap_norm(x: int, z: int, n: int) -> float:
     return operator_norm(xx @ zz @ xx)
 
 
-def cross_norm_bound(p, q) -> float:
-    """Dense ||P_t Q_s|| for two structured projectors on the same space."""
-    pd = p.dense()
-    qd = q.dense()
-    if pd.shape != qd.shape:
-        raise DimensionError("projectors live on different total spaces")
-    return operator_norm(pd @ qd)
-
-
 def tradeoff_bound(l: int, m: int, n: int, c_offset: int = 0) -> float:
     """Counting bound 2^n (1 + 2^((l+m-n+3)/2 + c))."""
     if l < 0 or m < 0:

@@ -1,8 +1,12 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and dense oracles shared by the test modules."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from qid.channels import isometry_to_channel
+from qid.operators import DensityOperator
 
 
 def random_complex(rng, shape):
@@ -39,3 +43,42 @@ def random_isometry_channel(rng, env_dim=3):
     """
     v, _ = np.linalg.qr(random_complex(rng, (6 * env_dim, 4)))
     return isometry_to_channel(v, (2, 2), (2,), (3,), env_dim=env_dim)
+
+
+def partial_trace(m, dims, keep):
+    """Trace out every subsystem of ``m`` not listed in ``keep``; kept ones stay in order."""
+    dims, keep, k = tuple(dims), sorted(keep), len(dims)
+    cols = [i + k if i in keep else i for i in range(k)]
+    out = np.einsum(np.reshape(m, dims + dims), [*range(k), *cols], keep + [i + k for i in keep])
+    d = math.prod(dims[i] for i in keep)
+    return out.reshape(d, d)
+
+
+def permutation_matrix(dims, perm):
+    """Unitary that reorders tensor factors: new factor j is old factor perm[j]."""
+    d = math.prod(dims)
+    digits = np.array(np.unravel_index(np.arange(d), dims))
+    dst = np.ravel_multi_index(tuple(digits[list(perm)]), tuple(dims[p] for p in perm))
+    out = np.zeros((d, d), dtype=complex)
+    out[dst, np.arange(d)] = 1.0
+    return out
+
+
+def apply_kraus(ch, rho):
+    """The output sum_k K_k rho K_k^dag of a channel on a mixed state, as a state on B (x) E."""
+    images = ch.kraus @ rho.mat
+    out = np.tensordot(images, ch.kraus.conj(), axes=([0, 2], [0, 2]))
+    return DensityOperator(out, ch.out_dims_b + ch.out_dims_e)
+
+
+def pairs(m):
+    """[re, im] encoding of a matrix for the JSON interfaces, or a hand-written encoding as it is."""
+    if isinstance(m, list):
+        return m
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+
+
+def kraft_sum(cat):
+    """Exact Kraft sum of a catalogue's full code: its entries plus the 2^n literal words."""
+    literals = Fraction(2**cat.n, 2**cat.literal_length)
+    return literals + sum(Fraction(1, 2 ** len(e.codeword)) for e in cat.entries)

@@ -8,8 +8,10 @@ import qid.channels as channels_mod
 from qid.attacks import KINDS, AttackSpec, make_attack, standard_attacks
 from qid.channels import validate_channel, vector_marginals
 from qid.errors import CapacityError, ValidationError
-from qid.operators import permutation_matrix, tensor
+from qid.operators import tensor
 from qid.protocol import encode
+
+from helpers import permutation_matrix
 
 
 def marginals(channel, msg, basis, n):

@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from qid.channels import matrix_to_pairs
 from qid.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
@@ -17,13 +16,7 @@ from qid.cli import (
 )
 from qid.errors import ConfigError
 
-
-def pairs(m):
-    """[re, im] encoding of a matrix, or a hand-written encoding as it is."""
-    if isinstance(m, list):
-        return m
-    m = np.asarray(m, dtype=complex)
-    return [[[x.real, x.imag] for x in row] for row in m]
+from helpers import pairs
 
 
 def write_config(path, **overrides):
@@ -52,7 +45,7 @@ class TestConfig:
         )
         assert cfg.n == 2
         assert cfg.attacks[0].params["p"] == 0.25
-        assert cfg.tolerances.decision == 1e-6
+        assert cfg.decision_tol == 1e-6
         assert cfg.sweep_n == (1, 2)
 
     def test_bad_json_raises_config_error(self, tmp_path):
@@ -328,8 +321,8 @@ class TestCheckLP:
         state = tmp_path / "state.json"
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        fam.write_text(json.dumps({"projectors": [matrix_to_pairs(p) for p in (p0, p1)]}))
-        state.write_text(json.dumps({"matrix": matrix_to_pairs(np.eye(2, dtype=complex) / 2)}))
+        fam.write_text(json.dumps({"projectors": [pairs(p) for p in (p0, p1)]}))
+        state.write_text(json.dumps({"matrix": pairs(np.eye(2, dtype=complex) / 2)}))
         assert main(["check-lp", "--family", str(fam), "--state", str(state)]) == EXIT_OK
 
     @pytest.mark.parametrize(
@@ -341,6 +334,7 @@ class TestCheckLP:
             ([np.diag([1.0, 0.0])], np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])),
             ([np.diag([1.0, np.nan])], np.eye(2) / 2),
             ([np.diag([1.0, 0.0])], [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
+            ([np.diag([1.0, 0.0])], [pairs(np.eye(2) / 2)] * 2),
         ],
         ids=[
             "not_projector",
@@ -349,6 +343,7 @@ class TestCheckLP:
             "non_square_state",
             "nan_entry",
             "ragged_grid",
+            "two_states",
         ],
     )
     def test_invalid_input_exits_config(self, tmp_path, family, state):
@@ -356,6 +351,14 @@ class TestCheckLP:
         st = tmp_path / "state.json"
         fam.write_text(json.dumps({"projectors": [pairs(p) for p in family]}))
         st.write_text(json.dumps({"matrix": pairs(state)}))
+        assert main(["check-lp", "--family", str(fam), "--state", str(st)]) == EXIT_CONFIG
+
+    def test_family_under_matrix_key_exits_config(self, tmp_path):
+        # The family is read only from "projectors" or a bare list, not from "matrix".
+        fam = tmp_path / "family.json"
+        st = tmp_path / "state.json"
+        fam.write_text(json.dumps({"matrix": [pairs(np.eye(2))]}))
+        st.write_text(json.dumps({"matrix": pairs(np.eye(2) / 2)}))
         assert main(["check-lp", "--family", str(fam), "--state", str(st)]) == EXIT_CONFIG
 
     def test_bad_file_exits_config(self, tmp_path):
@@ -378,6 +381,12 @@ class TestOverlap:
 
     def test_overlap_capacity(self):
         assert main(["overlap", "--n", "9"]) == EXIT_CAPACITY
+
+    def test_huge_n_exits_capacity_at_once(self):
+        # Before: 2**n was evaluated first, 9 s and 443 MB at n = 10^9.
+        start = time.perf_counter()
+        assert main(["overlap", "--n", "1000000000"]) == EXIT_CAPACITY
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_overlap_n_below_one_is_a_usage_error(self, n):

@@ -70,7 +70,7 @@ class TestPerfectlyDistinguishable:
         part = distinguishable_partition(inst.rho_b)
         assert [c.members for c in part] == [(0, 1, 2, 3)]
         for z, p in enumerate(part[0].pvm):
-            assert p.rank == 1
+            assert np.trace(p.mat).real == pytest.approx(1)
             np.testing.assert_allclose(p.mat, ket_bra(np.eye(4)[z]), atol=1e-10)
 
     def test_dimension_mismatch(self):

@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
 
+from qid._kernels import jacobi_eigh
 from qid.errors import CapacityError, DimensionError, ValidationError
 from qid.operators import (
     DensityOperator,
     Projector,
     basis_ket,
     dagger,
-    hermitian_eigensystem,
     ket_bra,
     operator_norm,
-    partial_trace,
-    permutation_matrix,
     tensor,
     validate_state,
 )
 
-from helpers import random_complex, random_density, random_projector
+from helpers import partial_trace, permutation_matrix, random_complex, random_projector
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -73,14 +71,6 @@ class TestPartialTrace:
         out = partial_trace(m, (2, 2, 2), keep=[1])
         assert abs(np.trace(out) - np.trace(m)) < 1e-12
 
-    def test_bad_keep_rejected(self):
-        with pytest.raises(DimensionError):
-            partial_trace(np.eye(4), (2, 2), keep=[])
-        with pytest.raises(DimensionError):
-            partial_trace(np.eye(4), (2, 2), keep=[2])
-        with pytest.raises(DimensionError):
-            partial_trace(np.eye(4), (2, 3), keep=[0])
-
 
 class TestOperatorNorm:
     def test_projector_norm_is_one(self):
@@ -93,7 +83,7 @@ class TestOperatorNorm:
         rng = np.random.default_rng(6)
         for _ in range(20):
             a = random_complex(rng, (7, 7))
-            vals, _ = hermitian_eigensystem(dagger(a) @ a)
+            vals, _ = jacobi_eigh(dagger(a) @ a)
             np.testing.assert_allclose(operator_norm(a), np.sqrt(vals[0]), atol=1e-9)
 
     def test_submultiplicative(self):
@@ -105,13 +95,15 @@ class TestOperatorNorm:
 
 
 class TestEigensystem:
+    """The eigensolver behind ``support_projector``."""
+
     def test_diagonal_case_sorted_descending(self):
-        vals, _ = hermitian_eigensystem(np.diag([3.0, 1.0, 2.0]))
+        vals, _ = jacobi_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
         assert vals.tolist() == [3.0, 2.0, 1.0]
 
     def test_conjugate_basis_projector(self):
         xbar0 = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        vals, vecs = hermitian_eigensystem(ket_bra(xbar0))
+        vals, vecs = jacobi_eigh(ket_bra(xbar0))
         np.testing.assert_allclose(vals, [1.0, 0.0], atol=1e-12)
         top = vecs[:, 0]
         np.testing.assert_allclose(np.abs(top), np.abs(xbar0), atol=1e-12)
@@ -120,13 +112,9 @@ class TestEigensystem:
         rng = np.random.default_rng(8)
         g = random_complex(rng, (8, 8))
         h = (g + dagger(g)) / 2
-        vals, vecs = hermitian_eigensystem(h)
+        vals, vecs = jacobi_eigh(h)
         np.testing.assert_allclose((vecs * vals) @ dagger(vecs), h, atol=1e-8)
         np.testing.assert_allclose(dagger(vecs) @ vecs, np.eye(8), atol=1e-9)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestValidateState:
@@ -174,21 +162,17 @@ class TestDensityOperator:
         with pytest.raises(DimensionError):
             DensityOperator(np.eye(4) / 4, (2, 3))
 
-    def test_ptrace(self):
-        rho = DensityOperator(np.eye(4) / 4, (2, 2))
-        np.testing.assert_allclose(rho.ptrace([1]).mat, np.eye(2) / 2)
-
 
 class TestProjector:
     def test_eigenvalues_are_zero_or_one(self):
         rng = np.random.default_rng(9)
         for rank in (1, 2, 5):
             p = Projector(random_projector(rng, 6, rank), (6,))
-            vals, _ = hermitian_eigensystem(p.mat)
+            vals, _ = jacobi_eigh(p.mat)
             np.testing.assert_allclose(
                 vals, [1.0] * rank + [0.0] * (6 - rank), atol=1e-8
             )
-            assert p.rank == rank
+            assert np.trace(p.mat).real == pytest.approx(rank)
 
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValidationError):

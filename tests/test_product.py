@@ -27,7 +27,7 @@ from qid.channels import (
 from qid.distinguishability import _overlap_table, support_projector
 from qid.errors import CapacityError, DimensionError, ValidationError
 from qid.operators import ket_bra
-from qid.protocol import ProtocolInstance, encode, equivalence_check, global_state_theta
+from qid.protocol import ProtocolInstance, encode, equivalence_check, theta_matrix
 from qid.tradeoff import outcome_distribution, verify_tradeoff
 
 from helpers import random_complex, random_unitary
@@ -133,7 +133,7 @@ class TestCapacity:
             verify_tradeoff(inst, spec, dense=True)
         for dense_check in (
             lambda: equivalence_check(inst),
-            lambda: global_state_theta(inst),
+            lambda: theta_matrix(inst),
         ):
             with pytest.raises(CapacityError, match="n <= 2"):
                 dense_check()
@@ -173,6 +173,22 @@ class TestMemory:
         assert states == 64 * 2**20
         assert peak <= 1.1 * states
 
+    def test_overlap_table_copies_one_block_of_states(self):
+        # One side at N = 7 holds 32 MiB of states; stacking them all (and the
+        # transposed supports) for one product peaked at 3x that.
+        inst = ProtocolInstance.from_channel(product_attack(AttackSpec("universal_cloner", 7)))
+        states = inst.rho_b
+        supports = [support_projector(s) for s in states]
+        side = sum(s.mat.nbytes for s in states)
+        assert side == 32 * 2**20
+        tracemalloc.start()
+        try:
+            _overlap_table(states, supports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * side
+
 
 class TestValidation:
     def test_incomplete_factor_rejected(self):
@@ -195,8 +211,7 @@ class TestValidation:
     def test_dimensions_match_the_kraus_form(self):
         product = product_attack(AttackSpec("universal_cloner", 3))
         dense = dense_channel(product)
-        for attr in ("in_dims", "out_dims_b", "out_dims_e", "in_dim", "dim_b", "dim_e",
-                     "out_dims", "out_dim"):
+        for attr in ("in_dims", "out_dims_b", "out_dims_e", "in_dim", "dim_b", "dim_e", "out_dim"):
             assert getattr(product, attr) == getattr(dense, attr)
 
 
@@ -218,9 +233,11 @@ class TestTables:
                                 assert abs(table[msg, k] - expected) <= 1e-15, (kind, n, k)
 
     def test_overlap_table_is_the_trace_of_each_pair(self, instance):
-        states = instance("depolarize", 2).rho_b
-        supports = [support_projector(s) for s in states]
+        # 21 states make one full block of 16 and a partial one, against 19 supports.
+        states = instance("universal_cloner", 5).rho_b[:21]
+        supports = [support_projector(s) for s in instance("depolarize", 5).rho_b[:19]]
         table = _overlap_table(states, supports)
+        assert table.shape == (21, 19)
         for i, rho in enumerate(states):
             for j, proj in enumerate(supports):
                 assert abs(table[i, j] - np.trace(rho.mat @ proj.mat).real) <= 1e-15

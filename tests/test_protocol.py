@@ -2,19 +2,13 @@ import numpy as np
 import pytest
 
 from qid.attacks import standard_attacks
-from qid.channels import QuantumChannel, apply_channel_to_vector
+from qid.channels import QuantumChannel, apply_channel_to_vector_raw
 from qid.errors import CapacityError, DimensionError, ValidationError
-from qid.operators import ket_bra, partial_trace, validate_state
+from qid.operators import DensityOperator, ket_bra, validate_state
 import qid.protocol as protocol
-from qid.protocol import (
-    ProtocolInstance,
-    encode,
-    epr_state,
-    equivalence_check,
-    global_state_theta,
-    joint_state,
-    theta_matrix,
-)
+from qid.protocol import ProtocolInstance, encode, epr_state, equivalence_check, theta_matrix
+
+from helpers import apply_kraus, partial_trace
 
 
 class TestEncode:
@@ -95,46 +89,46 @@ class TestInstanceCaches:
 class TestGlobalState:
     def test_identity_attack_theta_is_epr_with_fixed_environment(self, instance):
         inst = instance("identity", 1)
-        theta = global_state_theta(inst)
+        theta = DensityOperator(theta_matrix(inst), (2, 2, 2))
         expected = np.kron(ket_bra(epr_state(1)), ket_bra(encode(0, "Z", 1)))
         np.testing.assert_allclose(theta.mat, expected, atol=1e-12)
 
     def test_cnot_probe_gives_ghz(self, instance):
-        theta = global_state_theta(instance("cnot_probe", 1))
+        theta = DensityOperator(theta_matrix(instance("cnot_probe", 1)), (2, 2, 2))
         ghz = np.zeros(8, dtype=complex)
         ghz[0] = ghz[7] = 1 / np.sqrt(2)
         np.testing.assert_allclose(theta.mat, ket_bra(ghz), atol=1e-12)
 
     def test_sender_marginal_is_uniform_for_all_attacks(self, instance):
         for spec in standard_attacks(2):
-            theta = global_state_theta(instance(spec.kind, 2))
-            reduced = theta.ptrace([0, 1]).mat
+            theta = DensityOperator(theta_matrix(instance(spec.kind, 2)), (2,) * 6)
+            reduced = partial_trace(theta.mat, theta.dims, [0, 1])
             np.testing.assert_allclose(reduced, np.eye(4) / 4, atol=1e-10)
 
     def test_dense_cap(self, instance):
         with pytest.raises(CapacityError):
-            global_state_theta(instance("identity", 3))
+            theta_matrix(instance("identity", 3))
 
 
 class TestAposteriori:
-    """``joint_state`` is the a-posteriori state on H_B (x) H_E of one encoded message.
+    """The channel output on H_B (x) H_E of one encoded message is its a-posteriori state.
 
     Its agreement with the projection of the dense global state is
     ``equivalence_check`` (see ``TestEquivalence``).
     """
 
     def test_structured_state_is_channel_output(self, instance):
-        inst = instance("universal_cloner", 1)
-        state = joint_state(inst, 1, "Z")
-        ref = apply_channel_to_vector(inst.kraus_channel, encode(1, "Z", 1))
-        np.testing.assert_array_equal(state.mat, ref.mat)
+        ch = instance("universal_cloner", 1).kraus_channel
+        state = apply_channel_to_vector_raw(ch, encode(1, "Z", 1))
+        ref = apply_kraus(ch, DensityOperator(ket_bra(encode(1, "Z", 1)), (2,)))
+        np.testing.assert_allclose(state, ref.mat, rtol=0, atol=1e-15)
 
     def test_x_restriction_is_eve_cache(self, instance):
         inst = instance("measure_z", 2)
         for x in range(4):
-            state = joint_state(inst, x, "X")
+            state = apply_channel_to_vector_raw(inst.kraus_channel, encode(x, "X", 2))
             np.testing.assert_allclose(
-                state.ptrace([2, 3]).mat, inst.sigma_e[x].mat, atol=1e-12
+                partial_trace(state, (2,) * 4, [2, 3]), inst.sigma_e[x].mat, atol=1e-12
             )
 
 
@@ -143,8 +137,9 @@ class TestMixtureIdentity:
         # sum_z Lambda(|z><z|)/2^n equals sum_x Lambda(|x-bar><x-bar|)/2^n.
         for spec in standard_attacks(2):
             inst = instance(spec.kind, 2)
-            avg_z = sum(joint_state(inst, z, "Z").mat for z in range(4)) / 4
-            avg_x = sum(joint_state(inst, x, "X").mat for x in range(4)) / 4
+            ch = inst.kraus_channel
+            avg_z = sum(apply_channel_to_vector_raw(ch, encode(z, "Z", 2)) for z in range(4)) / 4
+            avg_x = sum(apply_channel_to_vector_raw(ch, encode(x, "X", 2)) for x in range(4)) / 4
             np.testing.assert_allclose(avg_z, avg_x, atol=1e-9)
 
 

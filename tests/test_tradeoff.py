@@ -7,13 +7,12 @@ import pytest
 from qid.attacks import natural_bases, standard_attacks
 from qid.complexity import StructuredProjector, program_projector
 from qid.errors import DimensionError, ValidationError
-from qid.operators import DensityOperator, ket_bra
-from qid.protocol import ProtocolInstance, encode, global_state_theta
+from qid.operators import ket_bra, operator_norm
+from qid.protocol import ProtocolInstance, encode, theta_matrix
 from qid.tradeoff import (
     average_complexity_check,
     catalogues_for,
     conjugate_overlap_norm,
-    cross_norm_bound,
     discussion_counterexample,
     landau_pollak_check,
     max_complexity_corollary,
@@ -69,7 +68,7 @@ class TestLandauPollak:
         for n in (1, 2):
             for spec in standard_attacks(n):
                 inst = instance(spec.kind, n)
-                theta = global_state_theta(inst)
+                theta = theta_matrix(inst)
                 cat_b, cat_e = catalogues_for(inst)
                 db, de = inst.channel.dim_b, inst.channel.dim_e
                 family = [
@@ -79,7 +78,7 @@ class TestLandauPollak:
                     program_projector(cat_e, j, db, de).dense()
                     for j in range(len(cat_e.entries))
                 ]
-                assert landau_pollak_check(family, theta.mat).holds
+                assert landau_pollak_check(family, theta).holds
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -123,7 +122,7 @@ class TestCrossNorm:
             limit = 2.0 ** (-n / 2.0)
             for p in bob_projs:
                 for q in eve_projs:
-                    assert cross_norm_bound(p, q) <= limit + 1e-9
+                    assert operator_norm(p.dense() @ q.dense()) <= limit + 1e-9
 
     def test_zero_blocks_give_zero_norm(self, instance):
         inst = instance("identity", 1)
@@ -136,7 +135,7 @@ class TestCrossNorm:
             dim_e=2,
             terms=((0, np.zeros((2, 2), dtype=complex)),),
         )
-        assert cross_norm_bound(p, q) == 0.0
+        assert operator_norm(p.dense() @ q.dense()) == 0.0
 
 
 class TestBound:
