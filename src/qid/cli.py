@@ -15,9 +15,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
+from itertools import product
 from pathlib import Path
 
 from .attacks import AttackSpec, product_attack
@@ -27,10 +29,10 @@ from .operators import DECISION_TOL, OVERLAP_TOL, DensityOperator, Projector
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
 from .tradeoff import (
-    TradeoffReport,
     catalogues_for,
     conjugate_overlap_norm,
     landau_pollak_check,
+    tradeoff_bound,
     verify_tradeoff,
 )
 
@@ -41,17 +43,20 @@ EXIT_CAPACITY = 3
 
 
 def _round12(value):
-    """Normalize floats to 12 significant digits for stable serialization."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, str)) or value is None:
+    """Plain JSON data with every float at ``_fmt``'s 12 significant digits.
+
+    A report record (a dataclass) becomes the dict of its fields.
+    """
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return float(_fmt(value))
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round12(v) for v in value]
+    if is_dataclass(value):
+        return _round12(vars(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -61,6 +66,15 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
+
+
+def _csv(header, rows) -> str:
+    """CSV text of a header and rows, every cell through ``_fmt``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 @dataclass
@@ -166,154 +180,91 @@ def load_config(path: str | Path) -> ExperimentConfig:
     shared = sorted({label for label in labels if labels.count(label) > 1})
     if shared:
         raise ConfigError(f"attacks share artifact names: {', '.join(shared)}")
+    # An n whose bound overflows even at c_offset = 0 is far past the
+    # capacity limits, which refuse it (exit 3); only c_offset is at fault here.
+    for n in {cfg.n, *cfg.sweep_n}:
+        if _finite_bound(n, 0) and not _finite_bound(n, cfg.c_offset):
+            raise ConfigError(f"'c_offset' {cfg.c_offset} overflows the counting bound at n = {n}")
     return cfg
 
 
-def _report_dict(report: TradeoffReport, cfg: ExperimentConfig, extras: dict) -> dict:
-    data = {
-        "n": report.n,
-        "attack": {"kind": report.attack.kind, "params": dict(report.attack.params)},
-        "c_offset": report.c_offset,
-        "seed": cfg.seed,
-        "profile_b": list(report.profile_b.lengths),
-        "profile_e": list(report.profile_e.lengths),
-        "grid": [
-            {
-                "l": g.l,
-                "m": g.m,
-                "count_b": g.count_b,
-                "count_e": g.count_e,
-                "bound": g.bound,
-                "holds": g.holds,
-            }
-            for g in report.grid
-        ],
-        "lp_records": [
-            {"l": r.l, "m": r.m, "lhs": r.lhs, "rhs": r.rhs, "holds": r.holds}
-            for r in report.lp_records
-        ],
-        "cross_norms": [
-            {
-                "entry_b": r.entry_b,
-                "entry_e": r.entry_e,
-                "norm": r.norm,
-                "limit": r.limit,
-                "holds": r.holds,
-            }
-            for r in report.cross_norms
-        ],
-        "corollary1": {
-            "max_b": report.corollary1.max_b,
-            "max_e": report.corollary1.max_e,
-            "sum": report.corollary1.total,
-            "threshold": report.corollary1.threshold,
-            "holds": report.corollary1.holds,
-        },
-        "shannon": {
-            "i_bz": report.shannon.i_bz,
-            "i_ex": report.shannon.i_ex,
-            "sum": report.shannon.total,
-            "limit": report.shannon.limit,
-            "holds": report.shannon.holds,
-        },
-        "average": {
-            "avg_sum": report.average.avg_sum,
-            "reference": report.average.reference,
-        },
-        "all_hold": report.all_hold,
-    }
-    data.update(extras)
-    return data
-
-
-def _grid_csv(report: TradeoffReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "attack", "l", "m", "count_B", "count_E", "bound", "holds"])
-    for g in report.grid:
-        writer.writerow(
-            [
-                report.n,
-                report.attack.label(),
-                g.l,
-                g.m,
-                g.count_b,
-                g.count_e,
-                _fmt(g.bound),
-                _fmt(g.holds),
-            ]
-        )
-    return buf.getvalue()
-
-
-def _plot_csv(report: TradeoffReport) -> str:
-    """Columnar plot data: count_B(l), count_E(m) and the bound surface."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", "l", "m", "value"])
-    for l in range(report.n + 2):
-        writer.writerow(["count_B", l, "", report.profile_b.count(l)])
-    for m in range(report.n + 2):
-        writer.writerow(["count_E", "", m, report.profile_e.count(m)])
-    for g in report.grid:
-        writer.writerow(["bound", g.l, g.m, _fmt(g.bound)])
-    return buf.getvalue()
-
-
-def _profile_csv(report: TradeoffReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["message_bits", "side", "basis", "length"])
-    for row in report.profile_b.to_csv_rows() + report.profile_e.to_csv_rows():
-        writer.writerow(row)
-    return buf.getvalue()
+def _finite_bound(n: int, c_offset: int) -> bool:
+    """Whether the largest counting bound at n, at l = m = n + 1, is a finite float."""
+    try:
+        return math.isfinite(tradeoff_bound(n + 1, n + 1, n, c_offset))
+    except OverflowError:
+        return False
 
 
 def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -> bool:
-    """Run one (n, attack) experiment, write artifacts, return all-hold."""
+    """Run one (n, attack) experiment, write artifacts, return all-hold.
+
+    The report's ``all_hold`` is the returned value: every verdict of the
+    trade-off report and, when the dense checks run, of the equivalence
+    and expectation checks.
+    """
     spec = AttackSpec(kind=spec.kind, n=n, params=dict(spec.params))
     inst = ProtocolInstance.from_channel(product_attack(spec))
     dense = n <= cfg.dense_limit
-    report = verify_tradeoff(
-        inst,
-        spec,
-        c_offset=cfg.c_offset,
-        decision_tol=cfg.decision_tol,
-        dense=dense,
+    report = verify_tradeoff(inst, spec, cfg.c_offset, cfg.decision_tol, dense)
+    prof_b, prof_e = report.profile_b, report.profile_e
+    data = dict(
+        vars(report),
+        attack={"kind": spec.kind, "params": dict(spec.params)},
+        profile_b=prof_b.lengths,
+        profile_e=prof_e.lengths,
+        seed=cfg.seed,
     )
-    extras: dict = {}
     ok = report.all_hold
     if dense:
-        eq = equivalence_check(inst)
-        extras["equivalence"] = {
-            "max_probability_deviation": eq.max_probability_deviation,
-            "max_state_deviation": eq.max_state_deviation,
-            "passed": eq.passed,
-        }
+        data["equivalence"] = eq = equivalence_check(inst)
         theta = theta_matrix(inst)
-        cat_b, cat_e = catalogues_for(inst, cfg.decision_tol)
-        expectation = []
-        for cat in (cat_b, cat_e):
-            for l in range(n + 2):
-                chk = expectation_identity_check(inst, cat, l, theta=theta)
-                expectation.append(dict(vars(chk), side=cat.side, agree=chk.agree))
-        extras["expectation"] = expectation
-        ok = ok and eq.passed and all(e["agree"] for e in expectation)
-    stem = f"{spec.label()}_n{n}"
+        data["expectation"] = expectation = [
+            expectation_identity_check(inst, cat, l, theta=theta)
+            for cat in catalogues_for(inst, cfg.decision_tol)
+            for l in range(n + 2)
+        ]
+        ok = ok and eq.passed and all(chk.agree for chk in expectation)
+    data["all_hold"] = ok
+    label = spec.label()
+    # A grid row is n, the attack label and one GridPoint's fields in order.
+    grid = [(n, label, *vars(g).values()) for g in report.grid]
+    plot = [("count_B", l, "", prof_b.count(l)) for l in range(n + 2)]
+    plot += [("count_E", "", m, prof_e.count(m)) for m in range(n + 2)]
+    plot += [("bound", g.l, g.m, g.bound) for g in report.grid]
+    stem = f"{label}_n{n}"
+    artifacts = {
+        f"report_{stem}.json": json.dumps(_round12(data), sort_keys=True, indent=2) + "\n",
+        f"grid_{stem}.csv": _csv(
+            ("n", "attack", "l", "m", "count_B", "count_E", "bound", "holds"), grid
+        ),
+        f"plot_{stem}.csv": _csv(("series", "l", "m", "value"), plot),
+        f"complexity_{stem}.csv": _csv(
+            ("message_bits", "side", "basis", "length"),
+            prof_b.to_csv_rows() + prof_e.to_csv_rows(),
+        ),
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_json = json.dumps(
-        _round12(_report_dict(report, cfg, extras)), sort_keys=True, indent=2
-    )
-    (out_dir / f"report_{stem}.json").write_text(report_json + "\n")
-    (out_dir / f"grid_{stem}.csv").write_text(_grid_csv(report))
-    (out_dir / f"plot_{stem}.csv").write_text(_plot_csv(report))
-    (out_dir / f"complexity_{stem}.csv").write_text(_profile_csv(report))
+    for name, text in artifacts.items():
+        (out_dir / name).write_text(text)
     return ok
 
 
-def cmd_simulate(args) -> int:
+def _config_and_out(args) -> tuple[ExperimentConfig, Path]:
+    """The config and the output directory, refused at once if a file stands in its path.
+
+    The first job that writes makes the directory, so a refused run leaves none.
+    """
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir)
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
+    return cfg, out_dir
+
+
+def cmd_simulate(args) -> int:
+    cfg, out_dir = _config_and_out(args)
     all_ok = True
     for spec in cfg.attacks:
         all_ok = run_single(cfg, cfg.n, spec, out_dir) and all_ok
@@ -321,10 +272,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    n_values = cfg.sweep_n or (cfg.n,)
-    out_dir = Path(args.out or cfg.out_dir)
-    jobs = [(n, spec) for n in n_values for spec in cfg.attacks]
+    cfg, out_dir = _config_and_out(args)
+    jobs = [(n, spec) for n in cfg.sweep_n or (cfg.n,) for spec in cfg.attacks]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = list(
             pool.map(lambda job: run_single(cfg, job[0], job[1], out_dir), jobs)
@@ -376,24 +325,13 @@ def cmd_overlap(args) -> int:
     if n > 6:
         raise CapacityError("overlap table supports 1 <= n <= 6")
     expected = 2.0**-n
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["x", "z", "norm", "expected", "abs_error"])
-    worst = 0.0
-    for x in range(2**n):
-        for z in range(2**n):
-            norm = conjugate_overlap_norm(x, z, n)
-            err = abs(norm - expected)
-            worst = max(worst, err)
-            writer.writerow(
-                [
-                    format(x, f"0{n}b"),
-                    format(z, f"0{n}b"),
-                    _fmt(norm),
-                    _fmt(expected),
-                    _fmt(err),
-                ]
-            )
-    return EXIT_OK if worst <= OVERLAP_TOL else EXIT_VIOLATION
+    rows = []
+    for x, z in product(range(2**n), repeat=2):
+        norm = conjugate_overlap_norm(x, z, n)
+        bits = format(x, f"0{n}b"), format(z, f"0{n}b")
+        rows.append((*bits, norm, expected, abs(norm - expected)))
+    sys.stdout.write(_csv(("x", "z", "norm", "expected", "abs_error"), rows))
+    return EXIT_OK if max(row[-1] for row in rows) <= OVERLAP_TOL else EXIT_VIOLATION
 
 
 def _positive_int(text: str) -> int:

@@ -231,19 +231,14 @@ def cumulative_projector(cat: DecoderCatalogue, l: int, dim_b: int, dim_e: int) 
 
 @dataclass(frozen=True)
 class ExpectationCheck:
-    """Structured and dense expectation vs catalogue count."""
+    """Structured and dense expectation vs catalogue count, for one side at one l."""
 
+    side: str
     l: int
     lhs: float
     lhs_dense: float
     rhs: float
-
-    @property
-    def agree(self) -> bool:
-        return (
-            abs(self.lhs - self.rhs) <= VERDICT_TOL
-            and abs(self.lhs_dense - self.rhs) <= VERDICT_TOL
-        )
+    agree: bool
 
 
 def expectation_identity_check(
@@ -266,4 +261,5 @@ def expectation_identity_check(
     lhs = 2.0 ** (-n) * sum(traces)
     rhs = 2.0 ** (-n) * len(cum.terms)
     lhs_dense = float(np.trace(theta @ cum.dense()).real)
-    return ExpectationCheck(l=l, lhs=lhs, lhs_dense=lhs_dense, rhs=rhs)
+    agree = abs(lhs - rhs) <= VERDICT_TOL and abs(lhs_dense - rhs) <= VERDICT_TOL
+    return ExpectationCheck(side=cat.side, l=l, lhs=lhs, lhs_dense=lhs_dense, rhs=rhs, agree=agree)

@@ -161,16 +161,9 @@ def theta_matrix(inst: ProtocolInstance) -> np.ndarray:
 class EquivalenceReport:
     """Dense-vs-structured comparison of the two protocol pictures."""
 
-    n: int
     max_probability_deviation: float
     max_state_deviation: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_probability_deviation <= STRUCTURAL_TOL
-            and self.max_state_deviation <= STRUCTURAL_TOL
-        )
+    passed: bool
 
 
 def equivalence_check(inst: ProtocolInstance) -> EquivalenceReport:
@@ -194,8 +187,5 @@ def equivalence_check(inst: ProtocolInstance) -> EquivalenceReport:
                 max_state = max(max_state, float(np.max(np.abs(block / prob - ref))))
             else:
                 max_state = float("inf")
-    return EquivalenceReport(
-        n=n,
-        max_probability_deviation=max_prob,
-        max_state_deviation=max_state,
-    )
+    passed = max_prob <= STRUCTURAL_TOL and max_state <= STRUCTURAL_TOL
+    return EquivalenceReport(max_prob, max_state, passed)

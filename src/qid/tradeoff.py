@@ -91,6 +91,8 @@ def theorem_form_bound(l: int, m: int, n: int, c: int = 0) -> Fraction | float:
     return 2.0**n * (1.0 + 2.0 ** (num / 2.0 + c))
 
 
+# A report record's fields are its keys in the CLI's JSON report, and the
+# function that builds it stores its verdict once.
 @dataclass(frozen=True)
 class GridPoint:
     l: int
@@ -98,10 +100,7 @@ class GridPoint:
     count_b: int
     count_e: int
     bound: float
-
-    @property
-    def holds(self) -> bool:
-        return self.count_b + self.count_e <= self.bound + VERDICT_TOL
+    holds: bool
 
 
 @dataclass(frozen=True)
@@ -119,40 +118,25 @@ class CrossNormRecord:
     entry_e: int
     norm: float
     limit: float
-
-    @property
-    def holds(self) -> bool:
-        return self.norm <= self.limit + VERDICT_TOL
+    holds: bool
 
 
 @dataclass(frozen=True)
 class CorollaryCheck:
     max_b: int
     max_e: int
+    sum: int
     threshold: int
-
-    @property
-    def total(self) -> int:
-        return self.max_b + self.max_e
-
-    @property
-    def holds(self) -> bool:
-        return self.total >= self.threshold
+    holds: bool
 
 
 @dataclass(frozen=True)
 class ShannonCheck:
     i_bz: float
     i_ex: float
+    sum: float
     limit: float
-
-    @property
-    def total(self) -> float:
-        return self.i_bz + self.i_ex
-
-    @property
-    def holds(self) -> bool:
-        return self.total <= self.limit + VERDICT_TOL
+    holds: bool
 
 
 @dataclass(frozen=True)
@@ -228,7 +212,8 @@ def shannon_tradeoff_check(inst: ProtocolInstance, bob_basis: str, eve_basis: st
     """I(msg : Bob | Z) + I(msg : Eve | X) <= n, each side read in the given basis."""
     i_bz = mutual_information(outcome_distribution(inst.rho_b, bob_basis))
     i_ex = mutual_information(outcome_distribution(inst.sigma_e, eve_basis))
-    return ShannonCheck(i_bz=i_bz, i_ex=i_ex, limit=float(inst.n))
+    total, limit = i_bz + i_ex, float(inst.n)
+    return ShannonCheck(i_bz, i_ex, total, limit, total <= limit + VERDICT_TOL)
 
 
 def corollary_threshold(n: int, c_offset: int = 0) -> int:
@@ -243,11 +228,9 @@ def max_complexity_corollary(
     c_offset: int = 0,
 ) -> CorollaryCheck:
     """max_z len_B(z) + max_x len_E(x) >= n - 3 - 2c, with n from the profiles."""
-    return CorollaryCheck(
-        max_b=profile_b.max_length(),
-        max_e=profile_e.max_length(),
-        threshold=corollary_threshold(profile_b.n, c_offset),
-    )
+    max_b, max_e = profile_b.max_length(), profile_e.max_length()
+    threshold = corollary_threshold(profile_b.n, c_offset)
+    return CorollaryCheck(max_b, max_e, max_b + max_e, threshold, max_b + max_e >= threshold)
 
 
 def average_complexity_check(
@@ -291,16 +274,12 @@ def verify_tradeoff(
     cat_b, cat_e = catalogues_for(inst, decision_tol)
     prof_b = proxy_complexity(cat_b)
     prof_e = proxy_complexity(cat_e)
-    grid = tuple(
-        GridPoint(
-            l=l,
-            m=m,
-            count_b=prof_b.count(l),
-            count_e=prof_e.count(m),
-            bound=tradeoff_bound(l, m, n, c_offset),
-        )
-        for l, m in product(range(n + 2), repeat=2)
-    )
+    grid = []
+    for l, m in product(range(n + 2), repeat=2):
+        count_b, count_e = prof_b.count(l), prof_e.count(m)
+        bound = tradeoff_bound(l, m, n, c_offset)
+        holds = count_b + count_e <= bound + VERDICT_TOL
+        grid.append(GridPoint(l, m, count_b, count_e, bound, holds))
     if dense is None:
         dense = n <= DENSE_THETA_LIMIT
     lp_records: list[LPRecord] = []
@@ -316,15 +295,13 @@ def verify_tradeoff(
             for cat in (cat_b, cat_e)
         )
         limit = 2.0 ** (-n / 2.0)
-        cross_norms = [
-            CrossNormRecord(entry_b=i, entry_e=j, norm=operator_norm(p @ q), limit=limit)
-            for (i, (_, p)), (j, (_, q)) in product(enumerate(dense_b), enumerate(dense_e))
-        ]
+        for (i, (_, p)), (j, (_, q)) in product(enumerate(dense_b), enumerate(dense_e)):
+            norm = operator_norm(p @ q)
+            cross_norms.append(CrossNormRecord(i, j, norm, limit, norm <= limit + VERDICT_TOL))
         for l, m in product(range(n + 2), repeat=2):
             family = [p for w, p in dense_b if w <= l]
             family += [q for w, q in dense_e if w <= m]
-            lp = landau_pollak_check(family, theta)
-            lp_records.append(LPRecord(l=l, m=m, lhs=lp.lhs, rhs=lp.rhs, holds=lp.holds))
+            lp_records.append(LPRecord(l, m, **vars(landau_pollak_check(family, theta))))
     shannon = shannon_tradeoff_check(inst, *natural_bases(attack))
     return TradeoffReport(
         n=n,
@@ -332,7 +309,7 @@ def verify_tradeoff(
         c_offset=c_offset,
         profile_b=prof_b,
         profile_e=prof_e,
-        grid=grid,
+        grid=tuple(grid),
         lp_records=tuple(lp_records),
         cross_norms=tuple(cross_norms),
         corollary1=max_complexity_corollary(prof_b, prof_e, c_offset=c_offset),

@@ -254,7 +254,7 @@ def test_criterion_09_shannon_cross_check():
             check = shannon_tradeoff_check(_instance(spec.kind, n), *natural_bases(spec))
             ok = ok and check.holds
             if spec.kind in ("identity", "measure_x"):
-                ok = ok and abs(check.total - n) <= 1e-9
+                ok = ok and abs(check.sum - n) <= 1e-9
     verdict(
         9,
         "I(A:B|Z) + I(A:E|X) <= N + 1e-9 with natural measurements, "

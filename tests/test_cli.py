@@ -1,11 +1,15 @@
 import json
+import math
 import subprocess
 import sys
 import time
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qid.cli as cli
 from qid.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
@@ -15,8 +19,13 @@ from qid.cli import (
     main,
 )
 from qid.errors import ConfigError
+from qid.protocol import EquivalenceReport
+from qid.tradeoff import CrossNormRecord
 
 from helpers import pairs
+
+# The four artifacts of two simulate jobs (see TestReportSchema).
+SCHEMA_DIR = Path(__file__).resolve().parent / "report_schema"
 
 
 def write_config(path, **overrides):
@@ -169,6 +178,46 @@ class TestConfig:
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n": 2, "c_offset": 2000},
+            {"n": 8, "c_offset": 1012},
+            {"sweep": {"n_values": [1, 10**6]}, "c_offset": 1030},
+        ],
+        ids=["overflow_error", "infinite_bound", "any_configured_n"],
+    )
+    def test_c_offset_overflowing_the_bound_exits_config(self, tmp_path, overrides):
+        # 2.0 ** ((l + m - n + 3) / 2 + c) used to end the run in an OverflowError
+        # traceback or, at n = 8, to make the bound at l = m = 9 infinite.
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        with pytest.raises(ConfigError, match="c_offset"):
+            load_config(cfg)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    @pytest.mark.parametrize(
+        "command, via", [("simulate", "--out"), ("sweep", "outputs.dir")]
+    )
+    def test_output_path_through_a_file_exits_config_before_any_job(
+        self, tmp_path, monkeypatch, out, command, via
+    ):
+        # A job used to run in full before mkdir failed with FileExistsError or NotADirectoryError.
+        def no_job(*args):
+            raise AssertionError("a job ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_single", no_job)
+        (tmp_path / "afile").write_text("keep")
+        target = str(tmp_path / out)
+        if via == "--out":
+            cfg, argv = write_config(tmp_path / "cfg.json"), ["--out", target]
+        else:
+            cfg, argv = write_config(tmp_path / "cfg.json", outputs={"dir": target}), []
+        assert main([command, "--config", str(cfg), *argv]) == EXIT_CONFIG
+        assert (tmp_path / "afile").read_text() == "keep"
+
     def test_colliding_artifact_names_exit_config(self, tmp_path):
         # Both labels format as depolarize_p0.123456, so one job would overwrite the other.
         attacks = [
@@ -299,6 +348,106 @@ class TestSimulate:
         assert len(grid) == 1 + 9
 
 
+class TestAllHold:
+    """The report's ``all_hold`` and the exit status are one verdict."""
+
+    def test_failing_equivalence_check(self, tmp_path, monkeypatch):
+        failing = EquivalenceReport(
+            max_probability_deviation=0.5, max_state_deviation=0.0, passed=False
+        )
+        monkeypatch.setattr(cli, "equivalence_check", lambda inst: failing)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VIOLATION
+        data = json.loads((out / "report_cnot_probe_n1.json").read_text())
+        assert data["equivalence"]["passed"] is False
+        assert data["all_hold"] is False
+
+    def test_failing_expectation_check(self, tmp_path, monkeypatch):
+        real = cli.expectation_identity_check
+
+        def one_disagrees(inst, cat, l, theta):
+            chk = real(inst, cat, l, theta=theta)
+            return replace(chk, agree=False) if (cat.side, l) == ("E", 1) else chk
+
+        monkeypatch.setattr(cli, "expectation_identity_check", one_disagrees)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VIOLATION
+        data = json.loads((out / "report_cnot_probe_n1.json").read_text())
+        assert [(r["side"], r["l"]) for r in data["expectation"] if not r["agree"]] == [("E", 1)]
+        assert data["all_hold"] is False
+
+
+def _same_json(a, b) -> bool:
+    """Keys, types and discrete values equal; floats within 1e-9 relative or 1e-12 absolute."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
+def _float_cell(cell: str) -> float | None:
+    """A CSV cell written as a float (with a point or an exponent), else None."""
+    if not any(c in cell for c in ".eE"):
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _same_csv(a: str, b: str) -> bool:
+    rows_a, rows_b = a.splitlines(), b.splitlines()
+    if len(rows_a) != len(rows_b):
+        return False
+    for ra, rb in zip(rows_a, rows_b):
+        cells_a, cells_b = ra.split(","), rb.split(",")
+        if len(cells_a) != len(cells_b):
+            return False
+        for x, y in zip(cells_a, cells_b):
+            fx, fy = _float_cell(x), _float_cell(y)
+            if x != y and (fx is None or fy is None or not _same_json(fx, fy)):
+                return False
+    return True
+
+
+class TestReportSchema:
+    """Report keys are record field names, so the artifacts pin the field names too."""
+
+    @pytest.mark.parametrize(
+        "n, attack, stem",
+        [
+            (2, {"kind": "cnot_probe"}, "cnot_probe_n2"),
+            (3, {"kind": "depolarize", "params": {"p": 0.25}}, "depolarize_p0.25_n3"),
+        ],
+        ids=["dense_n2", "structured_n3"],
+    )
+    def test_simulate_reproduces_pinned_artifacts(self, tmp_path, n, attack, stem):
+        cfg = write_config(tmp_path / "cfg.json", n=n, attacks=[attack])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        names = sorted(p.name for p in SCHEMA_DIR.glob(f"*_{stem}.*"))
+        assert len(names) == 4
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            ours, pinned = (out / name).read_text(), (SCHEMA_DIR / name).read_text()
+            if name.endswith(".json"):
+                assert _same_json(json.loads(ours), json.loads(pinned)), name
+            else:
+                assert _same_csv(ours, pinned), name
+
+    def test_cross_norm_keys(self):
+        # No library attack gives both sides a catalogue entry, so no artifact holds one.
+        names = [f.name for f in fields(CrossNormRecord)]
+        assert names == ["entry_b", "entry_e", "norm", "limit", "holds"]
+
+
 class TestSweep:
     def test_sweep_over_n_values(self, tmp_path):
         cfg = write_config(
@@ -397,8 +546,6 @@ class TestOverlap:
 
 def test_exit_status_reflects_violations(tmp_path, monkeypatch):
     # force a failing verdict to confirm the violation exit path
-    import qid.cli as cli
-
     cfg = write_config(tmp_path / "cfg.json")
     monkeypatch.setattr(cli, "run_single", lambda *a, **k: False)
     assert main(["simulate", "--config", str(cfg)]) == EXIT_VIOLATION

@@ -287,7 +287,7 @@ class TestShannon:
         check = shannon_tradeoff_check(instance("identity", 2), *bases)
         assert abs(check.i_bz - 2.0) < 1e-9
         assert abs(check.i_ex) < 1e-9
-        assert abs(check.total - 2.0) < 1e-9
+        assert abs(check.sum - 2.0) < 1e-9
 
     def test_measure_x_saturates_from_eve(self, instance, attack_spec):
         bases = natural_bases(attack_spec("measure_x", 2))
@@ -301,7 +301,7 @@ class TestShannon:
         # closed forms: Bob sees a BSC(1/4), Eve a BSC(sin^2(pi/8))
         assert abs(check.i_bz - (1.0 - binary_entropy(0.25))) < 1e-9
         assert abs(check.i_ex - (1.0 - binary_entropy(math.sin(math.pi / 8) ** 2))) < 1e-9
-        assert check.total < 1.0
+        assert check.sum < 1.0
         assert check.holds
 
     def test_all_attacks_hold_at_n2(self, instance):
