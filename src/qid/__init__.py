@@ -71,15 +71,11 @@ from .tradeoff import (
     TradeoffReport,
     average_complexity_check,
     catalogues_for,
-    conjugate_overlap_norm,
-    discussion_counterexample,
     landau_pollak_check,
     max_complexity_corollary,
     mutual_information,
-    no_cloning_check,
     outcome_distribution,
     shannon_tradeoff_check,
-    theorem_form_bound,
     tradeoff_bound,
     verify_tradeoff,
 )

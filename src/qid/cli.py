@@ -2,9 +2,8 @@
 
 Subcommands mirror the library structure: ``simulate`` runs the full
 verification pipeline for the attacks in a config file, ``sweep`` runs
-a grid over qubit counts, ``check-lp`` evaluates the uncertainty
-relation on serialized operators and ``overlap`` tabulates the
-conjugate-basis overlap norms.  Reports are JSON, tables CSV; floats
+a grid over qubit counts and ``check-lp`` evaluates the uncertainty
+relation on serialized operators.  Reports are JSON, tables CSV; floats
 carry 12 significant digits and identical configs produce byte
 identical outputs.
 """
@@ -19,22 +18,15 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, is_dataclass
-from itertools import product
 from pathlib import Path
 
-from .attacks import AttackSpec, product_attack
+from .attacks import AttackSpec, natural_bases, product_attack
 from .channels import matrix_from_pairs
 from .errors import CapacityError, ConfigError, QidError
-from .operators import DECISION_TOL, OVERLAP_TOL, DensityOperator, Projector
+from .operators import DECISION_TOL, DensityOperator, Projector
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
-from .tradeoff import (
-    catalogues_for,
-    conjugate_overlap_norm,
-    landau_pollak_check,
-    tradeoff_bound,
-    verify_tradeoff,
-)
+from .tradeoff import catalogues_for, landau_pollak_check, tradeoff_bound, verify_tradeoff
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -166,7 +158,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         cfg = ExperimentConfig(
             n=n,
             attacks=attacks,
-            c_offset=_integer(data.get("c_offset", 0), "c_offset"),
+            c_offset=_integer(data.get("c_offset", 0), "c_offset", 0),
             dense_limit=_integer(data.get("dense_limit", DENSE_THETA_LIMIT), "dense_limit"),
             seed=_integer(data.get("seed", 0), "seed"),
             decision_tol=_decision_tol(data.get("tolerances", {}).get("decision", DECISION_TOL)),
@@ -206,7 +198,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -
     spec = AttackSpec(kind=spec.kind, n=n, params=dict(spec.params))
     inst = ProtocolInstance.from_channel(product_attack(spec))
     dense = n <= cfg.dense_limit
-    report = verify_tradeoff(inst, spec, cfg.c_offset, cfg.decision_tol, dense)
+    report = verify_tradeoff(inst, natural_bases(spec), cfg.c_offset, cfg.decision_tol, dense)
     prof_b, prof_e = report.profile_b, report.profile_e
     data = dict(
         vars(report),
@@ -320,25 +312,17 @@ def cmd_check_lp(args) -> int:
     return EXIT_OK if lp.holds else EXIT_VIOLATION
 
 
-def cmd_overlap(args) -> int:
-    n = args.n
-    if n > 6:
-        raise CapacityError("overlap table supports 1 <= n <= 6")
-    expected = 2.0**-n
-    rows = []
-    for x, z in product(range(2**n), repeat=2):
-        norm = conjugate_overlap_norm(x, z, n)
-        bits = format(x, f"0{n}b"), format(z, f"0{n}b")
-        rows.append((*bits, norm, expected, abs(norm - expected)))
-    sys.stdout.write(_csv(("x", "z", "norm", "expected", "abs_error"), rows))
-    return EXIT_OK if max(row[-1] for row in rows) <= OVERLAP_TOL else EXIT_VIOLATION
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _out_dir(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,12 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the configured attacks at one n")
     sim.add_argument("--config", required=True)
-    sim.add_argument("--out", default=None)
+    sim.add_argument("--out", type=_out_dir)
     sim.set_defaults(func=cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="run a grid over n values and attacks")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--out", default=None)
+    sweep.add_argument("--out", type=_out_dir)
     sweep.add_argument("--workers", type=_positive_int, default=4)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -363,10 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--family", required=True)
     lp.add_argument("--state", required=True)
     lp.set_defaults(func=cmd_check_lp)
-
-    ov = sub.add_parser("overlap", help="conjugate-basis overlap norm table")
-    ov.add_argument("--n", type=_positive_int, required=True)
-    ov.set_defaults(func=cmd_overlap)
     return parser
 
 

@@ -28,7 +28,6 @@ COMPLETENESS_TOL = 1e-9  # max |sum K^dag K - 1| of a channel, |V^dag V - 1| of 
 IDEMPOTENCE_TOL = 1e-9  # max |P^2 - P| of a projector
 PROBABILITY_TOL = 1e-12  # joint tables: negative entries, total, negative information residue
 VERDICT_TOL = 1e-9  # slack on every inequality a report says holds or agrees
-OVERLAP_TOL = 1e-10  # conjugate-basis overlap norms against 2^-n
 
 # Dense operators beyond this side length are out of scope.
 MAX_DIM = 4096

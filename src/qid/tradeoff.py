@@ -5,21 +5,19 @@ reconstruct in the Z basis plus the number Eve can cheaply reconstruct
 in the X basis is capped by 2^n (1 + 2^((l+m-n+3)/2)).  It follows
 from the Landau-Pollak uncertainty relation applied to the program
 projectors, whose pairwise norms are controlled by the conjugate-basis
-overlap 2^-n.  Everything here is checked numerically on the attack
-library and reported per (l, m) grid point.
+overlap 2^-n.  Everything here is checked numerically on one protocol
+instance and reported per (l, m) grid point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackSpec, natural_bases, product_attack, standard_attacks
 from .complexity import (
     ComplexityProfile,
     DecoderCatalogue,
@@ -35,7 +33,6 @@ from .operators import (
     VERDICT_TOL,
     DensityOperator,
     as_matrix,
-    ket_bra,
     operator_norm,
 )
 from .protocol import DENSE_THETA_LIMIT, FAMILY_BASIS, ProtocolInstance, encode, theta_matrix
@@ -65,30 +62,11 @@ def landau_pollak_check(projectors: Sequence[np.ndarray], rho: np.ndarray) -> LP
     return LPCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + VERDICT_TOL)
 
 
-def conjugate_overlap_norm(x: int, z: int, n: int) -> float:
-    """Operator norm of X_x Z_z X_x, computed densely; equals 2^-n."""
-    xx = ket_bra(encode(x, "X", n))
-    zz = ket_bra(encode(z, "Z", n))
-    return operator_norm(xx @ zz @ xx)
-
-
 def tradeoff_bound(l: int, m: int, n: int, c_offset: int = 0) -> float:
     """Counting bound 2^n (1 + 2^((l+m-n+3)/2 + c))."""
     if l < 0 or m < 0:
         raise ValidationError("l and m must be nonnegative")
     return 2.0**n * (1.0 + 2.0 ** ((l + m - n + 3) / 2.0 + c_offset))
-
-
-def theorem_form_bound(l: int, m: int, n: int, c: int = 0) -> Fraction | float:
-    """Counting bound in its final form 2^n (1 + 2^((l+m-n)/2 + c)).
-
-    Exact rational when the exponent is integral (the regime used by
-    the synthetic separation example), float otherwise.
-    """
-    num = l + m - n
-    if num % 2 == 0:
-        return Fraction(2) ** n * (1 + Fraction(2) ** (num // 2 + c))
-    return 2.0**n * (1.0 + 2.0 ** (num / 2.0 + c))
 
 
 # A report record's fields are its keys in the CLI's JSON report, and the
@@ -150,7 +128,6 @@ class AverageCheck:
 @dataclass(frozen=True)
 class TradeoffReport:
     n: int
-    attack: AttackSpec
     c_offset: int
     profile_b: ComplexityProfile
     profile_e: ComplexityProfile
@@ -259,7 +236,7 @@ def catalogues_for(
 
 def verify_tradeoff(
     inst: ProtocolInstance,
-    attack: AttackSpec,
+    bases: tuple[str, str],
     c_offset: int = 0,
     decision_tol: float = DECISION_TOL,
     dense: bool | None = None,
@@ -268,7 +245,8 @@ def verify_tradeoff(
 
     Populates the (l, m) counting grid over [0, n+1]^2, the dense
     Landau-Pollak and cross-norm records when the global state fits in
-    memory, both corollary checks and the Shannon cross-check.
+    memory, both corollary checks and the Shannon cross-check, which
+    reads Bob's and Eve's sides in the ``bases`` pair.
     """
     n = inst.n
     cat_b, cat_e = catalogues_for(inst, decision_tol)
@@ -302,10 +280,9 @@ def verify_tradeoff(
             family = [p for w, p in dense_b if w <= l]
             family += [q for w, q in dense_e if w <= m]
             lp_records.append(LPRecord(l, m, **vars(landau_pollak_check(family, theta))))
-    shannon = shannon_tradeoff_check(inst, *natural_bases(attack))
+    shannon = shannon_tradeoff_check(inst, *bases)
     return TradeoffReport(
         n=n,
-        attack=attack,
         c_offset=c_offset,
         profile_b=prof_b,
         profile_e=prof_e,
@@ -317,113 +294,3 @@ def verify_tradeoff(
         average=average_complexity_check(prof_b, prof_e, c_offset=c_offset),
     )
 
-
-@dataclass(frozen=True)
-class NoCloningReport:
-    """Numerical instantiation of the no-cloning corollary.
-
-    Every library attack respects the max-complexity threshold, the
-    best symmetric cloner hits the literal ceiling on both sides, and a
-    hypothetical perfect cloner (both maxima 1) is an arithmetic
-    contradiction once n - 3 - 2c exceeds 2, i.e. from n = 6 + 2c on.
-    Each record pairs an attack label with its corollary check.
-    """
-
-    n: int
-    c_offset: int
-    records: tuple[tuple[str, CorollaryCheck], ...]
-    cloner_at_literal_ceiling: bool
-    perfect_cloner_contradiction: bool
-    min_contradiction_n: int
-
-    @property
-    def all_hold(self) -> bool:
-        return all(check.holds for _, check in self.records)
-
-
-def no_cloning_check(
-    n: int,
-    specs: Sequence[AttackSpec] | None = None,
-    c_offset: int = 0,
-    decision_tol: float = DECISION_TOL,
-) -> NoCloningReport:
-    if specs is None:
-        specs = standard_attacks(n)
-    records = []
-    cloner_literal = True
-    for spec in specs:
-        inst = ProtocolInstance.from_channel(product_attack(spec))
-        cat_b, cat_e = catalogues_for(inst, decision_tol)
-        check = max_complexity_corollary(
-            proxy_complexity(cat_b), proxy_complexity(cat_e), c_offset=c_offset
-        )
-        records.append((spec.label(), check))
-        if spec.kind == "universal_cloner":
-            cloner_literal = check.max_b == n + 1 and check.max_e == n + 1
-    return NoCloningReport(
-        n=n,
-        c_offset=c_offset,
-        records=tuple(records),
-        cloner_at_literal_ceiling=cloner_literal,
-        perfect_cloner_contradiction=2 < corollary_threshold(n, c_offset),
-        min_contradiction_n=6 + 2 * c_offset,
-    )
-
-
-@dataclass(frozen=True)
-class SeparationExample:
-    """Synthetic profile separating the average-complexity inequality
-    from the counting theorem.
-
-    A length distribution with 3/4 of the messages at n/2 (Bob side)
-    and n/3 (Eve side) and the rest at n satisfies the average bound
-    with sum 9n/8, yet at l = n/2, m = n/3 the counts break the
-    theorem-form bound with c = 0 for every n > 12.
-    """
-
-    n: int
-    c: int
-    avg_sum: Fraction
-    avg_reference: int
-    l: int
-    m: int
-    count_sum: int
-    theorem_bound: Fraction | float
-    preconstant_bound: float
-
-    @property
-    def avg_holds(self) -> bool:
-        return self.avg_sum >= self.avg_reference - self.c
-
-    @property
-    def violates_theorem(self) -> bool:
-        return self.count_sum > self.theorem_bound
-
-    @property
-    def violates_preconstant(self) -> bool:
-        return self.count_sum > self.preconstant_bound
-
-
-def discussion_counterexample(n: int = 24, c: int = 0) -> SeparationExample:
-    """Evaluate the synthetic separation profile with exact arithmetic."""
-    if n % 12 != 0:
-        raise ValidationError("the synthetic profile needs n divisible by 12")
-    l, m = n // 2, n // 3
-    three_quarters = 3 * 2**n // 4
-    quarter = 2**n // 4
-    avg_sum = (
-        Fraction(three_quarters * l + quarter * n, 2**n)
-        + Fraction(three_quarters * m + quarter * n, 2**n)
-    )
-    count_sum = 2 * three_quarters
-    return SeparationExample(
-        n=n,
-        c=c,
-        avg_sum=avg_sum,
-        avg_reference=n,
-        l=l,
-        m=m,
-        count_sum=count_sum,
-        theorem_bound=theorem_form_bound(l, m, n, c),
-        preconstant_bound=tradeoff_bound(l, m, n, c),
-    )

@@ -104,10 +104,19 @@ class TestConfig:
             {"sweep": {"n_values": [0, 1]}},
             {"sweep": {"n_values": [1, 2.0]}},
             {"c_offset": 0.5},
+            {"c_offset": -4},
             {"dense_limit": True},
             {"seed": "11"},
         ],
-        ids=["n_float", "n_values_below_one", "n_values_float", "c_offset", "dense_limit", "seed"],
+        ids=[
+            "n_float",
+            "n_values_below_one",
+            "n_values_float",
+            "c_offset",
+            "c_offset_negative",
+            "dense_limit",
+            "seed",
+        ],
     )
     def test_bad_integer_exits_config(self, tmp_path, overrides):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -148,6 +157,16 @@ class TestConfig:
             main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers])
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_empty_out_is_a_usage_error(self, tmp_path, monkeypatch, command):
+        # An empty --out is no directory; it must not fall back to outputs.dir.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", ""])
+        assert exc.value.code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -521,29 +540,6 @@ class TestCheckLP:
         )
 
 
-class TestOverlap:
-    def test_overlap_table_exit_zero(self, capsys):
-        assert main(["overlap", "--n", "2"]) == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "x,z,norm,expected,abs_error"
-        assert len(lines) == 1 + 16
-
-    def test_overlap_capacity(self):
-        assert main(["overlap", "--n", "9"]) == EXIT_CAPACITY
-
-    def test_huge_n_exits_capacity_at_once(self):
-        # Before: 2**n was evaluated first, 9 s and 443 MB at n = 10^9.
-        start = time.perf_counter()
-        assert main(["overlap", "--n", "1000000000"]) == EXIT_CAPACITY
-        assert time.perf_counter() - start < 2.0
-
-    @pytest.mark.parametrize("n", ["0", "-1"])
-    def test_overlap_n_below_one_is_a_usage_error(self, n):
-        with pytest.raises(SystemExit) as exc:
-            main(["overlap", "--n", n])
-        assert exc.value.code == 2
-
-
 def test_exit_status_reflects_violations(tmp_path, monkeypatch):
     # force a failing verdict to confirm the violation exit path
     cfg = write_config(tmp_path / "cfg.json")
@@ -551,11 +547,15 @@ def test_exit_status_reflects_violations(tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(cfg)]) == EXIT_VIOLATION
 
 
-def test_console_entry_runs_as_module():
+def test_console_entry_runs_as_module(tmp_path):
+    fam = tmp_path / "family.json"
+    st = tmp_path / "state.json"
+    fam.write_text(json.dumps({"projectors": [pairs(np.eye(2))]}))
+    st.write_text(json.dumps({"matrix": pairs(np.eye(2) / 2)}))
     proc = subprocess.run(
-        [sys.executable, "-m", "qid.cli", "overlap", "--n", "1"],
+        [sys.executable, "-m", "qid.cli", "check-lp", "--family", str(fam), "--state", str(st)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
-    assert proc.stdout.startswith("x,z,norm")
+    assert proc.stdout.startswith("lhs = 1")

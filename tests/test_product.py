@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qid.channels as channels_mod
 import qid.protocol as protocol
-from qid.attacks import KINDS, AttackSpec, make_attack, product_attack
+from qid.attacks import KINDS, AttackSpec, make_attack, natural_bases, product_attack
 from qid.channels import (
     ProductChannel,
     QuantumChannel,
@@ -43,7 +43,8 @@ def assert_same_states(fast, dense):
 
 
 def assert_same_verdicts(fast, dense, spec):
-    ours, ref = verify_tradeoff(fast, spec), verify_tradeoff(dense, spec)
+    bases = natural_bases(spec)
+    ours, ref = verify_tradeoff(fast, bases), verify_tradeoff(dense, bases)
     assert ours.profile_b == ref.profile_b
     assert ours.profile_e == ref.profile_e
     assert ours.grid == ref.grid
@@ -130,7 +131,7 @@ class TestCapacity:
         spec = attack_spec("depolarize", 3)
         inst = ProtocolInstance.from_channel(product_attack(spec))
         with pytest.raises(CapacityError, match="n <= 2"):
-            verify_tradeoff(inst, spec, dense=True)
+            verify_tradeoff(inst, natural_bases(spec), dense=True)
         for dense_check in (
             lambda: equivalence_check(inst),
             lambda: theta_matrix(inst),

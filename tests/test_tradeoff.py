@@ -5,22 +5,19 @@ import numpy as np
 import pytest
 
 from qid.attacks import natural_bases, standard_attacks
-from qid.complexity import StructuredProjector, program_projector
+from qid.complexity import StructuredProjector, program_projector, proxy_complexity
 from qid.errors import DimensionError, ValidationError
 from qid.operators import ket_bra, operator_norm
 from qid.protocol import ProtocolInstance, encode, theta_matrix
 from qid.tradeoff import (
     average_complexity_check,
     catalogues_for,
-    conjugate_overlap_norm,
-    discussion_counterexample,
+    corollary_threshold,
     landau_pollak_check,
     max_complexity_corollary,
     mutual_information,
-    no_cloning_check,
     outcome_distribution,
     shannon_tradeoff_check,
-    theorem_form_bound,
     tradeoff_bound,
     verify_tradeoff,
 )
@@ -90,14 +87,17 @@ class TestConjugateOverlap:
     def test_equals_two_to_minus_n(self, n):
         expected = 2.0**-n
         for x in range(2**n):
+            xx = ket_bra(encode(x, "X", n))
             for z in range(2**n):
-                assert abs(conjugate_overlap_norm(x, z, n) - expected) < 1e-12
+                norm = operator_norm(xx @ ket_bra(encode(z, "Z", n)) @ xx)
+                assert abs(norm - expected) < 1e-12
 
     def test_consistent_with_squared_inner_product(self):
         for x in range(4):
+            xx = ket_bra(encode(x, "X", 2))
             for z in range(4):
                 ip = abs(np.vdot(encode(x, "X", 2), encode(z, "Z", 2))) ** 2
-                assert abs(conjugate_overlap_norm(x, z, 2) - ip) < 1e-12
+                assert abs(operator_norm(xx @ ket_bra(encode(z, "Z", 2)) @ xx) - ip) < 1e-12
 
 
 class TestCrossNorm:
@@ -156,27 +156,23 @@ class TestBound:
         with pytest.raises(ValidationError):
             tradeoff_bound(-1, 0, 2)
 
-    def test_theorem_form_is_exact_for_even_exponent(self):
-        assert theorem_form_bound(12, 8, 24, 0) == Fraction(5 * 2**24, 4)
-        assert isinstance(theorem_form_bound(1, 0, 2, 0), float)
-
 
 class TestVerifyTradeoff:
     def test_measure_x_counts(self, instance, attack_spec):
-        report = verify_tradeoff(instance("measure_x", 3), attack_spec("measure_x", 3))
+        report = verify_tradeoff(instance("measure_x", 3), natural_bases(attack_spec("measure_x", 3)))
         assert all(report.profile_b.count(l) == 0 for l in range(4))
         assert report.profile_e.count(1) == 8
         assert all(g.holds for g in report.grid)
 
     def test_identity_counts(self, instance, attack_spec):
-        report = verify_tradeoff(instance("identity", 2), attack_spec("identity", 2))
+        report = verify_tradeoff(instance("identity", 2), natural_bases(attack_spec("identity", 2)))
         assert report.profile_b.count(1) == 4
         assert all(report.profile_e.count(m) == 0 for m in range(3))
         assert report.all_hold
 
     def test_cloner_literal_only(self, instance, attack_spec):
         report = verify_tradeoff(
-            instance("universal_cloner", 1), attack_spec("universal_cloner", 1)
+            instance("universal_cloner", 1), natural_bases(attack_spec("universal_cloner", 1))
         )
         assert report.profile_b.count(1) == 0
         assert report.profile_b.count(2) == 2
@@ -187,12 +183,12 @@ class TestVerifyTradeoff:
         assert report.all_hold
 
     def test_dense_records_populated_at_small_n(self, instance, attack_spec):
-        report = verify_tradeoff(instance("measure_z", 1), attack_spec("measure_z", 1))
+        report = verify_tradeoff(instance("measure_z", 1), natural_bases(attack_spec("measure_z", 1)))
         assert len(report.lp_records) == 9
         assert all(r.holds for r in report.lp_records)
 
     def test_structured_only_at_n3(self, instance, attack_spec):
-        report = verify_tradeoff(instance("cnot_probe", 3), attack_spec("cnot_probe", 3))
+        report = verify_tradeoff(instance("cnot_probe", 3), natural_bases(attack_spec("cnot_probe", 3)))
         assert report.lp_records == ()
         assert report.all_hold
 
@@ -205,26 +201,27 @@ class TestCorollaries:
             ("measure_x", 4, 5, 1, 1),
         ]
         for kind, n, max_b, max_e, threshold in cases:
-            from qid.complexity import proxy_complexity
-
             cat_b, cat_e = catalogues_for(instance(kind, n))
             check = max_complexity_corollary(proxy_complexity(cat_b), proxy_complexity(cat_e))
             assert (check.max_b, check.max_e) == (max_b, max_e)
             assert check.threshold == threshold
             assert check.holds
 
-    def test_no_cloning_report(self):
-        report = no_cloning_check(4)
-        assert report.all_hold
-        by_kind = dict(report.records)
-        assert (by_kind["cnot_probe"].max_b, by_kind["cnot_probe"].max_e) == (1, 5)
-        assert (by_kind["measure_x"].max_b, by_kind["measure_x"].max_e) == (5, 1)
-        assert report.cloner_at_literal_ceiling
+    def test_no_cloning_report(self, instance):
+        checks = {}
+        for spec in standard_attacks(4):
+            cat_b, cat_e = catalogues_for(instance(spec.kind, 4))
+            checks[spec.kind] = max_complexity_corollary(
+                proxy_complexity(cat_b), proxy_complexity(cat_e)
+            )
+        assert all(check.holds for check in checks.values())
+        assert (checks["cnot_probe"].max_b, checks["cnot_probe"].max_e) == (1, 5)
+        assert (checks["measure_x"].max_b, checks["measure_x"].max_e) == (5, 1)
+        assert (checks["universal_cloner"].max_b, checks["universal_cloner"].max_e) == (5, 5)
         # a perfect cloner (both maxima 1) only contradicts the
-        # corollary once the threshold n - 3 exceeds 2
-        assert not report.perfect_cloner_contradiction
-        assert report.min_contradiction_n == 6
-        assert no_cloning_check(6, specs=[]).perfect_cloner_contradiction
+        # corollary once the threshold n - 3 exceeds 2, i.e. from n = 6
+        assert not 2 < corollary_threshold(4)
+        assert corollary_threshold(6) > 2 >= corollary_threshold(5)
 
 
 class TestOutcomeDistribution:
@@ -312,24 +309,29 @@ class TestShannon:
 
 class TestAverageAndSeparation:
     def test_identity_average(self, instance):
-        from qid.complexity import proxy_complexity
-
         cat_b, cat_e = catalogues_for(instance("identity", 2))
         check = average_complexity_check(proxy_complexity(cat_b), proxy_complexity(cat_e))
         assert check.avg_sum == 4.0
         assert check.reference == 2.0
 
     def test_synthetic_profile_at_n24(self):
-        ce = discussion_counterexample(24, 0)
-        assert ce.avg_sum == Fraction(9 * 24, 8)
-        assert ce.avg_holds
-        assert ce.count_sum == 3 * 2**24 // 2
-        assert ce.theorem_bound == Fraction(5 * 2**24, 4)
-        assert ce.violates_theorem
-        # the pre-constant comparator only separates for n > 30
-        assert not ce.violates_preconstant
-        assert discussion_counterexample(36, 0).violates_preconstant
+        # 3/4 of the messages cost n/2 (Bob) and n/3 (Eve), the rest cost n,
+        # so at l = n/2, m = n/3 both sides count the 3/4 share.
+        def profile(n):
+            l, m = n // 2, n // 3
+            cheap, rest = 3 * 2**n // 4, 2**n // 4
+            avg_sum = Fraction(cheap * l + rest * n, 2**n) + Fraction(cheap * m + rest * n, 2**n)
+            return l, m, avg_sum, 2 * cheap
 
-    def test_needs_divisibility(self):
-        with pytest.raises(ValidationError):
-            discussion_counterexample(10)
+        l, m, avg_sum, count_sum = profile(24)
+        assert avg_sum == Fraction(9 * 24, 8)
+        assert avg_sum >= 24
+        assert count_sum == 3 * 2**24 // 2
+        # the theorem's final form 2^n (1 + 2^((l+m-n)/2)), exact at even l+m-n
+        theorem_bound = Fraction(2) ** 24 * (1 + Fraction(2) ** ((l + m - 24) // 2))
+        assert theorem_bound == Fraction(5 * 2**24, 4)
+        assert count_sum > theorem_bound
+        # the pre-constant comparator only separates for n > 30
+        assert not count_sum > tradeoff_bound(l, m, 24)
+        l, m, _, count_sum = profile(36)
+        assert count_sum > tradeoff_bound(l, m, 36)
