@@ -156,6 +156,20 @@ class TestBound:
         with pytest.raises(ValidationError):
             tradeoff_bound(-1, 0, 2)
 
+    def test_theorem_form_is_exact_for_even_exponent(self):
+        # the theorem's final form 2^n (1 + 2^((l+m-n)/2 + c)) is tradeoff_bound
+        # without its +3 pre-constant, and a rational when l+m-n is even
+        def theorem_form(l, m, n, c=0):
+            return Fraction(2) ** n * (1 + Fraction(2) ** ((l + m - n) // 2 + c))
+
+        assert theorem_form(12, 8, 24) == Fraction(5 * 2**24, 4)
+        for n in range(1, 9):
+            for c in (-1, 0, 1):
+                for l in range(3, n + 5):
+                    for m in range(n + 2):
+                        if (l + m - n) % 2 == 0:
+                            assert theorem_form(l, m, n, c) == tradeoff_bound(l - 3, m, n, c)
+
 
 class TestVerifyTradeoff:
     def test_measure_x_counts(self, instance, attack_spec):
