@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .attacks import AttackSpec, natural_bases, product_attack
 from .channels import matrix_from_pairs
-from .errors import CapacityError, ConfigError, QidError
-from .operators import DECISION_TOL, DensityOperator, Projector
+from .errors import CapacityError, ConfigError, DimensionError, QidError
+from .operators import DECISION_TOL, Projector, require_state
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
 from .tradeoff import catalogues_for, landau_pollak_check, tradeoff_bound, verify_tradeoff
@@ -273,11 +273,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if all(results) else EXIT_VIOLATION
 
 
-def _load_operators(path: str | Path, key: str, kind: type) -> list:
-    """Every matrix of a ``check-lp`` file, as ``kind`` (``Projector`` or ``DensityOperator``).
+def _load_operators(path: str | Path, key: str, check) -> list:
+    """Every matrix of a ``check-lp`` file, each at least 2 x 2 and passed to ``check``.
 
-    The file holds ``{key: matrices}`` or the bare matrices, where
-    ``matrices`` is one matrix or a list of them.
+    ``check`` is ``Projector`` or ``require_state``.  The file holds
+    ``{key: matrices}`` or the bare matrices, where ``matrices`` is one
+    matrix or a list of them.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -291,21 +292,26 @@ def _load_operators(path: str | Path, key: str, kind: type) -> list:
         raise ConfigError(f"{path}: expected a list")
     try:
         grids = data if data and isinstance(data[0][0][0], list) else [data]
-        return [kind(m, m.shape[:1]) for m in map(matrix_from_pairs, grids)]
+        mats = [matrix_from_pairs(g) for g in grids]
+        for m in mats:
+            if len(m) < 2:
+                raise DimensionError(f"matrices must be at least 2 x 2, got shape {m.shape}")
+            check(m)
     except (QidError, TypeError, IndexError) as exc:
-        raise ConfigError(f"{path}: bad {kind.__name__}: {exc}") from exc
+        raise ConfigError(f"{path}: bad {key}: {exc}") from exc
+    return mats
 
 
 def cmd_check_lp(args) -> int:
     family = _load_operators(args.family, "projectors", Projector)
-    states = _load_operators(args.state, "matrix", DensityOperator)
+    states = _load_operators(args.state, "matrix", require_state)
     if len(states) != 1:
         raise ConfigError(f"{args.state} holds {len(states)} matrices, not one state")
     state = states[0]
-    if any(p.dim != state.dim for p in family):
-        dims = sorted({p.dim for p in family})
-        raise ConfigError(f"family dimensions {dims} differ from the state's {state.dim}")
-    lp = landau_pollak_check([p.mat for p in family], state.mat)
+    if any(p.shape != state.shape for p in family):
+        dims = sorted({len(p) for p in family})
+        raise ConfigError(f"family dimensions {dims} differ from the state's {len(state)}")
+    lp = landau_pollak_check(family, state)
     print(f"lhs = {_fmt(lp.lhs)}")
     print(f"rhs = {_fmt(lp.rhs)}")
     print(f"holds = {_fmt(lp.holds)}")

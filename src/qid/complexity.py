@@ -257,7 +257,7 @@ def expectation_identity_check(
     n = inst.n
     states = inst.family(cat.side)
     cum = cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e)
-    traces = (float(np.trace(states[msg].mat @ proj).real) for msg, proj in cum.terms)
+    traces = (float(np.trace(states[msg] @ proj).real) for msg, proj in cum.terms)
     lhs = 2.0 ** (-n) * sum(traces)
     rhs = 2.0 ** (-n) * len(cum.terms)
     lhs_dense = float(np.trace(theta @ cum.dense()).real)

@@ -9,13 +9,12 @@ routine groups all 2^n messages greedily into such classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError
 from ._kernels import jacobi_eigh
-from .operators import DECISION_TOL, SPECTRAL_TOL, DensityOperator, Projector, dagger
+from .operators import DECISION_TOL, SPECTRAL_TOL, Projector, dagger
 
 
 @dataclass(frozen=True)
@@ -48,40 +47,28 @@ class DistinguishableClass:
         return self.members[0]
 
 
-def support_projector(rho: DensityOperator) -> Projector:
+def support_projector(rho: np.ndarray) -> Projector:
     """Projector onto the span of eigenvectors with eigenvalue > ``SPECTRAL_TOL``.
 
-    ``rho`` passed the Hermiticity check on construction, so its
-    Hermitian part goes to the eigensolver directly.
+    ``rho`` is a state that passed ``require_state``, so its Hermitian
+    part goes to the eigensolver directly.
     """
-    m = rho.mat
-    vals, vecs = jacobi_eigh((m + dagger(m)) / 2.0)
+    vals, vecs = jacobi_eigh((rho + dagger(rho)) / 2.0)
     cols = vecs[:, vals > SPECTRAL_TOL]
-    mat = cols @ np.conj(cols).T
-    return Projector(mat, rho.dims)
+    return Projector(cols @ np.conj(cols).T)
 
 
-# States per product in ``_overlap_table``, the only copy of them it makes.
-OVERLAP_BLOCK = 16
-
-
-def _overlap_table(states: Sequence[DensityOperator], supports: Sequence[Projector]) -> np.ndarray:
-    # ov[i, j] = tr(rho_i P_j) = sum(rho_i * conj(P_j)) for Hermitian P_j, read
-    # off products over flattened matrices: the conjugated supports are stacked
-    # once and the states one block at a time.
+def _overlap_table(states: np.ndarray, supports: list[Projector]) -> np.ndarray:
+    # ov[i, j] = tr(rho_i P_j) = sum(rho_i * conj(P_j)) for Hermitian P_j: one
+    # product of the flattened states, a view of the stack, with the
+    # conjugated supports, stacked once.
     proj = np.stack([p.mat for p in supports]).reshape(len(supports), -1)
     np.conj(proj, out=proj)
-    ov = np.empty((len(states), len(supports)))
-    for i in range(0, len(states), OVERLAP_BLOCK):
-        block = states[i : i + OVERLAP_BLOCK]
-        rho = np.stack([s.mat for s in block]).reshape(len(block), -1)
-        ov[i : i + len(block)] = (rho @ proj.T).real
-        del rho  # before the next block is stacked
-    return ov
+    return (states.reshape(len(states), -1) @ proj.T).real
 
 
 def distinguishable_partition(
-    states: Sequence[DensityOperator],
+    states: np.ndarray,
     tol: float = DECISION_TOL,
 ) -> list[DistinguishableClass]:
     """Greedy partition of the message set into distinguishable classes.
@@ -91,14 +78,8 @@ def distinguishable_partition(
     own (both directions at most ``tol``), otherwise it opens a new class.
     The rule is deterministic, so identical inputs give identical
     partitions.  A family is perfectly distinguishable exactly when its
-    partition is one class.
+    partition is one class.  ``states`` is a (k, d, d) stack of states.
     """
-    states = list(states)
-    if not states:
-        return []
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise DimensionError("states must share one dimension")
     supports = [support_projector(s) for s in states]
     ov = _overlap_table(states, supports)
     classes: list[list[int]] = []

@@ -2,13 +2,13 @@
 
 Matrices are plain complex128 numpy arrays in row-major layout;
 subsystem 0 is always the leftmost tensor factor (most significant
-index block).  Density operators and projectors are thin immutable
-wrappers that validate their defining invariants on construction.
+index block).  A state is a plain matrix checked by ``require_state``;
+a projector is a thin immutable wrapper that validates its defining
+invariants on construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,15 +75,6 @@ def tensor(*factors) -> np.ndarray:
     return out
 
 
-def _check_dims(dims, side: int) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 2 for d in dims):
-        raise DimensionError(f"subsystem dimensions must be >= 2, got {dims}")
-    if math.prod(dims) != side:
-        raise DimensionError(f"dims {dims} do not multiply to matrix side {side}")
-    return dims
-
-
 def operator_norm(a) -> float:
     """Largest singular value (computed by LAPACK's SVD)."""
     a = as_matrix(a)
@@ -127,67 +118,33 @@ def validate_state(rho) -> StateReport:
     )
 
 
-def _freeze(m: np.ndarray) -> np.ndarray:
-    """Read-only complex128 ``m``: taken over if read-only down to its owner, else copied."""
-    owner = m
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    if owner is None and m.dtype == np.complex128:
-        return m
-    m = np.array(m, dtype=np.complex128)
-    m.setflags(write=False)
-    return m
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Unit-trace positive Hermitian matrix with a subsystem dimension list."""
-
-    mat: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        m = as_matrix(self.mat)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionError("density operator must be square")
-        dims = _check_dims(self.dims, m.shape[0])
-        report = validate_state(m)
-        if not report.passed:
-            raise ValidationError(
-                "invalid density operator: "
-                f"hermitian dev {report.hermitian_violation:.3e}, "
-                f"trace dev {report.trace_violation:.3e}, "
-                f"negative part {report.psd_violation:.3e}"
-            )
-        object.__setattr__(self, "mat", _freeze(m))
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+def require_state(rho) -> None:
+    """Raise ``ValidationError`` unless ``rho`` passes ``validate_state``."""
+    report = validate_state(rho)
+    if not report.passed:
+        raise ValidationError(
+            "invalid density operator: "
+            f"hermitian dev {report.hermitian_violation:.3e}, "
+            f"trace dev {report.trace_violation:.3e}, "
+            f"negative part {report.psd_violation:.3e}"
+        )
 
 
 @dataclass(frozen=True)
 class Projector:
-    """Hermitian idempotent matrix with a subsystem dimension list."""
+    """Hermitian idempotent matrix, held as a read-only copy."""
 
     mat: np.ndarray
-    dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = as_matrix(self.mat)
+        m = np.array(as_matrix(self.mat))
         if m.shape[0] != m.shape[1]:
             raise DimensionError("projector must be square")
-        dims = _check_dims(self.dims, m.shape[0])
         herm_dev = float(np.max(np.abs(m - dagger(m))))
         if herm_dev > STRUCTURAL_TOL:
             raise ValidationError(f"projector not Hermitian: deviation {herm_dev:.3e}")
         idem_dev = float(np.max(np.abs(m @ m - m)))
         if idem_dev > IDEMPOTENCE_TOL:
             raise ValidationError(f"projector not idempotent: deviation {idem_dev:.3e}")
-        object.__setattr__(self, "mat", _freeze(m))
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+        m.setflags(write=False)
+        object.__setattr__(self, "mat", m)

@@ -27,7 +27,7 @@ from .channels import (
     vector_marginals,
 )
 from .errors import CapacityError, ValidationError
-from .operators import MAX_DIM, STRUCTURAL_TOL, DensityOperator
+from .operators import MAX_DIM, STRUCTURAL_TOL, require_state
 
 BASES = ("Z", "X")
 
@@ -86,18 +86,17 @@ class ProtocolInstance:
     """A fixed (n, channel) pair with Bob's and Eve's reduced states cached.
 
     ``rho_b[z]`` is Bob's state for the Z-encoded message z and
-    ``sigma_e[x]`` Eve's state for the X-encoded message x; both caches
-    cover all 2^n messages and are immutable after construction.  The
+    ``sigma_e[x]`` Eve's state for the X-encoded message x.  Each family
+    is one read-only (2^n, d, d) array over all 2^n messages.  The
     channel is a ``ProductChannel`` (a plain channel is its own factor,
     taken once), so each state is the Kronecker product of its factor's
-    marginals, one per factor.  The states are read-only views of two
-    frozen stacks, held once.
+    marginals, one per factor.
     """
 
     n: int
     channel: ProductChannel
-    rho_b: tuple[DensityOperator, ...]
-    sigma_e: tuple[DensityOperator, ...]
+    rho_b: np.ndarray
+    sigma_e: np.ndarray
 
     @classmethod
     def from_channel(cls, channel: QuantumChannel | ProductChannel) -> "ProtocolInstance":
@@ -120,13 +119,15 @@ class ProtocolInstance:
             )
         require_complete(factor, "product factor")
         families = {}
-        for side, dims in (("B", product.out_dims_b), ("E", product.out_dims_e)):
+        for side in FAMILY_BASIS:
             stack = kron_power(_factor_marginals(factor, side), product.n)
-            stack.setflags(write=False)  # each state below is a view of it, not a copy
-            families[side] = tuple(DensityOperator(m, dims) for m in stack)
+            for rho in stack:
+                require_state(rho)
+            stack.setflags(write=False)
+            families[side] = stack
         return cls(n=n, channel=product, rho_b=families["B"], sigma_e=families["E"])
 
-    def family(self, side: Side) -> tuple[DensityOperator, ...]:
+    def family(self, side: Side) -> np.ndarray:
         """The receiver states of one side: ``rho_b`` for B, ``sigma_e`` for E."""
         return {"B": self.rho_b, "E": self.sigma_e}[side]
 

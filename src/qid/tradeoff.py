@@ -31,7 +31,6 @@ from .operators import (
     DECISION_TOL,
     PROBABILITY_TOL,
     VERDICT_TOL,
-    DensityOperator,
     as_matrix,
     operator_norm,
 )
@@ -149,19 +148,19 @@ class TradeoffReport:
         )
 
 
-def outcome_distribution(states: Sequence[DensityOperator], measured: str) -> np.ndarray:
+def outcome_distribution(states: np.ndarray, dims: tuple[int, ...], measured: str) -> np.ndarray:
     """Joint table P(msg, k) = <k|rho_msg|k> / #messages for uniform messages.
 
     The outcomes |k> are the ``encode`` basis ``measured`` of the
-    states' qubit register.  One product rho @ basis^T gives every
-    rho|k>, and a row-wise contraction with <k| reads the diagonal.
+    states' register, whose subsystem ``dims`` must all be qubits.  One
+    product rho @ basis^T gives every rho|k>, and a row-wise
+    contraction with <k| reads the diagonal.
     """
-    dims = states[0].dims
     if set(dims) != {2}:
         raise DimensionError(f"a basis read needs a qubit register, got dims {dims}")
     n = len(dims)
     basis = np.stack([encode(k, measured, n) for k in range(2**n)])
-    images = np.stack([s.mat for s in states]) @ basis.T
+    images = states @ basis.T
     table = np.einsum("ka,mak->mk", basis.conj(), images)
     return table.real / len(states)
 
@@ -187,8 +186,9 @@ def mutual_information(joint: np.ndarray) -> float:
 
 def shannon_tradeoff_check(inst: ProtocolInstance, bob_basis: str, eve_basis: str) -> ShannonCheck:
     """I(msg : Bob | Z) + I(msg : Eve | X) <= n, each side read in the given basis."""
-    i_bz = mutual_information(outcome_distribution(inst.rho_b, bob_basis))
-    i_ex = mutual_information(outcome_distribution(inst.sigma_e, eve_basis))
+    ch = inst.channel
+    i_bz = mutual_information(outcome_distribution(inst.rho_b, ch.out_dims_b, bob_basis))
+    i_ex = mutual_information(outcome_distribution(inst.sigma_e, ch.out_dims_e, eve_basis))
     total, limit = i_bz + i_ex, float(inst.n)
     return ShannonCheck(i_bz, i_ex, total, limit, total <= limit + VERDICT_TOL)
 

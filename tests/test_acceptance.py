@@ -202,16 +202,16 @@ def test_criterion_08_no_cloning_scenario():
     # brute-force density-matrix oracles behind the profile values
     cnot = _instance("cnot_probe", n)
     oracle_ok = all(
-        np.max(np.abs(cnot.rho_b[z].mat - ket_bra(encode(z, "Z", n)))) < 1e-10
+        np.max(np.abs(cnot.rho_b[z] - ket_bra(encode(z, "Z", n)))) < 1e-10
         for z in range(2**n)
     )
     oracle_ok = oracle_ok and all(
-        np.max(np.abs(cnot.sigma_e[x].mat - np.eye(2**n) / 2**n)) < 1e-10
+        np.max(np.abs(cnot.sigma_e[x] - np.eye(2**n) / 2**n)) < 1e-10
         for x in range(2**n)
     )
     mx = _instance("measure_x", n)
     oracle_ok = oracle_ok and all(
-        np.max(np.abs(mx.rho_b[z].mat - np.eye(2**n) / 2**n)) < 1e-10
+        np.max(np.abs(mx.rho_b[z] - np.eye(2**n) / 2**n)) < 1e-10
         for z in range(2**n)
     )
 

@@ -10,7 +10,7 @@ from qid.channels import (
     vector_marginals,
 )
 from qid.errors import DimensionError, ValidationError
-from qid.operators import DensityOperator, basis_ket, ket_bra, tensor
+from qid.operators import basis_ket, ket_bra, tensor
 from qid.protocol import ProtocolInstance, encode, epr_state, equivalence_check, theta_matrix
 
 from helpers import (
@@ -25,27 +25,22 @@ from helpers import (
 CHANNEL_TOL = 1e-9
 
 
-def qubit_state(mat):
-    return DensityOperator(mat, (2,))
-
-
 class TestApplyChannel:
     """Library channels on mixed states, through the Kraus oracle ``helpers.apply_kraus``."""
 
     def test_identity_attack_appends_fixed_environment(self, channel):
         ch = channel("identity", 1)
-        out = apply_kraus(ch, qubit_state(np.diag([1.0, 0.0])))
+        out = apply_kraus(ch, np.diag([1.0, 0.0]))
         expected = tensor(np.diag([1.0, 0.0]), ket_bra(basis_ket(0, 2)))
-        np.testing.assert_allclose(out.mat, expected, atol=1e-12)
-        assert out.dims == (2, 2)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_cnot_probe_makes_bell_pair_from_conjugate_input(self, channel):
         # Direct 4x4 oracle: CNOT maps |plus,0> to (|00>+|11>)/sqrt(2).
         ch = channel("cnot_probe", 1)
         xbar0 = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        out = apply_kraus(ch, qubit_state(ket_bra(xbar0)))
+        out = apply_kraus(ch, ket_bra(xbar0))
         bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        np.testing.assert_allclose(out.mat, ket_bra(bell), atol=1e-12)
+        np.testing.assert_allclose(out, ket_bra(bell), atol=1e-12)
 
     def test_full_depolarization_erases_input(self):
         from qid.attacks import AttackSpec, make_attack
@@ -53,37 +48,34 @@ class TestApplyChannel:
         full = make_attack(AttackSpec("depolarize", 1, {"p": 1.0}))
         rng = np.random.default_rng(31)
         for _ in range(5):
-            rho = qubit_state(random_density(rng, 2))
+            rho = random_density(rng, 2)
             out = apply_kraus(full, rho)
             expected = tensor(np.eye(2) / 2, ket_bra(basis_ket(0, 2)))
-            np.testing.assert_allclose(out.mat, expected, atol=1e-12)
+            np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_trace_preserved_on_random_states(self, channel):
         rng = np.random.default_rng(32)
         for kind in ("measure_x", "universal_cloner", "depolarize"):
             ch = channel(kind, 1)
             for _ in range(50):
-                rho = qubit_state(random_density(rng, 2))
+                rho = random_density(rng, 2)
                 out = apply_kraus(ch, rho)
-                assert abs(np.trace(out.mat) - 1.0) < CHANNEL_TOL
+                assert abs(np.trace(out) - 1.0) < CHANNEL_TOL
 
     def test_positivity_of_outputs(self, channel):
         rng = np.random.default_rng(33)
         ch = channel("intercept_resend_angle", 1)
         for _ in range(20):
-            out = apply_kraus(ch, qubit_state(random_density(rng, 2)))
-            assert np.min(np.linalg.eigvalsh(out.mat)) >= -1e-8
+            out = apply_kraus(ch, random_density(rng, 2))
+            assert np.min(np.linalg.eigvalsh(out)) >= -1e-8
 
     def test_commutes_with_convex_mixtures(self, channel):
         rng = np.random.default_rng(34)
         ch = channel("universal_cloner", 1)
         a = random_density(rng, 2)
         b = random_density(rng, 2)
-        mixed = apply_kraus(ch, qubit_state((a + b) / 2)).mat
-        parts = (
-            apply_kraus(ch, qubit_state(a)).mat
-            + apply_kraus(ch, qubit_state(b)).mat
-        ) / 2
+        mixed = apply_kraus(ch, (a + b) / 2)
+        parts = (apply_kraus(ch, a) + apply_kraus(ch, b)) / 2
         np.testing.assert_allclose(mixed, parts, atol=1e-9)
 
 
@@ -92,8 +84,8 @@ class TestIsometryToChannel:
         ch = isometry_to_channel(np.eye(2), (2,), (2,), ())
         rng = np.random.default_rng(35)
         rho = random_density(rng, 2)
-        out = apply_kraus(ch, qubit_state(rho))
-        np.testing.assert_allclose(out.mat, rho, atol=1e-12)
+        out = apply_kraus(ch, rho)
+        np.testing.assert_allclose(out, rho, atol=1e-12)
 
     def test_cnot_with_appended_ancilla(self):
         # V = CNOT composed with |0> append: |a> -> |a, a>.
@@ -109,8 +101,8 @@ class TestIsometryToChannel:
         ch = isometry_to_channel(v, (2,), (2,), (), env_dim=2)
         assert len(ch.kraus) == 2
         assert validate_channel(ch).passed
-        out = apply_kraus(ch, qubit_state(ket_bra(np.array([1, 1]) / np.sqrt(2))))
-        np.testing.assert_allclose(out.mat, np.eye(2) / 2, atol=1e-12)
+        out = apply_kraus(ch, ket_bra(np.array([1, 1]) / np.sqrt(2)))
+        np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-12)
 
     def test_rejects_non_isometry(self):
         with pytest.raises(ValidationError):
@@ -227,8 +219,8 @@ class TestStackedKraus:
     def test_apply_channel(self, stacked):
         rho = random_density(np.random.default_rng(39), stacked.in_dim)
         expected = sum(k @ rho @ k.conj().T for k in stacked.kraus)
-        out = apply_kraus(stacked, DensityOperator(rho, stacked.in_dims))
-        np.testing.assert_allclose(out.mat, expected, rtol=0, atol=1e-14)
+        out = apply_kraus(stacked, rho)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
 
     def test_apply_channel_to_vector(self, stacked):
         psi = random_complex(np.random.default_rng(40), stacked.in_dim)

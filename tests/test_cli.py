@@ -503,6 +503,7 @@ class TestCheckLP:
             ([np.diag([1.0, np.nan])], np.eye(2) / 2),
             ([np.diag([1.0, 0.0])], [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
             ([np.diag([1.0, 0.0])], [pairs(np.eye(2) / 2)] * 2),
+            ([np.eye(1)], np.eye(1)),
         ],
         ids=[
             "not_projector",
@@ -512,6 +513,7 @@ class TestCheckLP:
             "nan_entry",
             "ragged_grid",
             "two_states",
+            "one_by_one",
         ],
     )
     def test_invalid_input_exits_config(self, tmp_path, family, state):

@@ -17,7 +17,7 @@ from qid.complexity import (
 )
 from qid.distinguishability import DistinguishableClass, distinguishable_partition
 from qid.errors import CapacityError, ValidationError
-from qid.operators import DensityOperator, ket_bra, tensor
+from qid.operators import ket_bra, tensor
 from qid.protocol import theta_matrix
 from qid.tradeoff import catalogues_for
 
@@ -180,11 +180,8 @@ def mixed_basis_partition():
     Models an attack reading qubit 1 in Z and scrambling qubit 2: the
     four states |z1><z1| (x) 1/2 pair up by the first bit.
     """
-    states = [
-        DensityOperator(tensor(ket_bra(np.eye(2)[b1]), np.eye(2) / 2), (2, 2))
-        for b1 in (0, 0, 1, 1)
-    ]
-    return states, distinguishable_partition(states)
+    states = np.stack([tensor(ket_bra(np.eye(2)[b1]), np.eye(2) / 2) for b1 in (0, 0, 1, 1)])
+    return distinguishable_partition(states)
 
 
 class TestProgramProjectors:
@@ -196,7 +193,7 @@ class TestProgramProjectors:
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
 
     def test_distinct_entries_are_orthogonal(self):
-        states, part = mixed_basis_partition()
+        part = mixed_basis_partition()
         assert [c.members for c in part] == [(0, 2), (1, 3)]
         cat = build_catalogue(part, 2, "B")
         p0 = program_projector(cat, 0, 4, 2).dense()
@@ -205,7 +202,7 @@ class TestProgramProjectors:
 
     def test_trace_counts_ranks_times_environment(self):
         # tr(sum_z Z_z (x) E_z (x) 1_E) = dim_E * sum_z rank(E_z)
-        states, part = mixed_basis_partition()
+        part = mixed_basis_partition()
         cat = build_catalogue(part, 2, "B")
         proj = program_projector(cat, 0, 4, 2)
         ranks = sum(np.trace(m).real for _, m in proj.terms)

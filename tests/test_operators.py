@@ -4,12 +4,12 @@ import pytest
 from qid._kernels import jacobi_eigh
 from qid.errors import CapacityError, DimensionError, ValidationError
 from qid.operators import (
-    DensityOperator,
     Projector,
     basis_ket,
     dagger,
     ket_bra,
     operator_norm,
+    require_state,
     tensor,
     validate_state,
 )
@@ -133,50 +133,41 @@ class TestValidateState:
             validate_state(np.ones((2, 3)))
 
 
-class TestDensityOperator:
-    def test_valid_construction_and_immutability(self):
-        rho = DensityOperator(np.eye(4) / 4, (2, 2))
-        assert rho.dim == 4
-        with pytest.raises(ValueError):
-            rho.mat[0, 0] = 1.0
+class TestRequireState:
+    def test_valid_state_passes(self):
+        require_state(np.eye(4) / 4)
 
-    def test_read_only_input_is_taken_over_without_a_copy(self):
-        m = np.eye(2, dtype=complex) / 2
-        m.setflags(write=False)
-        assert DensityOperator(m, (2,)).mat is m
-
-    def test_memory_the_caller_can_write_is_copied(self):
-        writable = np.eye(2, dtype=complex) / 2
-        view = writable[:]
-        view.setflags(write=False)  # read-only, but writable through its base
-        for m in (writable, view):
-            rho = DensityOperator(m, (2,))
-            assert not np.shares_memory(rho.mat, writable)
-            assert not rho.mat.flags.writeable
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValidationError):
-            DensityOperator(np.eye(2), (2,))
-
-    def test_rejects_dims_mismatch(self):
-        with pytest.raises(DimensionError):
-            DensityOperator(np.eye(4) / 4, (2, 3))
+    @pytest.mark.parametrize(
+        "m",
+        [np.eye(2), np.diag([1.5, -0.5]), np.array([[0.5, 0.5], [0.0, 0.5]])],
+        ids=["bad_trace", "not_psd", "not_hermitian"],
+    )
+    def test_rejects_invalid_state(self, m):
+        with pytest.raises(ValidationError, match="invalid density operator"):
+            require_state(m)
 
 
 class TestProjector:
     def test_eigenvalues_are_zero_or_one(self):
         rng = np.random.default_rng(9)
         for rank in (1, 2, 5):
-            p = Projector(random_projector(rng, 6, rank), (6,))
+            p = Projector(random_projector(rng, 6, rank))
             vals, _ = jacobi_eigh(p.mat)
             np.testing.assert_allclose(
                 vals, [1.0] * rank + [0.0] * (6 - rank), atol=1e-8
             )
             assert np.trace(p.mat).real == pytest.approx(rank)
 
+    def test_holds_a_read_only_copy(self):
+        m = np.diag([1.0, 0.0]).astype(complex)
+        p = Projector(m)
+        assert not np.shares_memory(p.mat, m)
+        with pytest.raises(ValueError):
+            p.mat[0, 0] = 0.0
+
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValidationError):
-            Projector(np.eye(2) * 0.5, (2,))
+            Projector(np.eye(2) * 0.5)
 
 
 def test_permutation_matrix_swaps_factors():

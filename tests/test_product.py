@@ -37,9 +37,8 @@ ATOL = 1e-12
 
 def assert_same_states(fast, dense):
     assert fast.n == dense.n
-    for ours, ref in zip(fast.rho_b + fast.sigma_e, dense.rho_b + dense.sigma_e, strict=True):
-        assert ours.dims == ref.dims
-        np.testing.assert_allclose(ours.mat, ref.mat, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(fast.rho_b, dense.rho_b, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(fast.sigma_e, dense.sigma_e, rtol=0, atol=ATOL)
 
 
 def assert_same_verdicts(fast, dense, spec):
@@ -153,12 +152,14 @@ class TestCapacity:
 
 
 class TestMemory:
-    def test_states_are_views_of_one_frozen_stack_per_side(self):
-        inst = ProtocolInstance.from_channel(product_attack(AttackSpec("universal_cloner", 3)))
-        for family in (inst.rho_b, inst.sigma_e):
-            stack = family[0].mat.base
-            assert stack.base is None and not stack.flags.writeable
-            assert all(state.mat.base is stack for state in family)
+    def test_each_family_is_one_read_only_array_owning_its_memory(self):
+        # A product of three cloner factors and a plain three-qubit channel.
+        spec = AttackSpec("universal_cloner", 3)
+        for channel in (product_attack(spec), make_attack(spec)):
+            inst = ProtocolInstance.from_channel(channel)
+            for family in (inst.rho_b, inst.sigma_e):
+                assert family.shape == (8, 8, 8) and family.dtype == np.complex128
+                assert family.base is None and not family.flags.writeable
 
     def test_instance_holds_its_states_once(self):
         # At N = 7 the states take 64 MiB; copying them out of the raw stacks peaked at 2x.
@@ -170,25 +171,25 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        states = sum(state.mat.nbytes for state in inst.rho_b + inst.sigma_e)
+        states = inst.rho_b.nbytes + inst.sigma_e.nbytes
         assert states == 64 * 2**20
         assert peak <= 1.1 * states
 
-    def test_overlap_table_copies_one_block_of_states(self):
-        # One side at N = 7 holds 32 MiB of states; stacking them all (and the
-        # transposed supports) for one product peaked at 3x that.
+    def test_overlap_table_copies_no_state(self):
+        # One side at N = 7 holds 32 MiB of states.  The product reads them
+        # through a view of their stack, so the conjugated supports are its
+        # only copy.
         inst = ProtocolInstance.from_channel(product_attack(AttackSpec("universal_cloner", 7)))
         states = inst.rho_b
         supports = [support_projector(s) for s in states]
-        side = sum(s.mat.nbytes for s in states)
-        assert side == 32 * 2**20
+        assert states.nbytes == 32 * 2**20
         tracemalloc.start()
         try:
             _overlap_table(states, supports)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * side
+        assert peak <= 1.05 * states.nbytes
 
 
 class TestValidation:
@@ -199,6 +200,13 @@ class TestValidation:
         )
         with pytest.raises(ValidationError, match="product factor"):
             ProtocolInstance.from_channel(ProductChannel(broken, 3))
+
+    def test_invalid_marginal_rejected(self, monkeypatch):
+        # Unit trace but a negative eigenvalue, and so is every Kronecker power of it.
+        bad = np.array([np.diag([1.5, -0.5])] * 2, dtype=complex)
+        monkeypatch.setattr(protocol, "_factor_marginals", lambda factor, side: bad)
+        with pytest.raises(ValidationError, match="invalid density operator"):
+            ProtocolInstance.from_channel(product_attack(AttackSpec("identity", 3)))
 
     def test_factor_inputs_must_be_qubits(self):
         qutrit = QuantumChannel(
@@ -223,25 +231,26 @@ class TestTables:
         for kind in KINDS:
             for n in (1, 2, 3):
                 inst = instance(kind, n)
-                for states in (inst.rho_b, inst.sigma_e):
+                ch = inst.channel
+                for states, dims in ((inst.rho_b, ch.out_dims_b), (inst.sigma_e, ch.out_dims_e)):
                     for measured in ("Z", "X"):
-                        table = outcome_distribution(states, measured)
+                        table = outcome_distribution(states, dims, measured)
                         assert table.shape == (2**n, 2**n)
                         for msg, rho in enumerate(states):
                             for k in range(2**n):
                                 m = ket_bra(encode(k, measured, n))
-                                expected = np.trace(rho.mat @ m).real / 2**n
+                                expected = np.trace(rho @ m).real / 2**n
                                 assert abs(table[msg, k] - expected) <= 1e-15, (kind, n, k)
 
     def test_overlap_table_is_the_trace_of_each_pair(self, instance):
-        # 21 states make one full block of 16 and a partial one, against 19 supports.
+        # 21 states against 19 supports of another family.
         states = instance("universal_cloner", 5).rho_b[:21]
         supports = [support_projector(s) for s in instance("depolarize", 5).rho_b[:19]]
         table = _overlap_table(states, supports)
         assert table.shape == (21, 19)
         for i, rho in enumerate(states):
             for j, proj in enumerate(supports):
-                assert abs(table[i, j] - np.trace(rho.mat @ proj.mat).real) <= 1e-15
+                assert abs(table[i, j] - np.trace(rho @ proj.mat).real) <= 1e-15
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from qid.attacks import standard_attacks
 from qid.channels import QuantumChannel, apply_channel_to_vector_raw
 from qid.errors import CapacityError, DimensionError, ValidationError
-from qid.operators import DensityOperator, ket_bra, validate_state
+from qid.operators import ket_bra, validate_state
 import qid.protocol as protocol
 from qid.protocol import ProtocolInstance, encode, epr_state, equivalence_check, theta_matrix
 
@@ -66,43 +66,42 @@ class TestInstanceCaches:
     def test_identity_hands_bob_the_message(self, instance):
         inst = instance("identity", 2)
         for z in range(4):
-            np.testing.assert_allclose(inst.rho_b[z].mat, ket_bra(encode(z, "Z", 2)), atol=1e-12)
+            np.testing.assert_allclose(inst.rho_b[z], ket_bra(encode(z, "Z", 2)), atol=1e-12)
 
     def test_measure_x_blinds_bob(self, instance):
         inst = instance("measure_x", 2)
         for z in range(4):
-            np.testing.assert_allclose(inst.rho_b[z].mat, np.eye(4) / 4, atol=1e-12)
+            np.testing.assert_allclose(inst.rho_b[z], np.eye(4) / 4, atol=1e-12)
 
     def test_cnot_blinds_eve_in_x(self, instance):
         inst = instance("cnot_probe", 2)
         for x in range(4):
-            np.testing.assert_allclose(inst.sigma_e[x].mat, np.eye(4) / 4, atol=1e-12)
+            np.testing.assert_allclose(inst.sigma_e[x], np.eye(4) / 4, atol=1e-12)
 
     def test_all_receiver_states_are_valid(self, instance):
         for n in (1, 2, 3):
             for spec in standard_attacks(n):
                 inst = instance(spec.kind, n)
-                for rho in inst.rho_b + inst.sigma_e:
-                    assert validate_state(rho.mat).passed
+                for rho in [*inst.rho_b, *inst.sigma_e]:
+                    assert validate_state(rho).passed
 
 
 class TestGlobalState:
     def test_identity_attack_theta_is_epr_with_fixed_environment(self, instance):
         inst = instance("identity", 1)
-        theta = DensityOperator(theta_matrix(inst), (2, 2, 2))
         expected = np.kron(ket_bra(epr_state(1)), ket_bra(encode(0, "Z", 1)))
-        np.testing.assert_allclose(theta.mat, expected, atol=1e-12)
+        np.testing.assert_allclose(theta_matrix(inst), expected, atol=1e-12)
 
     def test_cnot_probe_gives_ghz(self, instance):
-        theta = DensityOperator(theta_matrix(instance("cnot_probe", 1)), (2, 2, 2))
         ghz = np.zeros(8, dtype=complex)
         ghz[0] = ghz[7] = 1 / np.sqrt(2)
-        np.testing.assert_allclose(theta.mat, ket_bra(ghz), atol=1e-12)
+        np.testing.assert_allclose(theta_matrix(instance("cnot_probe", 1)), ket_bra(ghz), atol=1e-12)
 
     def test_sender_marginal_is_uniform_for_all_attacks(self, instance):
         for spec in standard_attacks(2):
-            theta = DensityOperator(theta_matrix(instance(spec.kind, 2)), (2,) * 6)
-            reduced = partial_trace(theta.mat, theta.dims, [0, 1])
+            theta = theta_matrix(instance(spec.kind, 2))
+            assert validate_state(theta).passed
+            reduced = partial_trace(theta, (2,) * 6, [0, 1])
             np.testing.assert_allclose(reduced, np.eye(4) / 4, atol=1e-10)
 
     def test_dense_cap(self, instance):
@@ -120,15 +119,15 @@ class TestAposteriori:
     def test_structured_state_is_channel_output(self, instance):
         ch = instance("universal_cloner", 1).kraus_channel
         state = apply_channel_to_vector_raw(ch, encode(1, "Z", 1))
-        ref = apply_kraus(ch, DensityOperator(ket_bra(encode(1, "Z", 1)), (2,)))
-        np.testing.assert_allclose(state, ref.mat, rtol=0, atol=1e-15)
+        ref = apply_kraus(ch, ket_bra(encode(1, "Z", 1)))
+        np.testing.assert_allclose(state, ref, rtol=0, atol=1e-15)
 
     def test_x_restriction_is_eve_cache(self, instance):
         inst = instance("measure_z", 2)
         for x in range(4):
             state = apply_channel_to_vector_raw(inst.kraus_channel, encode(x, "X", 2))
             np.testing.assert_allclose(
-                partial_trace(state, (2,) * 4, [2, 3]), inst.sigma_e[x].mat, atol=1e-12
+                partial_trace(state, (2,) * 4, [2, 3]), inst.sigma_e[x], atol=1e-12
             )
 
 

@@ -240,26 +240,26 @@ class TestCorollaries:
 
 class TestOutcomeDistribution:
     def test_identity_diagonal_table(self, instance):
-        table = outcome_distribution(instance("identity", 2).rho_b, "Z")
+        table = outcome_distribution(instance("identity", 2).rho_b, (2, 2), "Z")
         np.testing.assert_allclose(table, np.eye(4) / 4, atol=1e-12)
 
     def test_blind_side_gives_product_table(self, instance):
-        table = outcome_distribution(instance("measure_x", 2).rho_b, "Z")
+        table = outcome_distribution(instance("measure_x", 2).rho_b, (2, 2), "Z")
         rows = table.sum(axis=1)
         cols = table.sum(axis=0)
         np.testing.assert_allclose(table, np.outer(rows, cols), atol=1e-12)
 
     def test_rows_sum_to_uniform_weight(self, instance):
-        table = outcome_distribution(instance("universal_cloner", 2).sigma_e, "X")
+        table = outcome_distribution(instance("universal_cloner", 2).sigma_e, (2, 2), "X")
         np.testing.assert_allclose(table.sum(axis=1), np.full(4, 0.25), atol=1e-12)
 
     def test_non_qubit_register_rejected(self):
         # Eve's side of the random isometry is one qutrit: no qubit basis to read.
         ch = random_isometry_channel(np.random.default_rng(44))
         inst = ProtocolInstance.from_channel(ch)
-        assert inst.sigma_e[0].dims == (3,)
+        assert inst.channel.out_dims_e == (3,)
         with pytest.raises(DimensionError, match="qubit"):
-            outcome_distribution(inst.sigma_e, "Z")
+            shannon_tradeoff_check(inst, "Z", "Z")
 
 
 class TestMutualInformation:
