@@ -1,11 +1,11 @@
-"""Computable complexity proxy: a prefix-free decoder catalogue.
+"""Computable complexity proxy: decoder code lengths that satisfy Kraft's inequality.
 
-Each distinguishable class of size >= 2 gets a codeword "0" + Huffman
-word (weighted by class size); every message also has the literal
-escape "1" + its n bits.  A message's proxy complexity is the shortest
-applicable codeword length, capped by the literal ceiling n + 1.  The
-catalogue also realizes the program projectors whose expectations
-count low-complexity messages in the entanglement picture.
+Each distinguishable class of size >= 2 gets a decoder word "0" + a
+Huffman word (weighted by class size); every message also has the
+literal escape "1" + its n bits.  Only the word lengths are kept.  A
+message's proxy complexity is the shortest applicable length, capped by
+the literal n + 1.  The catalogue also realizes the program projectors
+whose expectations count low-complexity messages in the entanglement picture.
 """
 
 from __future__ import annotations
@@ -21,49 +21,45 @@ from .errors import CapacityError, DimensionError, ValidationError
 from .operators import MAX_DIM, VERDICT_TOL, ket_bra
 from .protocol import FAMILY_BASIS, ProtocolInstance, encode
 
-CATALOGUE_PREFIX = "0"
-
-
-@dataclass(frozen=True)
-class CatalogueEntry:
-    codeword: str
-    cls: DistinguishableClass
-
 
 @dataclass(frozen=True)
 class DecoderCatalogue:
-    """Prefix-free decoder set for one side's state family (see ``FAMILY_BASIS``)."""
+    """Decoder code for one side's state family (see ``FAMILY_BASIS``).
+
+    ``classes`` are disjoint size->=2 classes of messages in
+    ``range(2^n)``, and ``lengths[i]`` is the length of class i's
+    decoder word.  With the 2^n literal words the code must satisfy
+    Kraft's inequality, checked exactly in integers.
+    """
 
     n: int
     side: str
-    entries: tuple[CatalogueEntry, ...]
+    classes: tuple[DistinguishableClass, ...]
+    lengths: tuple[int, ...]
 
     def __post_init__(self):
         if self.side not in FAMILY_BASIS:
             raise ValidationError(f"side must be one of {tuple(FAMILY_BASIS)}, got {self.side!r}")
+        classes, lengths = tuple(self.classes), tuple(self.lengths)
+        if len(classes) != len(lengths):
+            raise ValidationError(f"{len(classes)} classes but {len(lengths)} code lengths")
         seen: set[int] = set()
-        words = []
-        for entry in self.entries:
-            if entry.cls.size < 2:
-                raise ValidationError("catalogue entries must have class size >= 2")
-            if not entry.codeword.startswith(CATALOGUE_PREFIX):
-                raise ValidationError(
-                    f"entry codeword {entry.codeword!r} collides with the literal block"
-                )
-            overlap = seen.intersection(entry.cls.members)
+        for cls in classes:
+            if cls.size < 2:
+                raise ValidationError("catalogue classes must have size >= 2")
+            if cls.smallest < 0 or cls.members[-1] >= 2**self.n:
+                raise ValidationError(f"class {cls.members} leaves the messages 0..{2**self.n - 1}")
+            overlap = seen.intersection(cls.members)
             if overlap:
-                raise ValidationError(f"messages {sorted(overlap)} appear in two entries")
-            seen.update(entry.cls.members)
-            words.append(entry.codeword)
-        words.sort()
-        for a, b in zip(words, words[1:]):
-            if b.startswith(a):
-                raise ValidationError(f"codewords {a!r} and {b!r} are not prefix-free")
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    @property
-    def literal_length(self) -> int:
-        return self.n + 1
+                raise ValidationError(f"messages {sorted(overlap)} appear in two classes")
+            seen.update(cls.members)
+        # The literal words fill half the code space, so sum 2^-len <= 1/2;
+        # a length of 0 or below alone breaks it.
+        top = max((1, *lengths))
+        if sum(1 << (top - v) for v in lengths) > 1 << (top - 1):
+            raise ValidationError(f"code lengths {lengths} break Kraft's inequality")
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "lengths", lengths)
 
 
 @dataclass(frozen=True)
@@ -97,80 +93,46 @@ class ComplexityProfile:
 
 
 def _huffman_lengths(weights: Sequence[int]) -> list[int]:
-    """Deterministic Huffman code lengths (FIFO tie-breaking by heap order)."""
-    k = len(weights)
-    if k == 0:
-        return []
-    if k == 1:
-        return [0]
-    counter = k
-    heap: list[tuple[int, int, object]] = []
-    for i, w in enumerate(weights):
-        heapq.heappush(heap, (int(w), i, i))
+    """Deterministic Huffman code lengths; ties pop in push order.
+
+    Each heap item carries its leaves, and every merge makes them one
+    level deeper.
+    """
+    lengths = [0] * len(weights)
+    heap = [(int(w), i, [i]) for i, w in enumerate(weights)]
+    heapq.heapify(heap)
+    counter = len(weights)
     while len(heap) > 1:
-        w1, _, n1 = heapq.heappop(heap)
-        w2, _, n2 = heapq.heappop(heap)
-        heapq.heappush(heap, (w1 + w2, counter, (n1, n2)))
+        w1, _, a = heapq.heappop(heap)
+        w2, _, b = heapq.heappop(heap)
+        for leaf in a + b:
+            lengths[leaf] += 1
+        heapq.heappush(heap, (w1 + w2, counter, a + b))
         counter += 1
-    lengths = [0] * k
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, int):
-            lengths[node] = depth
-        else:
-            stack.append((node[0], depth + 1))
-            stack.append((node[1], depth + 1))
     return lengths
 
 
-def _canonical_codewords(lengths: Sequence[int], tiebreak: Sequence[int]) -> list[str]:
-    """Canonical code assignment ordered by (length, tiebreak key)."""
-    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], tiebreak[i]))
-    words = [""] * len(lengths)
-    code = 0
-    prev = 0
-    for i in order:
-        length = lengths[i]
-        code <<= length - prev
-        words[i] = format(code, f"0{length}b") if length else ""
-        code += 1
-        prev = length
-    return words
-
-
-def build_catalogue(
-    partition: Iterable[DistinguishableClass],
-    n: int,
-    side: str,
-) -> DecoderCatalogue:
+def build_catalogue(partition: Iterable[DistinguishableClass], n: int, side: str) -> DecoderCatalogue:
     """Huffman-code the size->=2 classes of a partition into a catalogue.
 
-    Classes are weighted by size; ties break on the smallest member and
-    codewords are assigned canonically, so the catalogue is a pure
+    Classes are weighted by size and ordered by smallest member, and
+    Huffman ties break in that order, so the catalogue is a pure
     function of the partition.
     """
     partition = list(partition)
     all_members = sorted(m for c in partition for m in c.members)
     if all_members != list(range(2**n)):
         raise ValidationError("partition does not cover the message set exactly")
-    classes = [c for c in partition if c.size >= 2]
-    classes.sort(key=lambda c: c.smallest)
-    lengths = _huffman_lengths([c.size for c in classes])
-    words = _canonical_codewords(lengths, [c.smallest for c in classes])
-    entries = tuple(
-        CatalogueEntry(codeword=CATALOGUE_PREFIX + w, cls=c)
-        for w, c in zip(words, classes)
-    )
-    return DecoderCatalogue(n=n, side=side, entries=entries)
+    classes = sorted((c for c in partition if c.size >= 2), key=lambda c: c.smallest)
+    lengths = tuple(1 + v for v in _huffman_lengths([c.size for c in classes]))
+    return DecoderCatalogue(n=n, side=side, classes=tuple(classes), lengths=lengths)
 
 
 def proxy_complexity(cat: DecoderCatalogue) -> ComplexityProfile:
-    """Shortest codeword length per message, capped by the literal n+1."""
-    lengths = [cat.literal_length] * (2**cat.n)
-    for entry in cat.entries:
-        code_len = len(entry.codeword)
-        for msg in entry.cls.members:
+    """Shortest decoder word length per message, capped by the literal n+1."""
+    lengths = [cat.n + 1] * (2**cat.n)
+    for cls, code_len in zip(cat.classes, cat.lengths):
+        for msg in cls.members:
             lengths[msg] = min(lengths[msg], code_len)
     return ComplexityProfile(n=cat.n, side=cat.side, lengths=tuple(lengths))
 
@@ -204,29 +166,30 @@ class StructuredProjector:
 
 
 def _projector(
-    cat: DecoderCatalogue, entries: Iterable[CatalogueEntry], dim_b: int, dim_e: int
+    cat: DecoderCatalogue, indices: Iterable[int], dim_b: int, dim_e: int
 ) -> StructuredProjector:
-    """Structured projector with the PVM terms of the given catalogue entries."""
+    """Structured projector with the PVM terms of the given catalogue classes."""
     terms: list[tuple[int, np.ndarray]] = []
-    for entry in entries:
-        if not entry.cls.pvm:
-            raise ValidationError("catalogue entry carries no PVM")
-        terms.extend((msg, proj.mat) for msg, proj in zip(entry.cls.members, entry.cls.pvm))
+    for i in indices:
+        cls = cat.classes[i]
+        if not cls.pvm:
+            raise ValidationError("catalogue class carries no PVM")
+        terms.extend((msg, proj.mat) for msg, proj in zip(cls.members, cls.pvm))
     return StructuredProjector(n=cat.n, side=cat.side, dim_b=dim_b, dim_e=dim_e, terms=tuple(terms))
 
 
 def program_projector(cat: DecoderCatalogue, index: int, dim_b: int, dim_e: int) -> StructuredProjector:
-    """Projector attached to one catalogue entry's decoder."""
-    return _projector(cat, [cat.entries[index]], dim_b, dim_e)
+    """Projector attached to one catalogue class's decoder."""
+    return _projector(cat, [index], dim_b, dim_e)
 
 
 def cumulative_projector(cat: DecoderCatalogue, l: int, dim_b: int, dim_e: int) -> StructuredProjector:
-    """Sum of entry projectors with codeword length <= l.
+    """Sum of class projectors with decoder word length <= l.
 
     Literal decoders ignore the quantum input and are excluded here;
     their contribution to counts is purely combinatorial.
     """
-    return _projector(cat, [e for e in cat.entries if len(e.codeword) <= l], dim_b, dim_e)
+    return _projector(cat, [i for i, v in enumerate(cat.lengths) if v <= l], dim_b, dim_e)
 
 
 @dataclass(frozen=True)

@@ -267,8 +267,8 @@ def verify_tradeoff(
         db, de = inst.channel.dim_b, inst.channel.dim_e
         dense_b, dense_e = (
             [
-                (len(e.codeword), program_projector(cat, i, db, de).dense())
-                for i, e in enumerate(cat.entries)
+                (w, program_projector(cat, i, db, de).dense())
+                for i, w in enumerate(cat.lengths)
             ]
             for cat in (cat_b, cat_e)
         )

@@ -79,6 +79,5 @@ def pairs(m):
 
 
 def kraft_sum(cat):
-    """Exact Kraft sum of a catalogue's full code: its entries plus the 2^n literal words."""
-    literals = Fraction(2**cat.n, 2**cat.literal_length)
-    return literals + sum(Fraction(1, 2 ** len(e.codeword)) for e in cat.entries)
+    """Exact Kraft sum of a catalogue's full code: its classes plus the 2^n literal words."""
+    return Fraction(2**cat.n, 2 ** (cat.n + 1)) + sum(Fraction(1, 2**v) for v in cat.lengths)

@@ -102,10 +102,10 @@ def test_criterion_04_landau_pollak_suite():
             db, de = inst.channel.dim_b, inst.channel.dim_e
             family = [
                 program_projector(cat_b, i, db, de).dense()
-                for i in range(len(cat_b.entries))
+                for i in range(len(cat_b.classes))
             ] + [
                 program_projector(cat_e, j, db, de).dense()
-                for j in range(len(cat_e.entries))
+                for j in range(len(cat_e.classes))
             ]
             ok = ok and landau_pollak_check(family, theta).holds
 
@@ -145,10 +145,10 @@ def test_criterion_05_cross_norm_bound():
             cat_b, cat_e = catalogues_for(inst)
             db, de = inst.channel.dim_b, inst.channel.dim_e
             bob_projs += [
-                program_projector(cat_b, i, db, de) for i in range(len(cat_b.entries))
+                program_projector(cat_b, i, db, de) for i in range(len(cat_b.classes))
             ]
             eve_projs += [
-                program_projector(cat_e, j, db, de) for j in range(len(cat_e.entries))
+                program_projector(cat_e, j, db, de) for j in range(len(cat_e.classes))
             ]
         limit = 2.0 ** (-n / 2.0)
         for p in bob_projs:

@@ -27,6 +27,17 @@ from helpers import pairs
 # The four artifacts of two simulate jobs (see TestReportSchema).
 SCHEMA_DIR = Path(__file__).resolve().parent / "report_schema"
 
+# The seven library attacks with the parameters of ``standard_attacks``.
+ALL_ATTACKS = [
+    {"kind": "identity"},
+    {"kind": "measure_z"},
+    {"kind": "measure_x"},
+    {"kind": "cnot_probe"},
+    {"kind": "universal_cloner"},
+    {"kind": "depolarize", "params": {"p": 0.5}},
+    {"kind": "intercept_resend_angle", "params": {"theta": 0.7853981633974483}},
+]
+
 
 def write_config(path, **overrides):
     data = {
@@ -251,16 +262,7 @@ class TestConfig:
 
 class TestSimulate:
     def test_all_seven_attacks_exit_zero(self, tmp_path):
-        all_attacks = [
-            {"kind": "identity"},
-            {"kind": "measure_z"},
-            {"kind": "measure_x"},
-            {"kind": "cnot_probe"},
-            {"kind": "universal_cloner"},
-            {"kind": "depolarize", "params": {"p": 0.5}},
-            {"kind": "intercept_resend_angle", "params": {"theta": 0.7853981633974483}},
-        ]
-        cfg = write_config(tmp_path / "cfg.json", attacks=all_attacks)
+        cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         reports = sorted(out.glob("report_*.json"))
@@ -481,6 +483,25 @@ class TestSweep:
         assert code == EXIT_OK
         assert (out / "report_measure_z_n1.json").exists()
         assert (out / "report_measure_z_n2.json").exists()
+
+    def test_workers_and_simulate_write_the_same_bytes(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS, sweep={"n_values": [1, 2, 3]})
+        swept = {}
+        for workers in (1, 3):
+            out = tmp_path / f"sweep{workers}"
+            argv = ["sweep", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]
+            assert main(argv) == EXIT_OK
+            swept[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(swept[1]) == 7 * 3 * 4
+        assert swept[1] == swept[3]
+        for n in (1, 2, 3):
+            cfg_n = write_config(tmp_path / f"n{n}.json", n=n, attacks=ALL_ATTACKS)
+            out = tmp_path / f"simulate{n}"
+            assert main(["simulate", "--config", str(cfg_n), "--out", str(out)]) == EXIT_OK
+            simulated = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert simulated == {
+                name: data for name, data in swept[1].items() if Path(name).stem.endswith(f"_n{n}")
+            }
 
 
 class TestCheckLP:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qid.complexity import (
-    CatalogueEntry,
     DecoderCatalogue,
+    _huffman_lengths,
     StructuredProjector,
     build_catalogue,
     cumulative_projector,
@@ -32,28 +32,43 @@ class TestBuildCatalogue:
     def test_single_class_gets_bare_prefix(self, instance):
         part = distinguishable_partition(instance("identity", 2).rho_b)
         cat = build_catalogue(part, 2, "B")
-        assert len(cat.entries) == 1
-        assert cat.entries[0].codeword == "0"
+        assert len(cat.classes) == 1
+        assert cat.lengths == (1,)
         assert proxy_complexity(cat).lengths == (1, 1, 1, 1)
 
     def test_all_singletons_give_empty_catalogue(self, instance):
         part = distinguishable_partition(instance("measure_x", 2).rho_b)
         cat = build_catalogue(part, 2, "B")
-        assert cat.entries == ()
+        assert cat.classes == () and cat.lengths == ()
         assert proxy_complexity(cat).lengths == (3, 3, 3, 3)
 
     def test_three_to_one_split_is_equal_depth(self):
         # sizes 6 and 2 out of 8 messages: two-symbol Huffman is one
-        # bit each, so both entries sit at codeword length 2
+        # bit each, so both classes sit at code length 2
         part = classes_from_members([range(6), (6, 7)])
         cat = build_catalogue(part, 3, "B")
-        assert [e.codeword for e in cat.entries] == ["00", "01"]
+        assert cat.lengths == (2, 2)
 
-    def test_codewords_are_deterministic(self):
-        part = classes_from_members([(0, 1), (2, 3), (4, 5), (6, 7)])
+    def test_catalogue_is_deterministic(self):
+        part = classes_from_members([(2, 3, 4, 5), (0, 1), (6, 7)])
         first = build_catalogue(part, 3, "B")
         second = build_catalogue(list(reversed(part)), 3, "B")
-        assert [e.codeword for e in first.entries] == [e.codeword for e in second.entries]
+        assert [c.members for c in first.classes] == [(0, 1), (2, 3, 4, 5), (6, 7)]
+        assert first == second
+        assert first.lengths == (3, 2, 3)
+
+    @pytest.mark.parametrize(
+        "weights, lengths",
+        [
+            ([2, 2, 2, 2, 4], [3, 3, 2, 2, 2]),
+            ([2, 2, 4], [2, 2, 1]),
+            ([6, 2], [1, 1]),
+            ([5], [0]),
+            ([], []),
+        ],
+    )
+    def test_huffman_ties_pop_in_push_order(self, weights, lengths):
+        assert _huffman_lengths(weights) == lengths
 
     def test_partition_must_cover(self):
         with pytest.raises(ValidationError):
@@ -62,33 +77,37 @@ class TestBuildCatalogue:
     def test_duplicate_membership_rejected(self):
         cls = DistinguishableClass(members=(0, 1))
         with pytest.raises(ValidationError):
-            DecoderCatalogue(
-                n=1,
-                side="B",
-                entries=(
-                    CatalogueEntry("00", cls),
-                    CatalogueEntry("01", cls),
-                ),
-            )
+            DecoderCatalogue(n=1, side="B", classes=(cls, cls), lengths=(2, 2))
 
     def test_prefix_collision_rejected(self):
-        with pytest.raises(ValidationError):
-            DecoderCatalogue(
-                n=2,
-                side="B",
-                entries=(
-                    CatalogueEntry("0", DistinguishableClass(members=(0, 1))),
-                    CatalogueEntry("00", DistinguishableClass(members=(2, 3))),
-                ),
-            )
+        # Kraft: 2^-1 + 2^-2 of the decoders plus the literal half exceed 1.
+        classes = tuple(classes_from_members([(0, 1), (2, 3)]))
+        with pytest.raises(ValidationError, match="Kraft"):
+            DecoderCatalogue(n=2, side="B", classes=classes, lengths=(1, 2))
 
     def test_literal_block_collision_rejected(self):
-        with pytest.raises(ValidationError):
-            DecoderCatalogue(
-                n=1,
-                side="B",
-                entries=(CatalogueEntry("10", DistinguishableClass(members=(0, 1))),),
-            )
+        # Two decoders of length 1 fill the code space the literal block needs.
+        classes = tuple(classes_from_members([(0, 1), (2, 3)]))
+        with pytest.raises(ValidationError, match="Kraft"):
+            DecoderCatalogue(n=2, side="B", classes=classes, lengths=(1, 1))
+
+    @pytest.mark.parametrize("lengths", [(0,), (-2,), (0, 5)])
+    def test_nonpositive_length_rejected(self, lengths):
+        classes = tuple(classes_from_members([(0, 1), (2, 3)])[: len(lengths)])
+        with pytest.raises(ValidationError, match="Kraft"):
+            DecoderCatalogue(n=2, side="B", classes=classes, lengths=lengths)
+
+    @pytest.mark.parametrize("lengths", [(), (2, 2)])
+    def test_one_length_per_class(self, lengths):
+        cls = DistinguishableClass(members=(0, 1))
+        with pytest.raises(ValidationError, match="classes but"):
+            DecoderCatalogue(n=1, side="B", classes=(cls,), lengths=lengths)
+
+    @pytest.mark.parametrize("members", [(-1, 0), (3, 4)])
+    def test_members_out_of_range_rejected(self, members):
+        cls = DistinguishableClass(members=members)
+        with pytest.raises(ValidationError, match="leaves the messages"):
+            DecoderCatalogue(n=2, side="B", classes=(cls,), lengths=(1,))
 
 
 @st.composite
@@ -114,7 +133,7 @@ class TestCatalogueProperties:
     def test_kraft_and_length_ceiling(self, case):
         n, part = case
         cat = build_catalogue(part, n, "B")
-        assert kraft_sum(cat) <= 1
+        assert kraft_sum(cat) == (1 if cat.classes else Fraction(1, 2))
         profile = proxy_complexity(cat)
         assert all(1 <= v <= n + 1 for v in profile.lengths)
         assert profile.count(n + 1) == 2**n
@@ -125,9 +144,7 @@ class TestCatalogueProperties:
         n, part = case
         a = build_catalogue(part, n, "B")
         b = build_catalogue(part, n, "B")
-        assert [(e.codeword, e.cls.members) for e in a.entries] == [
-            (e.codeword, e.cls.members) for e in b.entries
-        ]
+        assert a == b
 
     def test_kraft_is_exactly_one_for_complete_code(self, instance):
         part = distinguishable_partition(instance("identity", 2).rho_b)
@@ -155,7 +172,7 @@ class TestProxyComplexity:
         part = classes_from_members([(0, 1), (2, 3), (4, 5), (6, 7)])
         full = build_catalogue(part, 3, "B")
         reduced = DecoderCatalogue(
-            n=3, side="B", entries=full.entries[1:]
+            n=3, side="B", classes=full.classes[1:], lengths=full.lengths[1:]
         )
         full_profile = proxy_complexity(full)
         reduced_profile = proxy_complexity(reduced)
@@ -216,7 +233,7 @@ class TestProgramProjectors:
 
     def test_entry_without_pvm_rejected(self, instance):
         cat_b, _ = catalogues_for(instance("universal_cloner", 1))
-        assert cat_b.entries == ()
+        assert cat_b.classes == ()
         with pytest.raises(IndexError):
             program_projector(cat_b, 0, 2, 2)
 
@@ -236,8 +253,8 @@ class TestCumulativeProjector:
 
     def test_entry_without_pvm_rejected(self):
         # Its messages would count toward the catalogue but carry no projector.
-        entry = CatalogueEntry(codeword="0", cls=DistinguishableClass(members=(0, 1)))
-        cat = DecoderCatalogue(n=1, side="B", entries=(entry,))
+        cls = DistinguishableClass(members=(0, 1))
+        cat = DecoderCatalogue(n=1, side="B", classes=(cls,), lengths=(1,))
         assert cumulative_projector(cat, 0, 2, 2).terms == ()
         with pytest.raises(ValidationError, match="PVM"):
             cumulative_projector(cat, 1, 2, 2)

@@ -70,10 +70,10 @@ class TestLandauPollak:
                 db, de = inst.channel.dim_b, inst.channel.dim_e
                 family = [
                     program_projector(cat_b, i, db, de).dense()
-                    for i in range(len(cat_b.entries))
+                    for i in range(len(cat_b.classes))
                 ] + [
                     program_projector(cat_e, j, db, de).dense()
-                    for j in range(len(cat_e.entries))
+                    for j in range(len(cat_e.classes))
                 ]
                 assert landau_pollak_check(family, theta).holds
 
@@ -112,11 +112,11 @@ class TestCrossNorm:
                 db, de = inst.channel.dim_b, inst.channel.dim_e
                 bob_projs += [
                     program_projector(cat_b, i, db, de)
-                    for i in range(len(cat_b.entries))
+                    for i in range(len(cat_b.classes))
                 ]
                 eve_projs += [
                     program_projector(cat_e, j, db, de)
-                    for j in range(len(cat_e.entries))
+                    for j in range(len(cat_e.classes))
                 ]
             assert bob_projs and eve_projs
             limit = 2.0 ** (-n / 2.0)
