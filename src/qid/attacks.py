@@ -21,7 +21,7 @@ from .channels import (
     QuantumChannel,
     dense_channel,
     isometry_to_channel,
-    require_complete,
+    validate_channel,
 )
 from .errors import ValidationError
 from .operators import basis_ket, ket_bra
@@ -152,7 +152,7 @@ def product_attack(spec: AttackSpec) -> ProductChannel:
 def make_attack(spec: AttackSpec) -> QuantumChannel:
     """Build and validate the N-qubit Kraus form of an attack spec."""
     ch = dense_channel(product_attack(spec))
-    require_complete(ch, f"attack {spec.label()}")
+    validate_channel(ch, f"attack {spec.label()}")
     return ch
 
 

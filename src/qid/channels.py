@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionError, ValidationError
-from .operators import COMPLETENESS_TOL, MAX_DIM, as_matrix, dagger
+from .operators import COMPLETENESS_TOL, MAX_DIM, as_matrix
 
 # Largest complex128 Kraus set dense_channel will build (depolarize at
 # N = 5 needs 512 MiB; at N = 6 it would need 16 GiB).
@@ -51,9 +51,9 @@ class QuantumChannel(_SplitSizes):
 
     ``kraus`` is one read-only complex128 array of shape (K, out, in),
     stacked on construction from any sequence of Kraus matrices.
-    Construction checks shape coherence only; Kraus completeness is a
-    separate, reportable property (see ``validate_channel``) so that
-    deliberately broken channels can be built for negative tests.
+    Construction checks shape coherence only; Kraus completeness is
+    checked separately, by ``validate_channel``, so that deliberately
+    broken channels can be built for negative tests.
     """
 
     kraus: np.ndarray
@@ -178,27 +178,12 @@ def dense_channel(product: ProductChannel) -> QuantumChannel:
     )
 
 
-@dataclass(frozen=True)
-class ChannelReport:
-    passed: bool
-    completeness_violation: float
-
-
-def validate_channel(ch: QuantumChannel) -> ChannelReport:
-    """Check Kraus completeness sum(K^dag K) = 1 within ``COMPLETENESS_TOL``."""
+def validate_channel(ch: QuantumChannel, what: str) -> None:
+    """Raise ``ValidationError`` naming ``what`` unless sum(K^dag K) = 1 within ``COMPLETENESS_TOL``."""
     m = ch.kraus.reshape(-1, ch.in_dim)  # stacked vertically: sum(K^dag K) = m^dag m
-    acc = m.conj().T @ m
-    dev = float(np.max(np.abs(acc - np.eye(ch.in_dim))))
-    return ChannelReport(passed=dev <= COMPLETENESS_TOL, completeness_violation=dev)
-
-
-def require_complete(ch: QuantumChannel, what: str) -> None:
-    """Raise ``ValidationError`` naming ``what`` unless ``ch`` passes ``validate_channel``."""
-    report = validate_channel(ch)
-    if not report.passed:
-        raise ValidationError(
-            f"{what} fails Kraus completeness by {report.completeness_violation:.3e}"
-        )
+    dev = float(np.max(np.abs(m.conj().T @ m - np.eye(ch.in_dim))))
+    if dev > COMPLETENESS_TOL:
+        raise ValidationError(f"{what} fails Kraus completeness by {dev:.3e}")
 
 
 def _kraus_images(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
@@ -251,16 +236,15 @@ def isometry_to_channel(
         raise DimensionError(
             f"isometry shape {v.shape} != ({out_dim * env_dim}, {in_dim})"
         )
-    dev = float(np.max(np.abs(dagger(v) @ v - np.eye(in_dim))))
-    if dev > COMPLETENESS_TOL:
-        raise ValidationError(f"not an isometry: max |V^dag V - 1| = {dev:.3e}")
-    return QuantumChannel(
+    ch = QuantumChannel(
         kraus=v.reshape(out_dim, env_dim, in_dim).transpose(1, 0, 2),
         in_dims=in_dims,
         out_dims_b=tuple(out_dims_b),
         out_dims_e=tuple(out_dims_e),
         name=name,
     )
+    validate_channel(ch, "isometry")  # the Kraus operators are V's row slices, so sum K^dag K = V^dag V
+    return ch
 
 
 def matrix_from_pairs(rows) -> np.ndarray:

@@ -23,7 +23,7 @@ from pathlib import Path
 from .attacks import AttackSpec, natural_bases, product_attack
 from .channels import matrix_from_pairs
 from .errors import CapacityError, ConfigError, DimensionError, QidError
-from .operators import DECISION_TOL, Projector, require_state
+from .operators import DECISION_TOL, Projector, validate_state
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
 from .tradeoff import catalogues_for, landau_pollak_check, tradeoff_bound, verify_tradeoff
@@ -73,12 +73,12 @@ def _csv(header, rows) -> str:
 class ExperimentConfig:
     n: int
     attacks: list[AttackSpec]
-    c_offset: int = 0
-    dense_limit: int = DENSE_THETA_LIMIT
-    seed: int = 0
-    decision_tol: float = DECISION_TOL
-    sweep_n: tuple[int, ...] = ()
-    out_dir: str = "qid-out"
+    c_offset: int
+    dense_limit: int
+    seed: int
+    decision_tol: float
+    sweep_n: tuple[int, ...]
+    out_dir: str
 
 
 # Every accepted key; anything else is a typo and raises ConfigError.
@@ -276,7 +276,7 @@ def cmd_sweep(args) -> int:
 def _load_operators(path: str | Path, key: str, check) -> list:
     """Every matrix of a ``check-lp`` file, each at least 2 x 2 and passed to ``check``.
 
-    ``check`` is ``Projector`` or ``require_state``.  The file holds
+    ``check`` is ``Projector`` or ``validate_state``.  The file holds
     ``{key: matrices}`` or the bare matrices, where ``matrices`` is one
     matrix or a list of them.
     """
@@ -304,7 +304,7 @@ def _load_operators(path: str | Path, key: str, check) -> list:
 
 def cmd_check_lp(args) -> int:
     family = _load_operators(args.family, "projectors", Projector)
-    states = _load_operators(args.state, "matrix", require_state)
+    states = _load_operators(args.state, "matrix", validate_state)
     if len(states) != 1:
         raise ConfigError(f"{args.state} holds {len(states)} matrices, not one state")
     state = states[0]

@@ -43,6 +43,8 @@ class DecoderCatalogue:
         classes, lengths = tuple(self.classes), tuple(self.lengths)
         if len(classes) != len(lengths):
             raise ValidationError(f"{len(classes)} classes but {len(lengths)} code lengths")
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in lengths):
+            raise ValidationError(f"code lengths {lengths} must be integers (not floats or bools)")
         seen: set[int] = set()
         for cls in classes:
             if cls.size < 2:
@@ -180,6 +182,8 @@ def _projector(
 
 def program_projector(cat: DecoderCatalogue, index: int, dim_b: int, dim_e: int) -> StructuredProjector:
     """Projector attached to one catalogue class's decoder."""
+    if index not in range(len(cat.classes)):
+        raise ValidationError(f"no class {index} in a catalogue of {len(cat.classes)} classes")
     return _projector(cat, [index], dim_b, dim_e)
 
 

@@ -50,7 +50,7 @@ class DistinguishableClass:
 def support_projector(rho: np.ndarray) -> Projector:
     """Projector onto the span of eigenvectors with eigenvalue > ``SPECTRAL_TOL``.
 
-    ``rho`` is a state that passed ``require_state``, so its Hermitian
+    ``rho`` is a state that passed ``validate_state``, so its Hermitian
     part goes to the eigensolver directly.
     """
     vals, vecs = jacobi_eigh((rho + dagger(rho)) / 2.0)

@@ -2,7 +2,7 @@
 
 Matrices are plain complex128 numpy arrays in row-major layout;
 subsystem 0 is always the leftmost tensor factor (most significant
-index block).  A state is a plain matrix checked by ``require_state``;
+index block).  A state is a plain matrix checked by ``validate_state``;
 a projector is a thin immutable wrapper that validates its defining
 invariants on construction.
 """
@@ -83,24 +83,8 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-@dataclass(frozen=True)
-class StateReport:
-    """Outcome of validate_state: per-property pass flags and violations."""
-
-    hermitian_ok: bool
-    trace_ok: bool
-    psd_ok: bool
-    hermitian_violation: float
-    trace_violation: float
-    psd_violation: float
-
-    @property
-    def passed(self) -> bool:
-        return self.hermitian_ok and self.trace_ok and self.psd_ok
-
-
-def validate_state(rho) -> StateReport:
-    """Check hermiticity, unit trace and positivity within ``STRUCTURAL_TOL``."""
+def validate_state(rho) -> None:
+    """Raise ``ValidationError`` unless ``rho`` is a density operator within ``STRUCTURAL_TOL``."""
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise DimensionError("validate_state needs a square matrix")
@@ -108,25 +92,10 @@ def validate_state(rho) -> StateReport:
     trace_dev = float(abs(np.trace(rho) - 1.0))
     vals, _ = jacobi_eigh((rho + dagger(rho)) / 2.0)
     psd_dev = float(max(0.0, -vals.min())) if vals.size else 0.0
-    return StateReport(
-        hermitian_ok=herm_dev <= STRUCTURAL_TOL,
-        trace_ok=trace_dev <= STRUCTURAL_TOL,
-        psd_ok=psd_dev <= STRUCTURAL_TOL,
-        hermitian_violation=herm_dev,
-        trace_violation=trace_dev,
-        psd_violation=psd_dev,
-    )
-
-
-def require_state(rho) -> None:
-    """Raise ``ValidationError`` unless ``rho`` passes ``validate_state``."""
-    report = validate_state(rho)
-    if not report.passed:
+    if max(herm_dev, trace_dev, psd_dev) > STRUCTURAL_TOL:
         raise ValidationError(
-            "invalid density operator: "
-            f"hermitian dev {report.hermitian_violation:.3e}, "
-            f"trace dev {report.trace_violation:.3e}, "
-            f"negative part {report.psd_violation:.3e}"
+            f"invalid density operator: hermitian dev {herm_dev:.3e}, "
+            f"trace dev {trace_dev:.3e}, negative part {psd_dev:.3e}"
         )
 
 

@@ -23,11 +23,11 @@ from .channels import (
     dense_channel,
     kron_power,
     mib,
-    require_complete,
+    validate_channel,
     vector_marginals,
 )
 from .errors import CapacityError, ValidationError
-from .operators import MAX_DIM, STRUCTURAL_TOL, require_state
+from .operators import MAX_DIM, STRUCTURAL_TOL, validate_state
 
 BASES = ("Z", "X")
 
@@ -117,12 +117,12 @@ class ProtocolInstance:
                 f"{'more than ' if k < product.n else ''}{mib(nbytes)}; "
                 f"the limit is {mib(MAX_STATE_BYTES)}"
             )
-        require_complete(factor, "product factor")
+        validate_channel(factor, "product factor")
         families = {}
         for side in FAMILY_BASIS:
             stack = kron_power(_factor_marginals(factor, side), product.n)
             for rho in stack:
-                require_state(rho)
+                validate_state(rho)
             stack.setflags(write=False)
             families[side] = stack
         return cls(n=n, channel=product, rho_b=families["B"], sigma_e=families["E"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from qid.channels import isometry_to_channel
-from qid.operators import require_state
+from qid.operators import validate_state
 
 
 def random_complex(rng, shape):
@@ -67,7 +67,7 @@ def permutation_matrix(dims, perm):
 def apply_kraus(ch, rho):
     """The output sum_k K_k rho K_k^dag of a channel on a mixed state, a checked state on B (x) E."""
     out = np.tensordot(ch.kraus @ rho, ch.kraus.conj(), axes=([0, 2], [0, 2]))
-    require_state(out)
+    validate_state(out)
     return out
 
 

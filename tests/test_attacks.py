@@ -114,8 +114,7 @@ class TestParameterLimits:
 def test_every_attack_validates_up_to_three_qubits(channel):
     for n in (1, 2, 3):
         for spec in standard_attacks(n):
-            report = validate_channel(channel(spec.kind, n))
-            assert report.passed, (spec.label(), report.completeness_violation)
+            validate_channel(channel(spec.kind, n), spec.label())
 
 
 def test_depolarize_at_six_qubits_raises_before_allocating():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -92,21 +94,28 @@ class TestIsometryToChannel:
         v = sum(ket_bra(np.kron(basis_ket(a, 2), basis_ket(a, 2)), basis_ket(a, 2)) for a in (0, 1))
         ch = isometry_to_channel(v, (2,), (2,), (2,))
         assert len(ch.kraus) == 1
-        report = validate_channel(ch)
-        assert report.passed and report.completeness_violation < 1e-12
+        validate_channel(ch, "cnot with ancilla")
 
     def test_environment_slicing_gives_kraus_family(self):
         # Same isometry, now declaring the copy as a traced environment.
         v = sum(ket_bra(np.kron(basis_ket(a, 2), basis_ket(a, 2)), basis_ket(a, 2)) for a in (0, 1))
         ch = isometry_to_channel(v, (2,), (2,), (), env_dim=2)
         assert len(ch.kraus) == 2
-        assert validate_channel(ch).passed
+        validate_channel(ch, "cnot with traced copy")
         out = apply_kraus(ch, ket_bra(np.array([1, 1]) / np.sqrt(2)))
         np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-12)
 
     def test_rejects_non_isometry(self):
         with pytest.raises(ValidationError):
             isometry_to_channel(np.diag([1.0, np.sqrt(0.9)]), (2,), (2,), ())
+
+    def test_non_isometry_error_names_the_isometry(self):
+        # |V^dag V - 1| = 0.1 in the corner, through two environment slices.
+        v = np.zeros((4, 2))
+        v[0, 0] = 1.0
+        v[3, 1] = np.sqrt(0.9)
+        with pytest.raises(ValidationError, match="isometry fails Kraus completeness by 1.000e-01"):
+            isometry_to_channel(v, (2,), (2,), (), env_dim=2)
 
 
 class TestValidateChannel:
@@ -115,7 +124,7 @@ class TestValidateChannel:
 
         for n in (1, 2, 3):
             for spec in standard_attacks(n):
-                assert validate_channel(channel(spec.kind, n)).passed
+                validate_channel(channel(spec.kind, n), spec.label())
 
     def test_scaled_kraus_breaks_completeness(self, channel):
         ch = channel("identity", 1)
@@ -125,13 +134,14 @@ class TestValidateChannel:
             out_dims_b=ch.out_dims_b,
             out_dims_e=ch.out_dims_e,
         )
-        report = validate_channel(bad)
-        assert not report.passed
-        assert abs(report.completeness_violation - 0.0201) < 1e-10
+        # 1.01^2 - 1 = 0.0201 on the diagonal.
+        with pytest.raises(ValidationError, match="scaled fails Kraus completeness by 2.010e-02"):
+            validate_channel(bad, "scaled")
 
     def test_empty_kraus_fails(self):
         ch = QuantumChannel(kraus=(), in_dims=(2,), out_dims_b=(2,), out_dims_e=(2,))
-        assert not validate_channel(ch).passed
+        with pytest.raises(ValidationError, match="by 1.000e[+]00"):
+            validate_channel(ch, "empty")
 
     def test_shape_coherence_enforced(self):
         with pytest.raises(DimensionError):
@@ -158,7 +168,7 @@ def test_library_outputs_are_valid_states(instance):
             inst = instance(spec.kind, n)
             for z in range(2**n):
                 state = apply_channel_to_vector_raw(inst.kraus_channel, encode(z, "Z", n))
-                assert validate_state(state).passed
+                validate_state(state)
 
 
 def test_vector_marginals_match_full_output(channel):
@@ -212,9 +222,8 @@ class TestStackedKraus:
         )
         acc = sum(k.conj().T @ k for k in bad.kraus)
         expected = np.max(np.abs(acc - np.eye(bad.in_dim)))
-        report = validate_channel(bad)
-        assert not report.passed
-        assert abs(report.completeness_violation - expected) < 1e-14
+        with pytest.raises(ValidationError, match=re.escape(f"by {expected:.3e}")):
+            validate_channel(bad, "weighted")
 
     def test_apply_channel(self, stacked):
         rho = random_density(np.random.default_rng(39), stacked.in_dim)

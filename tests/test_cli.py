@@ -525,6 +525,7 @@ class TestCheckLP:
             ([np.diag([1.0, 0.0])], [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
             ([np.diag([1.0, 0.0])], [pairs(np.eye(2) / 2)] * 2),
             ([np.eye(1)], np.eye(1)),
+            ([np.array([[1.0, 1.0], [0.0, 0.0]])], np.eye(2) / 2),
         ],
         ids=[
             "not_projector",
@@ -535,6 +536,7 @@ class TestCheckLP:
             "ragged_grid",
             "two_states",
             "one_by_one",
+            "non_hermitian_projector",
         ],
     )
     def test_invalid_input_exits_config(self, tmp_path, family, state):

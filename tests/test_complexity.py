@@ -103,6 +103,12 @@ class TestBuildCatalogue:
         with pytest.raises(ValidationError, match="classes but"):
             DecoderCatalogue(n=1, side="B", classes=(cls,), lengths=lengths)
 
+    @pytest.mark.parametrize("length", [True, 1.5, 2.0])
+    def test_non_integer_length_rejected(self, length):
+        cls = DistinguishableClass(members=(0, 1))
+        with pytest.raises(ValidationError, match="must be integers"):
+            DecoderCatalogue(n=1, side="B", classes=(cls,), lengths=(length,))
+
     @pytest.mark.parametrize("members", [(-1, 0), (3, 4)])
     def test_members_out_of_range_rejected(self, members):
         cls = DistinguishableClass(members=members)
@@ -234,8 +240,14 @@ class TestProgramProjectors:
     def test_entry_without_pvm_rejected(self, instance):
         cat_b, _ = catalogues_for(instance("universal_cloner", 1))
         assert cat_b.classes == ()
-        with pytest.raises(IndexError):
+        with pytest.raises(ValidationError, match="no class 0 in a catalogue of 0 classes"):
             program_projector(cat_b, 0, 2, 2)
+
+    def test_negative_index_rejected(self):
+        cat = build_catalogue(mixed_basis_partition(), 2, "B")
+        assert len(cat.classes) == 2
+        with pytest.raises(ValidationError, match="no class -1 in a catalogue of 2 classes"):
+            program_projector(cat, -1, 4, 2)
 
 
 class TestCumulativeProjector:

@@ -9,7 +9,6 @@ from qid.operators import (
     dagger,
     ket_bra,
     operator_norm,
-    require_state,
     tensor,
     validate_state,
 )
@@ -119,23 +118,22 @@ class TestEigensystem:
 
 class TestValidateState:
     def test_maximally_mixed_qubit_passes(self):
-        report = validate_state(np.eye(2) / 2)
-        assert report.passed
+        validate_state(np.eye(2) / 2)
+
+    def test_valid_state_passes(self):
+        validate_state(np.eye(4) / 4)
 
     def test_constructed_violation(self):
-        report = validate_state(np.diag([1.5, -0.5]))
-        assert not report.psd_ok
-        assert report.trace_ok
-        assert abs(report.psd_violation - 0.5) < 1e-12
+        # Unit trace, Hermitian, and an eigenvalue of -0.5: the message gives each deviation.
+        with pytest.raises(
+            ValidationError,
+            match="hermitian dev 0.000e[+]00, trace dev 0.000e[+]00, negative part 5.000e-01",
+        ):
+            validate_state(np.diag([1.5, -0.5]))
 
     def test_needs_square_input(self):
         with pytest.raises(DimensionError):
             validate_state(np.ones((2, 3)))
-
-
-class TestRequireState:
-    def test_valid_state_passes(self):
-        require_state(np.eye(4) / 4)
 
     @pytest.mark.parametrize(
         "m",
@@ -144,7 +142,7 @@ class TestRequireState:
     )
     def test_rejects_invalid_state(self, m):
         with pytest.raises(ValidationError, match="invalid density operator"):
-            require_state(m)
+            validate_state(m)
 
 
 class TestProjector:
@@ -168,6 +166,16 @@ class TestProjector:
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValidationError):
             Projector(np.eye(2) * 0.5)
+
+    def test_rejects_non_hermitian_idempotent(self):
+        m = np.array([[1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(m @ m, m)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            Projector(m)
+
+    def test_needs_square_input(self):
+        with pytest.raises(DimensionError):
+            Projector(np.ones((2, 3)))
 
 
 def test_permutation_matrix_swaps_factors():
