@@ -39,7 +39,17 @@ def _round12(value):
 
     A report record (a dataclass) becomes the dict of its fields.
     """
-    if isinstance(value, (bool, int, str)) or value is None:
+    # Exact types first: a report holds thousands of plain values.
+    kind = type(value)
+    if kind is float:
+        return float(_fmt(value))
+    if kind is dict:
+        return {k: _round12(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [_round12(v) for v in value]
+    if kind is bool or kind is int or kind is str or value is None:
+        return value
+    if isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         return float(_fmt(value))
@@ -212,9 +222,9 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -
         data["equivalence"] = eq = equivalence_check(inst)
         theta = theta_matrix(inst)
         data["expectation"] = expectation = [
-            expectation_identity_check(inst, cat, l, theta=theta)
+            chk
             for cat in catalogues_for(inst, cfg.decision_tol)
-            for l in range(n + 2)
+            for chk in expectation_identity_check(inst, cat, theta)
         ]
         ok = ok and eq.passed and all(chk.agree for chk in expectation)
     data["all_hold"] = ok

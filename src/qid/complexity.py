@@ -211,22 +211,32 @@ class ExpectationCheck:
 def expectation_identity_check(
     inst: ProtocolInstance,
     cat: DecoderCatalogue,
-    l: int,
     theta: np.ndarray,
-) -> ExpectationCheck:
-    """Verify tr(Theta P-hat_l) equals 2^-n times the covered-message count.
+) -> list[ExpectationCheck]:
+    """Verify tr(Theta P-hat_l) equals 2^-n times the covered-message count, for l in [0, n+1].
 
     The structured path reduces the trace to sums of tr(rho_msg E_msg)
     over the terms of the cumulative projector; the literal trace
     against the dense global state ``theta`` (``theta_matrix(inst)``,
     which only exists for n within the dense limit) is compared too.
+    Each term's trace is taken once, and each distinct cumulative
+    projector is made dense once.
     """
     n = inst.n
     states = inst.family(cat.side)
-    cum = cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e)
-    traces = (float(np.trace(states[msg] @ proj).real) for msg, proj in cum.terms)
-    lhs = 2.0 ** (-n) * sum(traces)
-    rhs = 2.0 ** (-n) * len(cum.terms)
-    lhs_dense = float(np.trace(theta @ cum.dense()).real)
-    agree = abs(lhs - rhs) <= VERDICT_TOL and abs(lhs_dense - rhs) <= VERDICT_TOL
-    return ExpectationCheck(side=cat.side, l=l, lhs=lhs, lhs_dense=lhs_dense, rhs=rhs, agree=agree)
+    cums = [cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e) for l in range(n + 2)]
+    # Classes are disjoint, so a message names its term and a tuple of
+    # messages names the set of classes a cumulative projector holds.
+    traces = {msg: float(np.trace(states[msg] @ proj).real) for msg, proj in cums[-1].terms}
+    dense: dict[tuple[int, ...], float] = {}
+    checks = []
+    for l, cum in enumerate(cums):
+        msgs = tuple(msg for msg, _ in cum.terms)
+        if msgs not in dense:
+            dense[msgs] = float(np.trace(theta @ cum.dense()).real)
+        lhs = 2.0 ** (-n) * sum(traces[msg] for msg in msgs)
+        rhs = 2.0 ** (-n) * len(msgs)
+        lhs_dense = dense[msgs]
+        agree = abs(lhs - rhs) <= VERDICT_TOL and abs(lhs_dense - rhs) <= VERDICT_TOL
+        checks.append(ExpectationCheck(cat.side, l, lhs, lhs_dense, rhs, agree))
+    return checks

@@ -174,19 +174,15 @@ def equivalence_check(inst: ProtocolInstance) -> EquivalenceReport:
     n = inst.n
     uniform = 2.0 ** (-n)
     t4 = theta.reshape(2**n, channel.out_dim, 2**n, channel.out_dim)
-    max_prob = 0.0
-    max_state = 0.0
-    for basis in BASES:
-        for msg in range(2**n):
-            probe = encode(msg, basis, n)
-            # Projecting A' on the probe leaves the a-posteriori block on B (x) E.
-            block = np.einsum("a,abcd,c->bd", np.conj(probe), t4, probe)
-            prob = float(np.trace(block).real)
-            max_prob = max(max_prob, abs(prob - uniform))
-            ref = apply_channel_to_vector_raw(channel, probe)
-            if prob > 0.0:
-                max_state = max(max_state, float(np.max(np.abs(block / prob - ref))))
-            else:
-                max_state = float("inf")
+    probes = np.stack([encode(msg, basis, n) for basis in BASES for msg in range(2**n)])
+    # Projecting A' on a probe leaves its a-posteriori block on B (x) E.
+    blocks = np.einsum("pa,abcd,pc->pbd", probes.conj(), t4, probes)
+    probs = np.trace(blocks, axis1=1, axis2=2).real
+    refs = np.stack([apply_channel_to_vector_raw(channel, probe) for probe in probes])
+    max_prob = float(np.max(np.abs(probs - uniform)))
+    if np.all(probs > 0.0):
+        max_state = float(np.max(np.abs(blocks / probs[:, None, None] - refs)))
+    else:
+        max_state = float("inf")
     passed = max_prob <= STRUCTURAL_TOL and max_state <= STRUCTURAL_TOL
     return EquivalenceReport(max_prob, max_state, passed)

@@ -44,21 +44,46 @@ class LPCheck:
     holds: bool
 
 
-def landau_pollak_check(projectors: Sequence[np.ndarray], rho: np.ndarray) -> LPCheck:
-    """Evaluate sum_i tr(rho A_i) <= 1 + sqrt(sum_{i!=j} ||A_i A_j||^2)."""
+def _lp_tables(
+    projectors: Sequence[np.ndarray], rho: np.ndarray
+) -> tuple[list[float], dict[tuple[int, int], float]]:
+    """Each member's trace tr(rho A_i) and each ordered pair's norm ||A_i A_j||, i != j.
+
+    Every matrix is checked (finite, one shared dimension) once here, so
+    a caller that sums many subfamilies pays for each entry once.
+    """
     mats = [as_matrix(p) for p in projectors]
     rho_mat = as_matrix(rho)
     dim = rho_mat.shape[0]
     if any(m.shape != (dim, dim) for m in mats):
         raise DimensionError("projectors and state must share one dimension")
-    lhs = sum(float(np.trace(rho_mat @ m).real) for m in mats)
+    traces = [float(np.trace(rho_mat @ m).real) for m in mats]
+    norms = {
+        (i, j): operator_norm(a @ b)
+        for (i, a), (j, b) in product(enumerate(mats), repeat=2)
+        if i != j
+    }
+    return traces, norms
+
+
+def _lp_sum(
+    traces: Sequence[float], norms: dict[tuple[int, int], float], members: Sequence[int]
+) -> LPCheck:
+    """The Landau-Pollak relation for the subfamily ``members`` (in order) of tabulated entries."""
+    lhs = sum(traces[i] for i in members)
     cross = 0.0
-    for i, a in enumerate(mats):
-        for j, b in enumerate(mats):
+    for i in members:
+        for j in members:
             if i != j:
-                cross += operator_norm(a @ b) ** 2
+                cross += norms[i, j] ** 2
     rhs = 1.0 + math.sqrt(cross)
     return LPCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + VERDICT_TOL)
+
+
+def landau_pollak_check(projectors: Sequence[np.ndarray], rho: np.ndarray) -> LPCheck:
+    """Evaluate sum_i tr(rho A_i) <= 1 + sqrt(sum_{i!=j} ||A_i A_j||^2)."""
+    traces, norms = _lp_tables(projectors, rho)
+    return _lp_sum(traces, norms, range(len(traces)))
 
 
 def tradeoff_bound(l: int, m: int, n: int, c_offset: int = 0) -> float:
@@ -263,23 +288,26 @@ def verify_tradeoff(
     lp_records: list[LPRecord] = []
     cross_norms: list[CrossNormRecord] = []
     if dense:
+        # One table of traces and pairwise norms over Bob's entries, then
+        # Eve's, serves every cross-norm record and every grid point.
         theta = theta_matrix(inst)
         db, de = inst.channel.dim_b, inst.channel.dim_e
-        dense_b, dense_e = (
-            [
-                (w, program_projector(cat, i, db, de).dense())
-                for i, w in enumerate(cat.lengths)
-            ]
+        projectors = [
+            program_projector(cat, i, db, de).dense()
             for cat in (cat_b, cat_e)
-        )
+            for i in range(len(cat.lengths))
+        ]
+        traces, norms = _lp_tables(projectors, theta)
+        weights = cat_b.lengths + cat_e.lengths
+        nb = len(cat_b.lengths)
+        side_b, side_e = range(nb), range(nb, len(weights))
         limit = 2.0 ** (-n / 2.0)
-        for (i, (_, p)), (j, (_, q)) in product(enumerate(dense_b), enumerate(dense_e)):
-            norm = operator_norm(p @ q)
-            cross_norms.append(CrossNormRecord(i, j, norm, limit, norm <= limit + VERDICT_TOL))
+        for i, j in product(side_b, side_e):
+            norm = norms[i, j]
+            cross_norms.append(CrossNormRecord(i, j - nb, norm, limit, norm <= limit + VERDICT_TOL))
         for l, m in product(range(n + 2), repeat=2):
-            family = [p for w, p in dense_b if w <= l]
-            family += [q for w, q in dense_e if w <= m]
-            lp_records.append(LPRecord(l, m, **vars(landau_pollak_check(family, theta))))
+            family = [i for i in side_b if weights[i] <= l] + [j for j in side_e if weights[j] <= m]
+            lp_records.append(LPRecord(l, m, **vars(_lp_sum(traces, norms, family))))
     shannon = shannon_tradeoff_check(inst, *bases)
     return TradeoffReport(
         n=n,

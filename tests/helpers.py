@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from qid.attacks import standard_attacks
 from qid.channels import isometry_to_channel
-from qid.operators import validate_state
+from qid.complexity import ExpectationCheck, cumulative_projector
+from qid.operators import VERDICT_TOL, validate_state
+from qid.protocol import ProtocolInstance
 
 
 def random_complex(rng, shape):
@@ -81,3 +84,34 @@ def pairs(m):
 def kraft_sum(cat):
     """Exact Kraft sum of a catalogue's full code: its classes plus the 2^n literal words."""
     return Fraction(2**cat.n, 2 ** (cat.n + 1)) + sum(Fraction(1, 2**v) for v in cat.lengths)
+
+
+def split_factor_instance():
+    """The two-qubit identity split into one B and one E qubit, taken once (N = 2).
+
+    Both sides get two catalogue classes of length 2, so the dense
+    records hold four cross norms of 1/2 and Landau-Pollak families that
+    mix Bob's and Eve's projectors at l, m >= 2.
+    """
+    return ProtocolInstance.from_channel(isometry_to_channel(np.eye(4), (2, 2), (2,), (2,)))
+
+
+# Every library attack at N = 1, 2 and the split factor: the dense cases.
+DENSE_CASES = [(spec.kind, n) for n in (1, 2) for spec in standard_attacks(n)] + [("split_factor", 2)]
+
+
+def dense_case_instance(instance, kind, n):
+    """The instance of a ``DENSE_CASES`` entry, built by the ``instance`` fixture's factory."""
+    return split_factor_instance() if kind == "split_factor" else instance(kind, n)
+
+
+def expectation_at_level(inst, cat, l, theta):
+    """One side's expectation record at one l, computed on its own from the cumulative projector."""
+    n = inst.n
+    states = inst.family(cat.side)
+    cum = cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e)
+    lhs = 2.0 ** (-n) * sum(float(np.trace(states[msg] @ proj).real) for msg, proj in cum.terms)
+    rhs = 2.0 ** (-n) * len(cum.terms)
+    lhs_dense = float(np.trace(theta @ cum.dense()).real)
+    agree = abs(lhs - rhs) <= VERDICT_TOL and abs(lhs_dense - rhs) <= VERDICT_TOL
+    return ExpectationCheck(cat.side, l, lhs, lhs_dense, rhs, agree)

@@ -387,9 +387,11 @@ class TestAllHold:
     def test_failing_expectation_check(self, tmp_path, monkeypatch):
         real = cli.expectation_identity_check
 
-        def one_disagrees(inst, cat, l, theta):
-            chk = real(inst, cat, l, theta=theta)
-            return replace(chk, agree=False) if (cat.side, l) == ("E", 1) else chk
+        def one_disagrees(inst, cat, theta):
+            return [
+                replace(chk, agree=False) if (chk.side, chk.l) == ("E", 1) else chk
+                for chk in real(inst, cat, theta)
+            ]
 
         monkeypatch.setattr(cli, "expectation_identity_check", one_disagrees)
         cfg = write_config(tmp_path / "cfg.json")
@@ -462,6 +464,13 @@ class TestReportSchema:
                 assert _same_json(json.loads(ours), json.loads(pinned)), name
             else:
                 assert _same_csv(ours, pinned), name
+
+    def test_round12_rounds_float_subclasses_and_refuses_unknown_types(self):
+        data = {"x": np.float64(0.12345678901234), "rows": ((1, True, None, "s", 2.0 / 3.0),)}
+        assert cli._round12(data) == {"x": 0.123456789012, "rows": [[1, True, None, "s", 0.666666666667]]}
+        assert type(cli._round12(data)["x"]) is float
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli._round12([1j])
 
     def test_cross_norm_keys(self):
         # No library attack gives both sides a catalogue entry, so no artifact holds one.

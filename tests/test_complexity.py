@@ -21,7 +21,7 @@ from qid.operators import ket_bra, tensor
 from qid.protocol import theta_matrix
 from qid.tradeoff import catalogues_for
 
-from helpers import kraft_sum
+from helpers import DENSE_CASES, dense_case_instance, expectation_at_level, kraft_sum
 
 
 def classes_from_members(groups):
@@ -276,7 +276,7 @@ class TestExpectationIdentity:
     def test_identity_attack_counts_everything(self, instance):
         inst = instance("identity", 1)
         cat_b, _ = catalogues_for(inst)
-        chk = expectation_identity_check(inst, cat_b, 1, theta_matrix(inst))
+        chk = expectation_identity_check(inst, cat_b, theta_matrix(inst))[1]
         assert abs(chk.lhs - 1.0) < 1e-12
         assert abs(chk.lhs_dense - 1.0) < 1e-10
         assert chk.rhs == 0.5 * 2
@@ -285,9 +285,9 @@ class TestExpectationIdentity:
     def test_blind_side_counts_nothing(self, instance):
         inst = instance("measure_x", 2)
         cat_b, _ = catalogues_for(inst)
-        theta = theta_matrix(inst)
-        for l in range(3):
-            chk = expectation_identity_check(inst, cat_b, l, theta)
+        checks = expectation_identity_check(inst, cat_b, theta_matrix(inst))
+        assert [chk.l for chk in checks] == [0, 1, 2, 3]
+        for chk in checks[:3]:
             assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.lhs_dense == 0.0
 
     def test_structured_and_dense_agree_for_library(self, instance):
@@ -298,7 +298,14 @@ class TestExpectationIdentity:
                 inst = instance(spec.kind, n)
                 theta = theta_matrix(inst)
                 for cat in catalogues_for(inst):
-                    for l in range(n + 2):
-                        chk = expectation_identity_check(inst, cat, l, theta=theta)
+                    for chk in expectation_identity_check(inst, cat, theta):
                         assert abs(chk.lhs - chk.lhs_dense) < 1e-10
                         assert chk.agree
+
+    @pytest.mark.parametrize("kind, n", DENSE_CASES)
+    def test_records_equal_the_per_level_computation(self, instance, kind, n):
+        inst = dense_case_instance(instance, kind, n)
+        theta = theta_matrix(inst)
+        for cat in catalogues_for(inst):
+            expected = [expectation_at_level(inst, cat, l, theta) for l in range(n + 2)]
+            assert expectation_identity_check(inst, cat, theta) == expected

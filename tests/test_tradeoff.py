@@ -10,6 +10,7 @@ from qid.errors import DimensionError, ValidationError
 from qid.operators import ket_bra, operator_norm
 from qid.protocol import ProtocolInstance, encode, theta_matrix
 from qid.tradeoff import (
+    LPRecord,
     average_complexity_check,
     catalogues_for,
     corollary_threshold,
@@ -22,7 +23,14 @@ from qid.tradeoff import (
     verify_tradeoff,
 )
 
-from helpers import random_density, random_isometry_channel, random_projector
+from helpers import (
+    DENSE_CASES,
+    dense_case_instance,
+    random_density,
+    random_isometry_channel,
+    random_projector,
+    split_factor_instance,
+)
 
 
 def binary_entropy(p):
@@ -200,6 +208,32 @@ class TestVerifyTradeoff:
         report = verify_tradeoff(instance("measure_z", 1), natural_bases(attack_spec("measure_z", 1)))
         assert len(report.lp_records) == 9
         assert all(r.holds for r in report.lp_records)
+
+    @pytest.mark.parametrize("kind, n", DENSE_CASES)
+    def test_dense_records_equal_the_per_family_checks(self, instance, kind, n):
+        inst = dense_case_instance(instance, kind, n)
+        report = verify_tradeoff(inst, ("Z", "X"))
+        theta = theta_matrix(inst)
+        cat_b, cat_e = catalogues_for(inst)
+        db, de = inst.channel.dim_b, inst.channel.dim_e
+        bob, eve = (
+            [(w, program_projector(cat, i, db, de).dense()) for i, w in enumerate(cat.lengths)]
+            for cat in (cat_b, cat_e)
+        )
+        assert len(report.cross_norms) == len(bob) * len(eve)
+        for rec in report.cross_norms:
+            assert rec.norm == operator_norm(bob[rec.entry_b][1] @ eve[rec.entry_e][1])
+        assert len(report.lp_records) == (n + 2) ** 2
+        for rec in report.lp_records:
+            family = [p for w, p in bob if w <= rec.l] + [q for w, q in eve if w <= rec.m]
+            assert rec == LPRecord(rec.l, rec.m, **vars(landau_pollak_check(family, theta)))
+
+    def test_split_factor_mixes_both_sides(self):
+        report = verify_tradeoff(split_factor_instance(), ("Z", "X"))
+        assert [(r.entry_b, r.entry_e) for r in report.cross_norms] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert all(abs(r.norm - 0.5) < 1e-12 and r.holds for r in report.cross_norms)
+        mixed = [r for r in report.lp_records if r.l >= 2 and r.m >= 2]
+        assert len(mixed) == 4 and all(r.lhs == pytest.approx(2.0) and r.holds for r in mixed)
 
     def test_structured_only_at_n3(self, instance, attack_spec):
         report = verify_tradeoff(instance("cnot_probe", 3), natural_bases(attack_spec("cnot_probe", 3)))
