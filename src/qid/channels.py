@@ -181,7 +181,7 @@ def dense_channel(product: ProductChannel) -> QuantumChannel:
 def validate_channel(ch: QuantumChannel, what: str) -> None:
     """Raise ``ValidationError`` naming ``what`` unless sum(K^dag K) = 1 within ``COMPLETENESS_TOL``."""
     m = ch.kraus.reshape(-1, ch.in_dim)  # stacked vertically: sum(K^dag K) = m^dag m
-    dev = float(np.max(np.abs(m.conj().T @ m - np.eye(ch.in_dim))))
+    dev = float(abs(m.conj().T @ m - np.eye(ch.in_dim)).max())
     if dev > COMPLETENESS_TOL:
         raise ValidationError(f"{what} fails Kraus completeness by {dev:.3e}")
 

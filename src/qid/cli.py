@@ -18,6 +18,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .attacks import AttackSpec, natural_bases, product_attack
@@ -34,32 +35,72 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 
 
-def _round12(value):
-    """Plain JSON data with every float at ``_fmt``'s 12 significant digits.
+# json's spelling of the non-finite floats, keyed by their ``repr``.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
-    A report record (a dataclass) becomes the dict of its fields.
+
+def _float_json(value) -> str:
+    """A float at ``_fmt``'s 12 significant digits, spelled as ``json`` spells it."""
+    text = repr(float(f"{value:.12g}"))
+    return _NON_FINITE.get(text, text)
+
+
+def _report_json(value, indent: str = "") -> str:
+    """Report text: ``json.dumps(data, sort_keys=True, indent=2)`` of the 12-digit data.
+
+    Every float is rounded to ``_fmt``'s 12 significant digits first, a
+    tuple is a list and a report record (a dataclass) is the dict of its
+    fields.  Dict keys are strings.  ``indent`` is the indent of the
+    line ``value`` starts on.
     """
-    # Exact types first: a report holds thousands of plain values.
+    # Exact types first, then records: a report holds thousands of plain values.
     kind = type(value)
     if kind is float:
-        return float(_fmt(value))
+        return _float_json(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
     if kind is dict:
-        return {k: _round12(v) for k, v in value.items()}
+        return _object_json(value, indent)
     if kind is list or kind is tuple:
-        return [_round12(v) for v in value]
-    if kind is bool or kind is int or kind is str or value is None:
-        return value
-    if isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return float(_fmt(value))
-    if isinstance(value, dict):
-        return {k: _round12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
+        return _array_json(value, indent)
     if is_dataclass(value):
-        return _round12(vars(value))
+        return _object_json(vars(value), indent)
+    if isinstance(value, float):
+        return _float_json(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        return _object_json(value, indent)
+    if isinstance(value, (list, tuple)):
+        return _array_json(value, indent)
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _object_json(data: dict, indent: str) -> str:
+    if not data:
+        return "{}"
+    inner = indent + "  "
+    items = [
+        encode_basestring_ascii(key) + ": " + _report_json(value, inner)
+        for key, value in sorted(data.items())
+    ]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+
+
+def _array_json(items, indent: str) -> str:
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    texts = [_report_json(value, inner) for value in items]
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
 
 
 def _fmt(value) -> str:
@@ -236,7 +277,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -
     plot += [("bound", g.l, g.m, g.bound) for g in report.grid]
     stem = f"{label}_n{n}"
     artifacts = {
-        f"report_{stem}.json": json.dumps(_round12(data), sort_keys=True, indent=2) + "\n",
+        f"report_{stem}.json": _report_json(data) + "\n",
         f"grid_{stem}.csv": _csv(
             ("n", "attack", "l", "m", "count_B", "count_E", "bound", "holds"), grid
         ),

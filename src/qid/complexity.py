@@ -227,13 +227,13 @@ def expectation_identity_check(
     cums = [cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e) for l in range(n + 2)]
     # Classes are disjoint, so a message names its term and a tuple of
     # messages names the set of classes a cumulative projector holds.
-    traces = {msg: float(np.trace(states[msg] @ proj).real) for msg, proj in cums[-1].terms}
+    traces = {msg: float((states[msg] @ proj).trace().real) for msg, proj in cums[-1].terms}
     dense: dict[tuple[int, ...], float] = {}
     checks = []
     for l, cum in enumerate(cums):
         msgs = tuple(msg for msg, _ in cum.terms)
         if msgs not in dense:
-            dense[msgs] = float(np.trace(theta @ cum.dense()).real)
+            dense[msgs] = float((theta @ cum.dense()).trace().real)
         lhs = 2.0 ** (-n) * sum(traces[msg] for msg in msgs)
         rhs = 2.0 ** (-n) * len(msgs)
         lhs_dense = dense[msgs]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError
 from ._kernels import jacobi_eigh
-from .operators import DECISION_TOL, SPECTRAL_TOL, Projector, dagger
+from .operators import DECISION_TOL, SPECTRAL_TOL, Projector
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ def support_projector(rho: np.ndarray) -> Projector:
     ``rho`` is a state that passed ``validate_state``, so its Hermitian
     part goes to the eigensolver directly.
     """
-    vals, vecs = jacobi_eigh((rho + dagger(rho)) / 2.0)
+    vals, vecs = jacobi_eigh((rho + rho.conj().T) / 2.0)
     cols = vecs[:, vals > SPECTRAL_TOL]
-    return Projector(cols @ np.conj(cols).T)
+    return Projector(cols @ cols.conj().T)
 
 
 def _overlap_table(states: np.ndarray, supports: list[Projector]) -> np.ndarray:
@@ -81,11 +81,12 @@ def distinguishable_partition(
     partition is one class.  ``states`` is a (k, d, d) stack of states.
     """
     supports = [support_projector(s) for s in states]
-    ov = _overlap_table(states, supports)
+    # Python floats: the greedy loop reads the table one entry at a time.
+    ov = _overlap_table(states, supports).tolist()
     classes: list[list[int]] = []
-    for msg in range(len(states)):
+    for msg, row in enumerate(ov):
         for cls in classes:
-            if all(max(ov[msg, w], ov[w, msg]) <= tol for w in cls):
+            if all(max(row[w], ov[w][msg]) <= tol for w in cls):
                 cls.append(msg)
                 break
         else:

@@ -88,9 +88,10 @@ def validate_state(rho) -> None:
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise DimensionError("validate_state needs a square matrix")
-    herm_dev = float(np.max(np.abs(rho - dagger(rho))))
-    trace_dev = float(abs(np.trace(rho) - 1.0))
-    vals, _ = jacobi_eigh((rho + dagger(rho)) / 2.0)
+    rho_dag = rho.conj().T
+    herm_dev = float(abs(rho - rho_dag).max())
+    trace_dev = float(abs(rho.trace() - 1.0))
+    vals, _ = jacobi_eigh((rho + rho_dag) / 2.0)
     psd_dev = float(max(0.0, -vals.min())) if vals.size else 0.0
     if max(herm_dev, trace_dev, psd_dev) > STRUCTURAL_TOL:
         raise ValidationError(
@@ -109,10 +110,10 @@ class Projector:
         m = np.array(as_matrix(self.mat))
         if m.shape[0] != m.shape[1]:
             raise DimensionError("projector must be square")
-        herm_dev = float(np.max(np.abs(m - dagger(m))))
+        herm_dev = float(abs(m - m.conj().T).max())
         if herm_dev > STRUCTURAL_TOL:
             raise ValidationError(f"projector not Hermitian: deviation {herm_dev:.3e}")
-        idem_dev = float(np.max(np.abs(m @ m - m)))
+        idem_dev = float(abs(m @ m - m).max())
         if idem_dev > IDEMPOTENCE_TOL:
             raise ValidationError(f"projector not idempotent: deviation {idem_dev:.3e}")
         m.setflags(write=False)

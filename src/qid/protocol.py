@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal
 
 import numpy as np
@@ -61,6 +61,14 @@ def encode(msg: int, basis: Basis, n: int) -> np.ndarray:
         return v
     signs = np.array([(-1) ** ((msg & z).bit_count()) for z in range(dim)], dtype=np.float64)
     return (signs / math.sqrt(dim)).astype(np.complex128)
+
+
+@lru_cache(maxsize=None)
+def basis_table(basis: Basis, n: int) -> np.ndarray:
+    """Read-only (2^n, 2^n) table whose row k is ``encode(k, basis, n)``, built once per (basis, n)."""
+    table = np.stack([encode(k, basis, n) for k in range(2**n)])
+    table.setflags(write=False)
+    return table
 
 
 def epr_state(n: int) -> np.ndarray:
@@ -140,22 +148,34 @@ class ProtocolInstance:
         """
         return dense_channel(self.channel)
 
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """Read-only dense matrix of (id (x) channel) applied to the EPR register.
+
+        Built on first use, once per instance.  The size is checked
+        before the instance's Kraus form is built.
+        """
+        n = self.n
+        if n > DENSE_THETA_LIMIT:
+            raise CapacityError(f"dense global state needs n <= {DENSE_THETA_LIMIT} (got {n})")
+        channel = self.kraus_channel
+        dim_a = 2**n
+        phi = epr_state(n).reshape(dim_a, dim_a)
+        # Row k of w is the vector (1 (x) K_k)|phi>, so theta = sum_k w_k w_k^dag.
+        images = phi @ channel.kraus.transpose(0, 2, 1)
+        w = images.reshape(len(channel.kraus), dim_a * channel.out_dim)
+        theta = w.T @ w.conj()
+        theta.setflags(write=False)
+        return theta
+
 
 def theta_matrix(inst: ProtocolInstance) -> np.ndarray:
-    """Raw dense matrix of (id (x) channel) applied to the EPR register.
+    """The instance's dense global state ``inst.theta``, read-only.
 
-    The size is checked before the instance's Kraus form is built.
+    Every dense check reads Θ through this name, which
+    ``perfbench/tracer.py`` times and counts.
     """
-    n = inst.n
-    if n > DENSE_THETA_LIMIT:
-        raise CapacityError(f"dense global state needs n <= {DENSE_THETA_LIMIT} (got {n})")
-    channel = inst.kraus_channel
-    dim_a = 2**n
-    phi = epr_state(n).reshape(dim_a, dim_a)
-    # Row k of w is the vector (1 (x) K_k)|phi>, so theta = sum_k w_k w_k^dag.
-    images = phi @ channel.kraus.transpose(0, 2, 1)
-    w = images.reshape(len(channel.kraus), dim_a * channel.out_dim)
-    return w.T @ w.conj()
+    return inst.theta
 
 
 @dataclass(frozen=True)
@@ -174,14 +194,14 @@ def equivalence_check(inst: ProtocolInstance) -> EquivalenceReport:
     n = inst.n
     uniform = 2.0 ** (-n)
     t4 = theta.reshape(2**n, channel.out_dim, 2**n, channel.out_dim)
-    probes = np.stack([encode(msg, basis, n) for basis in BASES for msg in range(2**n)])
+    probes = np.concatenate([basis_table(basis, n) for basis in BASES])
     # Projecting A' on a probe leaves its a-posteriori block on B (x) E.
     blocks = np.einsum("pa,abcd,pc->pbd", probes.conj(), t4, probes)
     probs = np.trace(blocks, axis1=1, axis2=2).real
     refs = np.stack([apply_channel_to_vector_raw(channel, probe) for probe in probes])
-    max_prob = float(np.max(np.abs(probs - uniform)))
-    if np.all(probs > 0.0):
-        max_state = float(np.max(np.abs(blocks / probs[:, None, None] - refs)))
+    max_prob = float(abs(probs - uniform).max())
+    if (probs > 0.0).all():
+        max_state = float(abs(blocks / probs[:, None, None] - refs).max())
     else:
         max_state = float("inf")
     passed = max_prob <= STRUCTURAL_TOL and max_state <= STRUCTURAL_TOL

@@ -34,7 +34,7 @@ from .operators import (
     as_matrix,
     operator_norm,
 )
-from .protocol import DENSE_THETA_LIMIT, FAMILY_BASIS, ProtocolInstance, encode, theta_matrix
+from .protocol import DENSE_THETA_LIMIT, FAMILY_BASIS, ProtocolInstance, basis_table, theta_matrix
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def _lp_tables(
     dim = rho_mat.shape[0]
     if any(m.shape != (dim, dim) for m in mats):
         raise DimensionError("projectors and state must share one dimension")
-    traces = [float(np.trace(rho_mat @ m).real) for m in mats]
+    traces = [float((rho_mat @ m).trace().real) for m in mats]
     norms = {
         (i, j): operator_norm(a @ b)
         for (i, a), (j, b) in product(enumerate(mats), repeat=2)
@@ -176,7 +176,7 @@ class TradeoffReport:
 def outcome_distribution(states: np.ndarray, dims: tuple[int, ...], measured: str) -> np.ndarray:
     """Joint table P(msg, k) = <k|rho_msg|k> / #messages for uniform messages.
 
-    The outcomes |k> are the ``encode`` basis ``measured`` of the
+    The outcomes |k> are the rows of ``basis_table(measured, n)`` for the
     states' register, whose subsystem ``dims`` must all be qubits.  One
     product rho @ basis^T gives every rho|k>, and a row-wise
     contraction with <k| reads the diagonal.
@@ -184,7 +184,7 @@ def outcome_distribution(states: np.ndarray, dims: tuple[int, ...], measured: st
     if set(dims) != {2}:
         raise DimensionError(f"a basis read needs a qubit register, got dims {dims}")
     n = len(dims)
-    basis = np.stack([encode(k, measured, n) for k in range(2**n)])
+    basis = basis_table(measured, n)
     images = states @ basis.T
     table = np.einsum("ka,mak->mk", basis.conj(), images)
     return table.real / len(states)

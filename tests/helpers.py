@@ -1,6 +1,7 @@
 """Seeded random generators and dense oracles shared by the test modules."""
 
 import math
+from dataclasses import is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from qid.attacks import standard_attacks
 from qid.channels import isometry_to_channel
 from qid.complexity import ExpectationCheck, cumulative_projector
 from qid.operators import VERDICT_TOL, validate_state
-from qid.protocol import ProtocolInstance
+from qid.protocol import ProtocolInstance, epr_state
 
 
 def random_complex(rng, shape):
@@ -115,3 +116,30 @@ def expectation_at_level(inst, cat, l, theta):
     lhs_dense = float(np.trace(theta @ cum.dense()).real)
     agree = abs(lhs - rhs) <= VERDICT_TOL and abs(lhs_dense - rhs) <= VERDICT_TOL
     return ExpectationCheck(cat.side, l, lhs, lhs_dense, rhs, agree)
+
+
+def theta_oracle(inst):
+    """The dense global state sum_k w_k w_k^dag, where w_k = (1 (x) K_k)|phi> on A' (x) B (x) E."""
+    n = inst.n
+    phi = epr_state(n)
+    theta = 0
+    for kraus in inst.kraus_channel.kraus:
+        w = np.kron(np.eye(2**n), kraus) @ phi
+        theta = theta + np.outer(w, w.conj())
+    return theta
+
+
+def round12(value):
+    """Plain JSON data with every float at 12 significant digits, as a report holds it.
+
+    A tuple becomes a list and a dataclass the dict of its fields.
+    """
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: round12(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round12(v) for v in value]
+    if is_dataclass(value):
+        return round12(vars(value))
+    return value

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qid.cli as cli
 from qid.cli import (
@@ -22,7 +24,7 @@ from qid.errors import ConfigError
 from qid.protocol import EquivalenceReport
 from qid.tradeoff import CrossNormRecord
 
-from helpers import pairs
+from helpers import pairs, round12
 
 # The four artifacts of two simulate jobs (see TestReportSchema).
 SCHEMA_DIR = Path(__file__).resolve().parent / "report_schema"
@@ -465,12 +467,51 @@ class TestReportSchema:
             else:
                 assert _same_csv(ours, pinned), name
 
-    def test_round12_rounds_float_subclasses_and_refuses_unknown_types(self):
+    def test_writer_rounds_float_subclasses_and_refuses_unknown_types(self):
         data = {"x": np.float64(0.12345678901234), "rows": ((1, True, None, "s", 2.0 / 3.0),)}
-        assert cli._round12(data) == {"x": 0.123456789012, "rows": [[1, True, None, "s", 0.666666666667]]}
-        assert type(cli._round12(data)["x"]) is float
+        rounded = {"x": 0.123456789012, "rows": [[1, True, None, "s", 0.666666666667]]}
+        assert cli._report_json(data) == json.dumps(rounded, sort_keys=True, indent=2)
+        assert json.loads(cli._report_json(data)) == rounded
         with pytest.raises(TypeError, match="cannot serialize"):
-            cli._round12([1j])
+            cli._report_json([1j])
+
+    def test_writer_matches_json_dumps_of_rounded_data(self):
+        eq = EquivalenceReport(1.0 / 3.0, float("inf"), False)
+        data = {
+            "floats": [math.inf, -math.inf, math.nan, -0.0, 1e-300, 2.0**70, 0.1 + 0.2],
+            "ints": [0, -7, 2**70],
+            "text": ["caf\u00e9 \u2264 2^n", 'quote " slash \\ tab \t', ""],
+            "records": {"eq": eq, "nested": [eq, {"inner": (eq,)}]},
+            "empty": {"list": [], "tuple": (), "dict": {}},
+            "b": True,
+            "none": None,
+        }
+        expected = json.dumps(round12(data), sort_keys=True, indent=2)
+        assert cli._report_json(data) == expected
+        assert "Infinity" in expected and "-Infinity" in expected and "NaN" in expected
+        for empty in ([], {}, ()):
+            assert cli._report_json(empty) == json.dumps(round12(empty), sort_keys=True, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+            max_leaves=20,
+        )
+    )
+    def test_writer_matches_json_dumps_on_any_json_data(self, data):
+        assert cli._report_json(data) == json.dumps(round12(data), sort_keys=True, indent=2)
+
+    def test_every_report_is_a_json_dumps_fixed_point(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS, sweep={"n_values": [1, 2, 3]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == EXIT_OK
+        reports = sorted(out.glob("report_*.json"))
+        assert len(reports) == 7 * 3
+        for path in reports:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
 
     def test_cross_norm_keys(self):
         # No library attack gives both sides a catalogue entry, so no artifact holds one.

@@ -6,9 +6,16 @@ from qid.channels import QuantumChannel, apply_channel_to_vector_raw
 from qid.errors import CapacityError, DimensionError, ValidationError
 from qid.operators import ket_bra, validate_state
 import qid.protocol as protocol
-from qid.protocol import ProtocolInstance, encode, epr_state, equivalence_check, theta_matrix
+from qid.protocol import (
+    ProtocolInstance,
+    basis_table,
+    encode,
+    epr_state,
+    equivalence_check,
+    theta_matrix,
+)
 
-from helpers import apply_kraus, partial_trace
+from helpers import apply_kraus, partial_trace, theta_oracle
 
 
 class TestEncode:
@@ -32,6 +39,23 @@ class TestEncode:
     def test_message_range_enforced(self):
         with pytest.raises(ValidationError):
             encode(4, "Z", 2)
+
+
+class TestBasisTable:
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_are_the_encoded_messages(self, basis, n):
+        table = basis_table(basis, n)
+        assert table.shape == (2**n, 2**n)
+        for k in range(2**n):
+            np.testing.assert_array_equal(table[k], encode(k, basis, n))
+
+    def test_one_read_only_table_per_basis_and_n(self):
+        table = basis_table("X", 2)
+        assert basis_table("X", 2) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
 
 class TestEprState:
@@ -107,6 +131,34 @@ class TestGlobalState:
     def test_dense_cap(self, instance):
         with pytest.raises(CapacityError):
             theta_matrix(instance("identity", 3))
+
+    def test_theta_is_built_once_and_read_only(self, instance):
+        inst = instance("depolarize", 2)
+        theta = theta_matrix(inst)
+        assert theta_matrix(inst) is theta
+        assert not theta.flags.writeable
+        with pytest.raises(ValueError):
+            theta[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_theta_matches_the_kraus_sum_oracle(self, instance, n):
+        for spec in standard_attacks(n):
+            inst = instance(spec.kind, n)
+            np.testing.assert_allclose(theta_matrix(inst), theta_oracle(inst), rtol=0, atol=1e-15)
+
+    def test_dense_checks_build_the_kraus_form_once(self, channel, monkeypatch):
+        real, calls = protocol.dense_channel, []
+
+        def counting(product):
+            calls.append(product)
+            return real(product)
+
+        monkeypatch.setattr(protocol, "dense_channel", counting)
+        inst = ProtocolInstance.from_channel(channel("universal_cloner", 2))
+        for _ in range(3):
+            theta_matrix(inst)
+        assert equivalence_check(inst).passed
+        assert len(calls) == 1
 
 
 class TestAposteriori:
