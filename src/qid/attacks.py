@@ -4,80 +4,31 @@ Each attack interacts with every transmitted qubit independently and
 splits the result between Bob (B) and Eve (E), so an N-qubit attack is
 the N-fold tensor power of a single-qubit channel, its outputs grouped
 as (B1..BN, E1..EN).  The seven kinds cover both extremes of the
-information-disturbance trade-off plus tunable interpolations.
+information-disturbance trade-off plus tunable interpolations; each is
+one row of ``ATTACKS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .channels import (
-    ProductChannel,
-    QuantumChannel,
-    dense_channel,
-    isometry_to_channel,
-    validate_channel,
+    ProductChannel, QuantumChannel, dense_channel, isometry_to_channel, validate_channel,
 )
 from .errors import ValidationError
 from .operators import basis_ket, ket_bra
-
-KINDS = (
-    "identity",
-    "measure_z",
-    "measure_x",
-    "cnot_probe",
-    "universal_cloner",
-    "depolarize",
-    "intercept_resend_angle",
-)
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Named attack with its qubit count and real parameters."""
-
-    kind: str
-    n: int
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown attack kind {self.kind!r}")
-        if self.n < 1:
-            raise ValidationError("attack needs n >= 1 qubits")
-        params = dict(self.params)
-        if self.kind == "depolarize":
-            p = params.pop("p", None)
-            if p is None or not 0.0 <= float(p) <= 1.0:
-                raise ValidationError("depolarize needs parameter p in [0, 1]")
-        elif self.kind == "intercept_resend_angle":
-            theta = params.pop("theta", None)
-            if theta is None or not 0.0 <= float(theta) <= math.pi / 2:
-                raise ValidationError(
-                    "intercept_resend_angle needs theta in [0, pi/2]"
-                )
-        if params:
-            raise ValidationError(
-                f"unexpected parameters for {self.kind}: {sorted(params)}"
-            )
-        object.__setattr__(
-            self, "params", MappingProxyType({k: float(v) for k, v in self.params.items()})
-        )
-
-    def label(self) -> str:
-        """Deterministic slug for file names and report keys."""
-        extra = "".join(f"_{k}{v:g}" for k, v in sorted(self.params.items()))
-        return f"{self.kind}{extra}"
+_E0 = basis_ket(0, 2).reshape(2, 1)  # Eve's blank register
 
 
 def _ket(bit: int) -> np.ndarray:
@@ -92,9 +43,12 @@ def _rotated(bit: int, theta: float) -> np.ndarray:
     # Bloch-sphere rotation by theta in the X-Z plane; theta=0 is the Z
     # basis and theta=pi/2 the X basis (up to sign).
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    if bit == 0:
-        return np.array([c, s], dtype=np.complex128)
-    return np.array([-s, c], dtype=np.complex128)
+    return np.array([c, s] if bit == 0 else [-s, c], dtype=np.complex128)
+
+
+def _measure_resend(ket: Callable[[int], np.ndarray]) -> list[np.ndarray]:
+    """Measure in the basis ``ket``, resend the outcome to Bob and record it for Eve."""
+    return [ket_bra(np.kron(ket(b), _ket(b)), ket(b)) for b in (0, 1)]
 
 
 def _cloner_kraus() -> list[np.ndarray]:
@@ -110,42 +64,83 @@ def _cloner_kraus() -> list[np.ndarray]:
     return list(isometry_to_channel(v, (2,), (2,), (2,), env_dim=2).kraus)
 
 
+def _depolarize_kraus(p: float) -> list[np.ndarray]:
+    weights = [math.sqrt(1.0 - 3.0 * p / 4.0)] + [math.sqrt(p / 4.0)] * 3
+    return [w * np.kron(m, _E0) for w, m in zip(weights, [_I2, _SX, _SY, _SZ])]
+
+
+class AttackKind(NamedTuple):
+    """One attack kind; ``kraus`` builds its one-qubit Kraus operators, output (B, E)."""
+
+    param: tuple[str, float, float, float] | None  # (name, least, greatest, library value)
+    eve_basis: str  # the basis Eve reads for the Shannon check
+    kraus: Callable[..., list[np.ndarray]]  # takes the parameter by its name
+
+
+# The library, in the order of ``standard_attacks``.
+ATTACKS = {
+    "identity": AttackKind(None, "Z", lambda: [np.kron(_I2, _E0)]),
+    "measure_z": AttackKind(None, "Z", lambda: _measure_resend(_ket)),
+    "measure_x": AttackKind(None, "Z", lambda: _measure_resend(_xbar)),
+    "cnot_probe": AttackKind(None, "Z", lambda: [sum(_measure_resend(_ket))]),  # coherent measure_z
+    # Eve's clone carries conjugate-basis information.
+    "universal_cloner": AttackKind(None, "X", _cloner_kraus),
+    "depolarize": AttackKind(("p", 0.0, 1.0, 0.5), "Z", _depolarize_kraus),
+    "intercept_resend_angle": AttackKind(
+        ("theta", 0.0, math.pi / 2, math.pi / 4),
+        "Z",
+        lambda theta: _measure_resend(lambda b: _rotated(b, theta)),
+    ),
+}
+KINDS = tuple(ATTACKS)
+
+
+@dataclass(frozen=True)
+class AttackSpec:
+    """Named attack with its qubit count and real parameters, checked against its row.
+
+    ``params`` must map the row's parameter name to a real number (not a
+    bool or a string) in its range; anything else raises ``ValidationError``.
+    """
+
+    kind: str
+    n: int
+    params: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in ATTACKS:
+            raise ValidationError(f"unknown attack kind {self.kind!r}")
+        if self.n < 1:
+            raise ValidationError("attack needs n >= 1 qubits")
+        if not isinstance(self.params, Mapping) or any(
+            isinstance(v, bool) or not isinstance(v, Real) for v in self.params.values()
+        ):
+            raise ValidationError(f"attack params must map names to real numbers, got {self.params!r}")
+        param = ATTACKS[self.kind].param
+        names = [param[0]] if param else []
+        in_range = not param or param[1] <= self.params.get(param[0], math.nan) <= param[2]
+        if list(self.params) != names or not in_range:
+            takes = f"parameter {param[0]} in [{param[1]:g}, {param[2]:g}]" if param else "no parameters"
+            raise ValidationError(f"{self.kind} takes {takes}, got {dict(self.params)}")
+        object.__setattr__(
+            self, "params", MappingProxyType({k: float(v) for k, v in self.params.items()})
+        )
+
+    def label(self) -> str:
+        """Deterministic slug for file names and report keys."""
+        extra = "".join(f"_{k}{v:g}" for k, v in sorted(self.params.items()))
+        return f"{self.kind}{extra}"
+
+
 def _single_qubit_kraus(kind: str, params: Mapping[str, float]) -> list[np.ndarray]:
     """Kraus operators C^2 -> C^2 (x) C^2 with output ordered (B, E)."""
-    e0 = _ket(0).reshape(2, 1)
-    if kind == "identity":
-        return [np.kron(_I2, e0)]
-    if kind == "measure_z":
-        return [ket_bra(np.kron(_ket(b), _ket(b)), _ket(b)) for b in (0, 1)]
-    if kind == "measure_x":
-        return [ket_bra(np.kron(_xbar(b), _ket(b)), _xbar(b)) for b in (0, 1)]
-    if kind == "cnot_probe":
-        return [sum(ket_bra(np.kron(_ket(b), _ket(b)), _ket(b)) for b in (0, 1))]
-    if kind == "universal_cloner":
-        return _cloner_kraus()
-    if kind == "depolarize":
-        p = params["p"]
-        weights = [math.sqrt(1.0 - 3.0 * p / 4.0)] + [math.sqrt(p / 4.0)] * 3
-        paulis = [_I2, _SX, _SY, _SZ]
-        return [w * np.kron(m, e0) for w, m in zip(weights, paulis)]
-    if kind == "intercept_resend_angle":
-        theta = params["theta"]
-        return [
-            ket_bra(np.kron(_rotated(b, theta), _ket(b)), _rotated(b, theta))
-            for b in (0, 1)
-        ]
-    raise ValidationError(f"unknown attack kind {kind!r}")
+    return ATTACKS[kind].kraus(**params)
 
 
 def product_attack(spec: AttackSpec) -> ProductChannel:
     """The attack as its one-qubit channel and qubit count; no N-qubit Kraus stack is built."""
-    factor = QuantumChannel(
-        kraus=_single_qubit_kraus(spec.kind, spec.params),
-        in_dims=(2,),
-        out_dims_b=(2,),
-        out_dims_e=(2,),
-        name=spec.label(),
-    )
+    kraus = _single_qubit_kraus(spec.kind, spec.params)
+    factor = QuantumChannel(kraus, (2,), (2,), (2,), spec.label())
     return ProductChannel(factor, spec.n, spec.label())
 
 
@@ -157,23 +152,13 @@ def make_attack(spec: AttackSpec) -> QuantumChannel:
 
 
 def standard_attacks(n: int) -> list[AttackSpec]:
-    """The seven library attacks with canonical parameter choices."""
+    """The seven library attacks, each at its row's library parameter value."""
     return [
-        AttackSpec("identity", n),
-        AttackSpec("measure_z", n),
-        AttackSpec("measure_x", n),
-        AttackSpec("cnot_probe", n),
-        AttackSpec("universal_cloner", n),
-        AttackSpec("depolarize", n, {"p": 0.5}),
-        AttackSpec("intercept_resend_angle", n, {"theta": math.pi / 4}),
+        AttackSpec(kind, n, {row.param[0]: row.param[3]} if row.param else {})
+        for kind, row in ATTACKS.items()
     ]
 
 
 def natural_bases(spec: AttackSpec) -> tuple[str, str]:
-    """Bob's and Eve's measurement bases for the Shannon cross-check.
-
-    Bob always reads the computational basis.  Eve reads her classical
-    record (computational basis) except for the universal cloner, where
-    her clone carries conjugate-basis information.
-    """
-    return "Z", "X" if spec.kind == "universal_cloner" else "Z"
+    """Bob's and Eve's measurement bases for the Shannon cross-check: Z and the row's basis."""
+    return "Z", ATTACKS[spec.kind].eve_basis

@@ -255,4 +255,7 @@ def matrix_from_pairs(rows) -> np.ndarray:
         raise ValidationError(f"matrix encoding is not a grid of numbers: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError("matrix encoding must be a 2-D grid of [re, im] pairs")
+    entries = [x for row in rows for pair in row for x in pair]  # float64 would take "1" and true
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entries):
+        raise ValidationError("matrix entries must be numbers, not strings or bools")
     return np.ascontiguousarray(arr[..., 0] + 1j * arr[..., 1])

@@ -168,16 +168,7 @@ def _attack(entry: dict, n: int) -> AttackSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"an attack must be a JSON object, got {entry!r}")
     _reject_unknown(entry, ATTACK_KEYS, "attack")
-    return AttackSpec(kind=str(entry["kind"]), n=n, params=_params(entry.get("params", {})))
-
-
-def _params(value) -> dict[str, float]:
-    if not isinstance(value, dict):
-        raise ConfigError(f"attack 'params' must be a JSON object, got {value!r}")
-    for key, v in value.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"attack parameter '{key}' must be a real number, got {v!r}")
-    return {k: float(v) for k, v in value.items()}
+    return AttackSpec(kind=str(entry["kind"]), n=n, params=entry.get("params", {}))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

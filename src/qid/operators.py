@@ -43,10 +43,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(a)).T
-
-
 def basis_ket(index: int, dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=np.complex128)
     v[index] = 1.0

@@ -158,6 +158,8 @@ class ProtocolInstance:
         n = self.n
         if n > DENSE_THETA_LIMIT:
             raise CapacityError(f"dense global state needs n <= {DENSE_THETA_LIMIT} (got {n})")
+        if 2**n * self.channel.out_dim > MAX_DIM:
+            raise CapacityError(f"dense global state side {2**n * self.channel.out_dim} > {MAX_DIM}")
         channel = self.kraus_channel
         dim_a = 2**n
         phi = epr_state(n).reshape(dim_a, dim_a)

@@ -5,7 +5,7 @@ import pytest
 
 import qid.attacks as attacks_mod
 import qid.channels as channels_mod
-from qid.attacks import KINDS, AttackSpec, make_attack, standard_attacks
+from qid.attacks import KINDS, AttackSpec, make_attack, natural_bases, standard_attacks
 from qid.channels import validate_channel, vector_marginals
 from qid.errors import CapacityError, ValidationError
 from qid.operators import tensor
@@ -179,3 +179,31 @@ def test_broadcast_tensor_power_matches_kron_then_regroup(kind, n, attack_spec, 
 
 def test_standard_library_covers_all_kinds():
     assert tuple(s.kind for s in standard_attacks(1)) == KINDS
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_table_row_is_the_attack_check(kind):
+    row = attacks_mod.ATTACKS[kind]
+    library = next(spec for spec in standard_attacks(1) if spec.kind == kind)
+    validate_channel(make_attack(library), kind)
+    name = row.param[0] if row.param else "p"
+    if row.param is None:
+        assert dict(library.params) == {}
+        with pytest.raises(ValidationError):
+            AttackSpec(kind, 1, {"p": 0.5})
+    else:
+        _, least, greatest, value = row.param
+        assert dict(library.params) == {name: value}
+        for endpoint in (least, greatest):
+            validate_channel(make_attack(AttackSpec(kind, 1, {name: endpoint})), kind)
+        for outside in (math.nextafter(least, -math.inf), math.nextafter(greatest, math.inf)):
+            with pytest.raises(ValidationError, match=f"{kind} takes parameter {name}"):
+                AttackSpec(kind, 1, {name: outside})
+        for wrong_names in ({}, {name: value, "q": 0.0}):
+            with pytest.raises(ValidationError):
+                AttackSpec(kind, 1, wrong_names)
+    # A bool, a string or a list of pairs is refused by the spec itself, not coerced.
+    for bad in ({name: True}, {name: "0.5"}, [(name, 0.5)]):
+        with pytest.raises(ValidationError, match="real numbers"):
+            AttackSpec(kind, 1, bad)
+    assert natural_bases(library) == ("Z", "X" if kind == "universal_cloner" else "Z")

@@ -576,6 +576,8 @@ class TestCheckLP:
             ([np.diag([1.0, 0.0])], [pairs(np.eye(2) / 2)] * 2),
             ([np.eye(1)], np.eye(1)),
             ([np.array([[1.0, 1.0], [0.0, 0.0]])], np.eye(2) / 2),
+            ([[[["1", 0], [0, 0]], [[0, 0], [0, 0]]]], np.eye(2) / 2),
+            ([np.diag([1.0, 0.0])], [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]),
         ],
         ids=[
             "not_projector",
@@ -587,6 +589,8 @@ class TestCheckLP:
             "two_states",
             "one_by_one",
             "non_hermitian_projector",
+            "string_entry",
+            "bool_entry",
         ],
     )
     def test_invalid_input_exits_config(self, tmp_path, family, state):

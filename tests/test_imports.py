@@ -29,5 +29,5 @@ def test_module_uses_every_import(path):
 
 
 def test_guard_sees_an_unused_name():
-    source = "from .operators import dagger, tensor\nimport numpy as np\n\nx = tensor(np.eye(2))\n"
-    assert unused_imports(source) == ["dagger"]
+    source = "from .operators import ket_bra, tensor\nimport numpy as np\n\nx = tensor(np.eye(2))\n"
+    assert unused_imports(source) == ["ket_bra"]

@@ -6,7 +6,6 @@ from qid.errors import CapacityError, DimensionError, ValidationError
 from qid.operators import (
     Projector,
     basis_ket,
-    dagger,
     ket_bra,
     operator_norm,
     tensor,
@@ -82,7 +81,7 @@ class TestOperatorNorm:
         rng = np.random.default_rng(6)
         for _ in range(20):
             a = random_complex(rng, (7, 7))
-            vals, _ = jacobi_eigh(dagger(a) @ a)
+            vals, _ = jacobi_eigh(a.conj().T @ a)
             np.testing.assert_allclose(operator_norm(a), np.sqrt(vals[0]), atol=1e-9)
 
     def test_submultiplicative(self):
@@ -110,10 +109,10 @@ class TestEigensystem:
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(8)
         g = random_complex(rng, (8, 8))
-        h = (g + dagger(g)) / 2
+        h = (g + g.conj().T) / 2
         vals, vecs = jacobi_eigh(h)
-        np.testing.assert_allclose((vecs * vals) @ dagger(vecs), h, atol=1e-8)
-        np.testing.assert_allclose(dagger(vecs) @ vecs, np.eye(8), atol=1e-9)
+        np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-8)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(8), atol=1e-9)
 
 
 class TestValidateState:
@@ -183,4 +182,4 @@ def test_permutation_matrix_swaps_factors():
     a = random_complex(rng, (2, 2))
     b = random_complex(rng, (3, 3))
     p = permutation_matrix((2, 3), (1, 0))
-    np.testing.assert_allclose(p @ tensor(a, b) @ dagger(p), tensor(b, a), atol=1e-12)
+    np.testing.assert_allclose(p @ tensor(a, b) @ p.conj().T, tensor(b, a), atol=1e-12)

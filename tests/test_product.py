@@ -138,6 +138,28 @@ class TestCapacity:
             with pytest.raises(CapacityError, match="n <= 2"):
                 dense_check()
 
+    def test_theta_side_over_dense_limit_refused_before_the_oracle(self, monkeypatch):
+        # One qubit into B (42) and E (50) at n = 1: Θ would be 4200 x 4200
+        # (269 MiB), over MAX_DIM = 4096 per side, though n is within the limit.
+        factor = isometry_to_channel(np.eye(42 * 50, 2), (2,), (42,), (50,))
+        inst = ProtocolInstance.from_channel(factor)
+
+        def no_build(*args):
+            raise AssertionError("dense oracle built before the Θ size check")
+
+        monkeypatch.setattr(protocol, "dense_channel", no_build)
+        with pytest.raises(CapacityError, match="4200"):
+            theta_matrix(inst)
+
+    def test_theta_side_limit_is_inclusive(self, monkeypatch):
+        # identity at n = 1: Θ is 2 * 4 = 8 per side.
+        spec = AttackSpec("identity", 1)
+        monkeypatch.setattr(protocol, "MAX_DIM", 8)
+        assert theta_matrix(ProtocolInstance.from_channel(product_attack(spec))).shape == (8, 8)
+        monkeypatch.setattr(protocol, "MAX_DIM", 7)
+        with pytest.raises(CapacityError):
+            theta_matrix(ProtocolInstance.from_channel(product_attack(spec)))
+
     def test_mib_rounds_up_in_integer_arithmetic(self):
         assert channels_mod.mib(512 * 2**20) == "512 MiB"
         assert channels_mod.mib(2**20 + 1) == "2 MiB"
