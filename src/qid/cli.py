@@ -5,7 +5,8 @@ verification pipeline for the attacks in a config file, ``sweep`` runs
 a grid over qubit counts and ``check-lp`` evaluates the uncertainty
 relation on serialized operators.  Reports are JSON, tables CSV; floats
 carry 12 significant digits and identical configs produce byte
-identical outputs.
+identical outputs.  The jobs of a run compute; one forked child formats
+and writes their artifacts.
 """
 
 from __future__ import annotations
@@ -15,11 +16,16 @@ import csv
 import io
 import json
 import math
+import os
+import pickle
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from .attacks import AttackSpec, natural_bases, product_attack
 from .channels import matrix_from_pairs
@@ -27,7 +33,13 @@ from .errors import CapacityError, ConfigError, DimensionError, QidError
 from .operators import DECISION_TOL, Projector, validate_state
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
-from .tradeoff import catalogues_for, landau_pollak_check, tradeoff_bound, verify_tradeoff
+from .tradeoff import (
+    TradeoffReport,
+    catalogues_for,
+    landau_pollak_check,
+    tradeoff_bound,
+    verify_tradeoff,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -230,44 +242,65 @@ def _finite_bound(n: int, c_offset: int) -> bool:
         return False
 
 
-def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -> bool:
-    """Run one (n, attack) experiment, write artifacts, return all-hold.
+class JobRecord(NamedTuple):
+    """One job's results: all the writer needs to make its four artifacts."""
 
-    The report's ``all_hold`` is the returned value: every verdict of the
-    trade-off report and, when the dense checks run, of the equivalence
-    and expectation checks.
+    n: int
+    label: str
+    attack: dict
+    seed: int
+    report: TradeoffReport
+    # "equivalence" and "expectation" when the dense checks ran, else empty.
+    dense_checks: dict
+    all_hold: bool
+
+
+def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec) -> JobRecord:
+    """Run one (n, attack) experiment and return its record; write nothing.
+
+    The record's ``all_hold`` is every verdict of the trade-off report
+    and, when the dense checks run, of the equivalence and expectation
+    checks.
     """
     spec = AttackSpec(kind=spec.kind, n=n, params=dict(spec.params))
     inst = ProtocolInstance.from_channel(product_attack(spec))
     dense = n <= cfg.dense_limit
     report = verify_tradeoff(inst, natural_bases(spec), cfg.c_offset, cfg.decision_tol, dense)
-    prof_b, prof_e = report.profile_b, report.profile_e
-    data = dict(
-        vars(report),
-        attack={"kind": spec.kind, "params": dict(spec.params)},
-        profile_b=prof_b.lengths,
-        profile_e=prof_e.lengths,
-        seed=cfg.seed,
-    )
     ok = report.all_hold
+    checks = {}
     if dense:
-        data["equivalence"] = eq = equivalence_check(inst)
+        checks["equivalence"] = eq = equivalence_check(inst)
         theta = theta_matrix(inst)
-        data["expectation"] = expectation = [
+        checks["expectation"] = expectation = [
             chk
             for cat in catalogues_for(inst, cfg.decision_tol)
             for chk in expectation_identity_check(inst, cat, theta)
         ]
         ok = ok and eq.passed and all(chk.agree for chk in expectation)
-    data["all_hold"] = ok
-    label = spec.label()
+    attack = {"kind": spec.kind, "params": dict(spec.params)}
+    return JobRecord(n, spec.label(), attack, cfg.seed, report, checks, ok)
+
+
+def _artifacts(record: JobRecord) -> dict[str, str]:
+    """The text of one job's four artifacts, by file name."""
+    n, label, report = record.n, record.label, record.report
+    prof_b, prof_e = report.profile_b, report.profile_e
+    data = dict(
+        vars(report),
+        attack=record.attack,
+        profile_b=prof_b.lengths,
+        profile_e=prof_e.lengths,
+        seed=record.seed,
+        **record.dense_checks,
+        all_hold=record.all_hold,
+    )
     # A grid row is n, the attack label and one GridPoint's fields in order.
     grid = [(n, label, *vars(g).values()) for g in report.grid]
     plot = [("count_B", l, "", prof_b.count(l)) for l in range(n + 2)]
     plot += [("count_E", "", m, prof_e.count(m)) for m in range(n + 2)]
     plot += [("bound", g.l, g.m, g.bound) for g in report.grid]
     stem = f"{label}_n{n}"
-    artifacts = {
+    return {
         f"report_{stem}.json": _report_json(data) + "\n",
         f"grid_{stem}.csv": _csv(
             ("n", "attack", "l", "m", "count_B", "count_E", "bound", "holds"), grid
@@ -278,16 +311,77 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec, out_dir: Path) -
             prof_b.to_csv_rows() + prof_e.to_csv_rows(),
         ),
     }
+
+
+def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in artifacts.items():
         (out_dir / name).write_text(text)
-    return ok
+
+
+def _write_records(read_fd: int, out_dir: Path) -> None:
+    """The writer's loop: each record read from the pipe becomes its files, until EOF."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        while True:
+            try:
+                record = pickle.load(pipe)
+            except EOFError:
+                return
+            _write_artifacts(out_dir, _artifacts(record))
+
+
+@contextmanager
+def _artifact_writer(out_dir: Path):
+    """Fork the child that formats and writes the artifacts; yield the send function.
+
+    Records go down a pipe in the order they are sent, and the child
+    writes each one's files as it arrives, so the job threads hold the
+    interpreter lock for neither.  The child makes ``out_dir`` with the
+    first record, so a run that sends none leaves no directory.  Enter
+    it before any thread starts: the child gets only the calling thread.
+    Leaving the block closes the pipe and reaps the child; a child that
+    failed (it prints its traceback) fails the run, also when sending
+    found the pipe broken.
+    """
+    sys.stderr.flush()  # or the child's traceback would repeat what is buffered
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child leaves through os._exit, so no caller's finally or atexit
+        # hook runs twice and no inherited stdout buffer is flushed.
+        status = 1
+        try:
+            os.close(write_fd)  # else the pipe never reaches EOF
+            _write_records(read_fd, out_dir)
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            sys.stderr.flush()
+            os._exit(status)
+    os.close(read_fd)
+    pipe = os.fdopen(write_fd, "wb")
+
+    def send(record: JobRecord) -> None:
+        pickle.dump(record, pipe, pickle.HIGHEST_PROTOCOL)
+        pipe.flush()
+
+    try:
+        yield send
+    finally:
+        try:
+            pipe.close()
+        except BrokenPipeError:
+            pass  # the child is gone; its status says why
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise QidError(f"the artifact writer failed with exit status {status}")
 
 
 def _config_and_out(args) -> tuple[ExperimentConfig, Path]:
     """The config and the output directory, refused at once if a file stands in its path.
 
-    The first job that writes makes the directory, so a refused run leaves none.
+    The writer makes the directory with the first job's files, so a refused run leaves none.
     """
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir)
@@ -300,19 +394,29 @@ def _config_and_out(args) -> tuple[ExperimentConfig, Path]:
 def cmd_simulate(args) -> int:
     cfg, out_dir = _config_and_out(args)
     all_ok = True
-    for spec in cfg.attacks:
-        all_ok = run_single(cfg, cfg.n, spec, out_dir) and all_ok
+    with _artifact_writer(out_dir) as send:
+        for spec in cfg.attacks:
+            record = run_single(cfg, cfg.n, spec)
+            send(record)
+            all_ok = record.all_hold and all_ok
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
 def cmd_sweep(args) -> int:
     cfg, out_dir = _config_and_out(args)
     jobs = [(n, spec) for n in cfg.sweep_n or (cfg.n,) for spec in cfg.attacks]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(
-            pool.map(lambda job: run_single(cfg, job[0], job[1], out_dir), jobs)
-        )
-    return EXIT_OK if all(results) else EXIT_VIOLATION
+    all_ok = True
+    with _artifact_writer(out_dir) as send:
+        pool = ThreadPoolExecutor(max_workers=args.workers)
+        try:
+            # Records go in config order, so a failed job stops the run after
+            # the same earlier jobs at any worker count; map lets each go once sent.
+            for record in pool.map(lambda job: run_single(cfg, *job), jobs):
+                send(record)
+                all_ok = record.all_hold and all_ok
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
 def _load_operators(path: str | Path, key: str, check) -> list:

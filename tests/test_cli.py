@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from qid.cli import (
     load_config,
     main,
 )
-from qid.errors import ConfigError
+from qid.errors import ConfigError, QidError
 from qid.protocol import EquivalenceReport
 from qid.tradeoff import CrossNormRecord
 
@@ -554,6 +555,83 @@ class TestSweep:
             }
 
 
+def artifact_names(stem: str) -> set[str]:
+    return {f"report_{stem}.json", *(f"{kind}_{stem}.csv" for kind in ("grid", "plot", "complexity"))}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_write(out_dir, artifacts):
+    raise OSError("disk full (simulated)")
+
+
+class TestWriter:
+    """One forked child writes a run's artifacts; the jobs write nothing."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_job_keeps_exactly_the_earlier_jobs(self, tmp_path, workers):
+        # The n = 9 jobs exit 3; jobs of later n may already run on another
+        # thread, but no record after the first failure reaches the writer.
+        attacks = [{"kind": "measure_z"}, {"kind": "identity"}]
+        cfg = write_config(tmp_path / "cfg.json", attacks=attacks, sweep={"n_values": [2, 9, 1]})
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]
+        assert main(argv) == EXIT_CAPACITY
+        expected = artifact_names("measure_z_n2") | artifact_names("identity_n2")
+        assert {p.name for p in out.iterdir()} == expected
+        assert_no_child_left()
+
+    def test_run_single_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config(write_config(tmp_path / "cfg.json"))
+        record = cli.run_single(cfg, 1, cfg.attacks[0])
+        assert record.all_hold is True
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        assert set(cli._artifacts(record)) == artifact_names("cnot_probe_n1")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_failed_write_exits_nonzero_with_the_childs_traceback(
+        self, tmp_path, monkeypatch, capfd, command
+    ):
+        # The child is forked after the patch, so it writes through it.
+        monkeypatch.setattr(cli, "_write_artifacts", failing_write)
+        cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS[:3])
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VIOLATION
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "OSError: disk full (simulated)" in err
+        assert "error: the artifact writer failed with exit status 1" in err
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_broken_pipe_while_sending_is_the_writer_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_write_artifacts", failing_write)
+        cfg = load_config(write_config(tmp_path / "cfg.json"))
+        record = cli.run_single(cfg, 1, cfg.attacks[0])
+        with pytest.raises(QidError, match="artifact writer failed") as failure:
+            with cli._artifact_writer(tmp_path / "out") as send:
+                # Sending ends only when the dead child's pipe breaks.
+                while True:
+                    send(record)
+        assert isinstance(failure.value.__context__, BrokenPipeError)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("outcome", ["holds", "violation", "capacity"])
+    def test_no_child_left_after_a_run(self, tmp_path, monkeypatch, outcome):
+        if outcome == "violation":
+            failing = EquivalenceReport(0.5, 0.0, passed=False)
+            monkeypatch.setattr(cli, "equivalence_check", lambda inst: failing)
+        cfg = write_config(tmp_path / "cfg.json", n=9 if outcome == "capacity" else 1)
+        expected = {"holds": EXIT_OK, "violation": EXIT_VIOLATION, "capacity": EXIT_CAPACITY}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == expected[outcome]
+        assert out.exists() == (outcome != "capacity")
+        assert_no_child_left()
+
+
 class TestCheckLP:
     def test_valid_family_holds(self, tmp_path):
         fam = tmp_path / "family.json"
@@ -622,8 +700,11 @@ class TestCheckLP:
 def test_exit_status_reflects_violations(tmp_path, monkeypatch):
     # force a failing verdict to confirm the violation exit path
     cfg = write_config(tmp_path / "cfg.json")
-    monkeypatch.setattr(cli, "run_single", lambda *a, **k: False)
-    assert main(["simulate", "--config", str(cfg)]) == EXIT_VIOLATION
+    real = cli.run_single
+    monkeypatch.setattr(cli, "run_single", lambda *a: real(*a)._replace(all_hold=False))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VIOLATION
+    assert json.loads((out / "report_cnot_probe_n1.json").read_text())["all_hold"] is False
 
 
 def test_console_entry_runs_as_module(tmp_path):
