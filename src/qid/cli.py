@@ -23,7 +23,6 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,72 +46,19 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 
 
-# json's spelling of the non-finite floats, keyed by their ``repr``.
-_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-
-
-def _float_json(value) -> str:
-    """A float at ``_fmt``'s 12 significant digits, spelled as ``json`` spells it."""
-    text = repr(float(f"{value:.12g}"))
-    return _NON_FINITE.get(text, text)
-
-
-def _report_json(value, indent: str = "") -> str:
-    """Report text: ``json.dumps(data, sort_keys=True, indent=2)`` of the 12-digit data.
-
-    Every float is rounded to ``_fmt``'s 12 significant digits first, a
-    tuple is a list and a report record (a dataclass) is the dict of its
-    fields.  Dict keys are strings.  ``indent`` is the indent of the
-    line ``value`` starts on.
-    """
-    # Exact types first, then records: a report holds thousands of plain values.
-    kind = type(value)
-    if kind is float:
-        return _float_json(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if kind is dict:
-        return _object_json(value, indent)
-    if kind is list or kind is tuple:
-        return _array_json(value, indent)
-    if is_dataclass(value):
-        return _object_json(vars(value), indent)
+def _round12(value):
+    """Report data with floats at ``_fmt``'s 12 digits, tuples as lists and records as dicts."""
     if isinstance(value, float):
-        return _float_json(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return float(f"{value:.12g}")
+    if isinstance(value, (int, str)) or value is None:  # most of a report; skips is_dataclass
+        return value
     if isinstance(value, dict):
-        return _object_json(value, indent)
+        return {key: _round12(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return _array_json(value, indent)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _object_json(data: dict, indent: str) -> str:
-    if not data:
-        return "{}"
-    inner = indent + "  "
-    items = [
-        encode_basestring_ascii(key) + ": " + _report_json(value, inner)
-        for key, value in sorted(data.items())
-    ]
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-
-
-def _array_json(items, indent: str) -> str:
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    texts = [_report_json(value, inner) for value in items]
-    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+        return [_round12(item) for item in value]
+    if is_dataclass(value):
+        return _round12(vars(value))
+    return value
 
 
 def _fmt(value) -> str:
@@ -301,7 +247,7 @@ def _artifacts(record: JobRecord) -> dict[str, str]:
     plot += [("bound", g.l, g.m, g.bound) for g in report.grid]
     stem = f"{label}_n{n}"
     return {
-        f"report_{stem}.json": _report_json(data) + "\n",
+        f"report_{stem}.json": json.dumps(_round12(data), sort_keys=True, indent=2) + "\n",
         f"grid_{stem}.csv": _csv(
             ("n", "attack", "l", "m", "count_B", "count_E", "bound", "holds"), grid
         ),
@@ -379,35 +325,27 @@ def _artifact_writer(out_dir: Path):
 
 
 def _config_and_out(args) -> tuple[ExperimentConfig, Path]:
-    """The config and the output directory, refused at once if a file stands in its path.
-
-    The writer makes the directory with the first job's files, so a refused run leaves none.
-    """
+    """The config and the output directory, refused at once if its path cannot be one."""
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir)
-    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
-    if existing is not None and not existing.is_dir():
-        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
+    for path in (out_dir, *out_dir.parents):
+        try:
+            path.stat()
+        except (FileNotFoundError, NotADirectoryError):
+            continue  # look for the nearest existing ancestor
+        except OSError as exc:  # a name too long, a loop of links, no access
+            raise ConfigError(f"output directory {out_dir}: {exc}") from exc
+        if not path.is_dir():
+            raise ConfigError(f"output directory {out_dir}: {path} is not a directory")
+        break
     return cfg, out_dir
 
 
-def cmd_simulate(args) -> int:
-    cfg, out_dir = _config_and_out(args)
+def _run(cfg: ExperimentConfig, out_dir: Path, jobs: list, workers: int) -> int:
+    """Run the (n, attack) jobs on ``workers`` threads; the writer writes their records."""
     all_ok = True
     with _artifact_writer(out_dir) as send:
-        for spec in cfg.attacks:
-            record = run_single(cfg, cfg.n, spec)
-            send(record)
-            all_ok = record.all_hold and all_ok
-    return EXIT_OK if all_ok else EXIT_VIOLATION
-
-
-def cmd_sweep(args) -> int:
-    cfg, out_dir = _config_and_out(args)
-    jobs = [(n, spec) for n in cfg.sweep_n or (cfg.n,) for spec in cfg.attacks]
-    all_ok = True
-    with _artifact_writer(out_dir) as send:
-        pool = ThreadPoolExecutor(max_workers=args.workers)
+        pool = ThreadPoolExecutor(max_workers=workers)
         try:
             # Records go in config order, so a failed job stops the run after
             # the same earlier jobs at any worker count; map lets each go once sent.
@@ -417,6 +355,17 @@ def cmd_sweep(args) -> int:
         finally:
             pool.shutdown(cancel_futures=True)
     return EXIT_OK if all_ok else EXIT_VIOLATION
+
+
+def cmd_simulate(args) -> int:
+    cfg, out_dir = _config_and_out(args)
+    return _run(cfg, out_dir, [(cfg.n, spec) for spec in cfg.attacks], 1)
+
+
+def cmd_sweep(args) -> int:
+    cfg, out_dir = _config_and_out(args)
+    jobs = [(n, spec) for n in cfg.sweep_n or (cfg.n,) for spec in cfg.attacks]
+    return _run(cfg, out_dir, jobs, args.workers)
 
 
 def _load_operators(path: str | Path, key: str, check) -> list:

@@ -1,7 +1,6 @@
 """Seeded random generators and dense oracles shared by the test modules."""
 
 import math
-from dataclasses import is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -127,19 +126,3 @@ def theta_oracle(inst):
         w = np.kron(np.eye(2**n), kraus) @ phi
         theta = theta + np.outer(w, w.conj())
     return theta
-
-
-def round12(value):
-    """Plain JSON data with every float at 12 significant digits, as a report holds it.
-
-    A tuple becomes a list and a dataclass the dict of its fields.
-    """
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {k: round12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [round12(v) for v in value]
-    if is_dataclass(value):
-        return round12(vars(value))
-    return value

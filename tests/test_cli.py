@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import qid.cli as cli
 from qid.cli import (
@@ -21,11 +19,11 @@ from qid.cli import (
     load_config,
     main,
 )
-from qid.errors import ConfigError, QidError
+from qid.errors import CapacityError, ConfigError, QidError
 from qid.protocol import EquivalenceReport
 from qid.tradeoff import CrossNormRecord
 
-from helpers import pairs, round12
+from helpers import pairs
 
 # The four artifacts of two simulate jobs (see TestReportSchema).
 SCHEMA_DIR = Path(__file__).resolve().parent / "report_schema"
@@ -230,14 +228,17 @@ class TestConfig:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    @pytest.mark.parametrize(
+        "out", ["afile", "afile/sub", pytest.param("x" * 300 + "/sub", id="name_too_long")]
+    )
     @pytest.mark.parametrize(
         "command, via", [("simulate", "--out"), ("sweep", "outputs.dir")]
     )
     def test_output_path_through_a_file_exits_config_before_any_job(
         self, tmp_path, monkeypatch, out, command, via
     ):
-        # A job used to run in full before mkdir failed with FileExistsError or NotADirectoryError.
+        # A job used to run in full before mkdir failed with FileExistsError or NotADirectoryError,
+        # and a name over the file-name limit raised OSError (ENAMETOOLONG) out of main.
         def no_job(*args):
             raise AssertionError("a job ran before the output path was checked")
 
@@ -250,6 +251,7 @@ class TestConfig:
             cfg, argv = write_config(tmp_path / "cfg.json", outputs={"dir": target}), []
         assert main([command, "--config", str(cfg), *argv]) == EXIT_CONFIG
         assert (tmp_path / "afile").read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
 
     def test_colliding_artifact_names_exit_config(self, tmp_path):
         # Both labels format as depolarize_p0.123456, so one job would overwrite the other.
@@ -443,6 +445,51 @@ def _same_csv(a: str, b: str) -> bool:
     return True
 
 
+# The report text of edge values: every float at 12 digits, json's
+# spelling of the non-finite ones, ASCII escapes and records as objects.
+EDGE_REPORT = r"""{
+  "b": true,
+  "empty": {
+    "dict": {},
+    "list": [],
+    "tuple": []
+  },
+  "floats": [
+    Infinity,
+    -Infinity,
+    NaN,
+    -0.0,
+    1e-300,
+    1.18059162072e+21,
+    0.3
+  ],
+  "ints": [
+    0,
+    -7,
+    1180591620717411303424
+  ],
+  "none": null,
+  "records": {
+    "nested": [
+      {
+        "inner": [
+          {
+            "max_probability_deviation": 0.333333333333,
+            "max_state_deviation": Infinity,
+            "passed": false
+          }
+        ]
+      }
+    ]
+  },
+  "text": [
+    "caf\u00e9 \u2264 2^n",
+    "quote \" slash \\ tab \t",
+    ""
+  ]
+}"""
+
+
 class TestReportSchema:
     """Report keys are record field names, so the artifacts pin the field names too."""
 
@@ -470,39 +517,26 @@ class TestReportSchema:
 
     def test_writer_rounds_float_subclasses_and_refuses_unknown_types(self):
         data = {"x": np.float64(0.12345678901234), "rows": ((1, True, None, "s", 2.0 / 3.0),)}
-        rounded = {"x": 0.123456789012, "rows": [[1, True, None, "s", 0.666666666667]]}
-        assert cli._report_json(data) == json.dumps(rounded, sort_keys=True, indent=2)
-        assert json.loads(cli._report_json(data)) == rounded
-        with pytest.raises(TypeError, match="cannot serialize"):
-            cli._report_json([1j])
+        rounded = cli._round12(data)
+        assert rounded == {"x": 0.123456789012, "rows": [[1, True, None, "s", 0.666666666667]]}
+        assert type(rounded["x"]) is float
+        text = '{"rows": [[1, true, null, "s", 0.666666666667]], "x": 0.123456789012}'
+        assert json.dumps(rounded, sort_keys=True) == text
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps(cli._round12([1j]))
 
-    def test_writer_matches_json_dumps_of_rounded_data(self):
+    def test_writer_spells_non_finite_non_ascii_and_nested_records(self):
         eq = EquivalenceReport(1.0 / 3.0, float("inf"), False)
         data = {
             "floats": [math.inf, -math.inf, math.nan, -0.0, 1e-300, 2.0**70, 0.1 + 0.2],
             "ints": [0, -7, 2**70],
             "text": ["caf\u00e9 \u2264 2^n", 'quote " slash \\ tab \t', ""],
-            "records": {"eq": eq, "nested": [eq, {"inner": (eq,)}]},
+            "records": {"nested": [{"inner": (eq,)}]},
             "empty": {"list": [], "tuple": (), "dict": {}},
             "b": True,
             "none": None,
         }
-        expected = json.dumps(round12(data), sort_keys=True, indent=2)
-        assert cli._report_json(data) == expected
-        assert "Infinity" in expected and "-Infinity" in expected and "NaN" in expected
-        for empty in ([], {}, ()):
-            assert cli._report_json(empty) == json.dumps(round12(empty), sort_keys=True, indent=2)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.recursive(
-            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
-            max_leaves=20,
-        )
-    )
-    def test_writer_matches_json_dumps_on_any_json_data(self, data):
-        assert cli._report_json(data) == json.dumps(round12(data), sort_keys=True, indent=2)
+        assert json.dumps(cli._round12(data), sort_keys=True, indent=2) == EDGE_REPORT
 
     def test_every_report_is_a_json_dumps_fixed_point(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS, sweep={"n_values": [1, 2, 3]})
@@ -582,6 +616,21 @@ class TestWriter:
         assert main(argv) == EXIT_CAPACITY
         expected = artifact_names("measure_z_n2") | artifact_names("identity_n2")
         assert {p.name for p in out.iterdir()} == expected
+        assert_no_child_left()
+
+    def test_failing_simulate_job_keeps_exactly_the_earlier_jobs(self, tmp_path, monkeypatch):
+        run_single = cli.run_single
+
+        def second_fails(cfg, n, spec):
+            if spec.kind == "measure_z":
+                raise CapacityError("over the limit (simulated)")
+            return run_single(cfg, n, spec)
+
+        monkeypatch.setattr(cli, "run_single", second_fails)
+        cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS[:3])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
+        assert {p.name for p in out.iterdir()} == artifact_names("identity_n1")
         assert_no_child_left()
 
     def test_run_single_writes_nothing(self, tmp_path, monkeypatch):
