@@ -20,16 +20,18 @@ import os
 import pickle
 import sys
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
 from .attacks import AttackSpec, natural_bases, product_attack
 from .channels import matrix_from_pairs
 from .errors import CapacityError, ConfigError, DimensionError, QidError
-from .operators import DECISION_TOL, Projector, validate_state
+from .operators import Projector, validate_state
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
 from .tradeoff import (
@@ -85,20 +87,12 @@ class ExperimentConfig:
     c_offset: int
     dense_limit: int
     seed: int
-    decision_tol: float
     sweep_n: tuple[int, ...]
-    out_dir: str
 
 
 # Every accepted key; anything else is a typo and raises ConfigError.
-CONFIG_KEYS = {
-    "n", "attacks", "c_offset", "dense_limit", "seed", "tolerances", "sweep", "outputs",
-}
-SECTION_KEYS = {
-    "tolerances": {"decision"},
-    "sweep": {"n_values"},
-    "outputs": {"dir"},
-}
+CONFIG_KEYS = {"n", "attacks", "c_offset", "dense_limit", "seed", "sweep"}
+SWEEP_KEYS = {"n_values"}
 ATTACK_KEYS = {"kind", "params"}
 
 
@@ -116,12 +110,6 @@ def _integer(value, key: str, minimum: int | None = None) -> int:
     return value
 
 
-def _decision_tol(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
-        raise ConfigError(f"tolerance 'decision' must be a number in (0, 1), got {value!r}")
-    return float(value)
-
-
 def _attack(entry: dict, n: int) -> AttackSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"an attack must be a JSON object, got {entry!r}")
@@ -137,33 +125,26 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(data, CONFIG_KEYS, "config")
-    for section, allowed in SECTION_KEYS.items():
-        sub = data.get(section, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"'{section}' must be a JSON object")
-        _reject_unknown(sub, allowed, section)
+    sweep = data.get("sweep", {})
+    if not isinstance(sweep, dict):
+        raise ConfigError("'sweep' must be a JSON object")
+    _reject_unknown(sweep, SWEEP_KEYS, "sweep")
     try:
         n = _integer(data["n"], "n", 1)
         raw_attacks = data["attacks"]
         if not isinstance(raw_attacks, list) or not raw_attacks:
             raise ConfigError("config needs a nonempty 'attacks' list")
         attacks = [_attack(a, n) for a in raw_attacks]
-        sweep = data.get("sweep", {})
         sweep_n = tuple(_integer(v, "n_values", 1) for v in sweep.get("n_values", []))
         if len(set(sweep_n)) != len(sweep_n):
             raise ConfigError(f"'n_values' repeats a value: {list(sweep_n)}")
-        out_dir = data.get("outputs", {}).get("dir", "qid-out")
-        if not isinstance(out_dir, str) or not out_dir:
-            raise ConfigError(f"'outputs.dir' must be a non-empty string, got {out_dir!r}")
         cfg = ExperimentConfig(
             n=n,
             attacks=attacks,
             c_offset=_integer(data.get("c_offset", 0), "c_offset", 0),
             dense_limit=_integer(data.get("dense_limit", DENSE_THETA_LIMIT), "dense_limit"),
             seed=_integer(data.get("seed", 0), "seed"),
-            decision_tol=_decision_tol(data.get("tolerances", {}).get("decision", DECISION_TOL)),
             sweep_n=sweep_n,
-            out_dir=out_dir,
         )
     except (KeyError, TypeError, ValueError, QidError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
@@ -211,7 +192,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec) -> JobRecord:
     spec = AttackSpec(kind=spec.kind, n=n, params=dict(spec.params))
     inst = ProtocolInstance.from_channel(product_attack(spec))
     dense = n <= cfg.dense_limit
-    report = verify_tradeoff(inst, natural_bases(spec), cfg.c_offset, cfg.decision_tol, dense)
+    report = verify_tradeoff(inst, natural_bases(spec), cfg.c_offset, dense)
     ok = report.all_hold
     checks = {}
     if dense:
@@ -219,7 +200,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec) -> JobRecord:
         theta = theta_matrix(inst)
         checks["expectation"] = expectation = [
             chk
-            for cat in catalogues_for(inst, cfg.decision_tol)
+            for cat in catalogues_for(inst)
             for chk in expectation_identity_check(inst, cat, theta)
         ]
         ok = ok and eq.passed and all(chk.agree for chk in expectation)
@@ -327,7 +308,7 @@ def _artifact_writer(out_dir: Path):
 def _config_and_out(args) -> tuple[ExperimentConfig, Path]:
     """The config and the output directory, refused at once if its path cannot be one."""
     cfg = load_config(args.config)
-    out_dir = Path(args.out or cfg.out_dir)
+    out_dir = Path(args.out)
     for path in (out_dir, *out_dir.parents):
         try:
             path.stat()
@@ -342,14 +323,22 @@ def _config_and_out(args) -> tuple[ExperimentConfig, Path]:
 
 
 def _run(cfg: ExperimentConfig, out_dir: Path, jobs: list, workers: int) -> int:
-    """Run the (n, attack) jobs on ``workers`` threads; the writer writes their records."""
+    """Run the (n, attack) jobs on ``workers`` threads; the writer writes their records.
+
+    Records go in config order, so a failed job stops the run after the
+    same earlier jobs at any worker count.  A job is submitted only when
+    the oldest running one has returned, so at most ``workers - 1`` jobs
+    after a failed one have started.
+    """
     all_ok = True
+    todo = iter(jobs)
     with _artifact_writer(out_dir) as send:
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            # Records go in config order, so a failed job stops the run after
-            # the same earlier jobs at any worker count; map lets each go once sent.
-            for record in pool.map(lambda job: run_single(cfg, *job), jobs):
+            running = deque(pool.submit(run_single, cfg, *job) for job in islice(todo, workers))
+            while running:
+                record = running.popleft().result()
+                running.extend(pool.submit(run_single, cfg, *job) for job in islice(todo, 1))
                 send(record)
                 all_ok = record.all_hold and all_ok
         finally:
@@ -435,12 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the configured attacks at one n")
     sim.add_argument("--config", required=True)
-    sim.add_argument("--out", type=_out_dir)
+    sim.add_argument("--out", type=_out_dir, default="qid-out")
     sim.set_defaults(func=cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="run a grid over n values and attacks")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--out", type=_out_dir)
+    sweep.add_argument("--out", type=_out_dir, default="qid-out")
     sweep.add_argument("--workers", type=_positive_int, default=4)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -27,13 +27,7 @@ from .complexity import (
 )
 from .distinguishability import distinguishable_partition
 from .errors import DimensionError, ValidationError
-from .operators import (
-    DECISION_TOL,
-    PROBABILITY_TOL,
-    VERDICT_TOL,
-    as_matrix,
-    operator_norm,
-)
+from .operators import PROBABILITY_TOL, VERDICT_TOL, as_matrix, operator_norm
 from .protocol import DENSE_THETA_LIMIT, FAMILY_BASIS, ProtocolInstance, basis_table, theta_matrix
 
 
@@ -247,13 +241,10 @@ def average_complexity_check(
     )
 
 
-def catalogues_for(
-    inst: ProtocolInstance,
-    decision_tol: float = DECISION_TOL,
-) -> tuple[DecoderCatalogue, DecoderCatalogue]:
+def catalogues_for(inst: ProtocolInstance) -> tuple[DecoderCatalogue, DecoderCatalogue]:
     """Bob/Z and Eve/X decoder catalogues for one protocol instance."""
     cat_b, cat_e = (
-        build_catalogue(distinguishable_partition(inst.family(side), decision_tol), inst.n, side)
+        build_catalogue(distinguishable_partition(inst.family(side)), inst.n, side)
         for side in FAMILY_BASIS
     )
     return cat_b, cat_e
@@ -263,7 +254,6 @@ def verify_tradeoff(
     inst: ProtocolInstance,
     bases: tuple[str, str],
     c_offset: int = 0,
-    decision_tol: float = DECISION_TOL,
     dense: bool | None = None,
 ) -> TradeoffReport:
     """Full verification sweep for one attack at one n.
@@ -274,7 +264,7 @@ def verify_tradeoff(
     reads Bob's and Eve's sides in the ``bases`` pair.
     """
     n = inst.n
-    cat_b, cat_e = catalogues_for(inst, decision_tol)
+    cat_b, cat_e = catalogues_for(inst)
     prof_b = proxy_complexity(cat_b)
     prof_e = proxy_complexity(cat_e)
     grid = []

@@ -162,6 +162,15 @@ def test_leaky_factor_gives_bob_no_class(n):
     assert [c.members for c in part if c.size >= 2] == []
 
 
+def test_a_tighter_tol_keeps_overlapping_messages_apart():
+    # At N = 4 each message and its complement overlap by 1e-8, which DECISION_TOL
+    # takes for orthogonal (the xfail above); the partition's tol, the one place a
+    # threshold moves, keeps them apart.
+    inst = ProtocolInstance.from_channel(ProductChannel(leaky_factor(0.1), 4))
+    part = distinguishable_partition(inst.rho_b, tol=1e-9)
+    assert [c.members for c in part if c.size >= 2] == []
+
+
 class TestDistinguishableClass:
     def test_members_must_be_sorted_unique(self):
         with pytest.raises(DimensionError):
