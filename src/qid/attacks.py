@@ -132,14 +132,9 @@ class AttackSpec:
         return f"{self.kind}{extra}"
 
 
-def _single_qubit_kraus(kind: str, params: Mapping[str, float]) -> list[np.ndarray]:
-    """Kraus operators C^2 -> C^2 (x) C^2 with output ordered (B, E)."""
-    return ATTACKS[kind].kraus(**params)
-
-
 def product_attack(spec: AttackSpec) -> ProductChannel:
     """The attack as its one-qubit channel and qubit count; no N-qubit Kraus stack is built."""
-    kraus = _single_qubit_kraus(spec.kind, spec.params)
+    kraus = ATTACKS[spec.kind].kraus(**spec.params)
     factor = QuantumChannel(kraus, (2,), (2,), (2,), spec.label())
     return ProductChannel(factor, spec.n, spec.label())
 

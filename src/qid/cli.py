@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import pickle
 import sys
@@ -38,7 +37,6 @@ from .tradeoff import (
     TradeoffReport,
     catalogues_for,
     landau_pollak_check,
-    tradeoff_bound,
     verify_tradeoff,
 )
 
@@ -84,14 +82,13 @@ def _csv(header, rows) -> str:
 class ExperimentConfig:
     n: int
     attacks: list[AttackSpec]
-    c_offset: int
     dense_limit: int
     seed: int
     sweep_n: tuple[int, ...]
 
 
 # Every accepted key; anything else is a typo and raises ConfigError.
-CONFIG_KEYS = {"n", "attacks", "c_offset", "dense_limit", "seed", "sweep"}
+CONFIG_KEYS = {"n", "attacks", "dense_limit", "seed", "sweep"}
 SWEEP_KEYS = {"n_values"}
 ATTACK_KEYS = {"kind", "params"}
 
@@ -141,7 +138,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         cfg = ExperimentConfig(
             n=n,
             attacks=attacks,
-            c_offset=_integer(data.get("c_offset", 0), "c_offset", 0),
             dense_limit=_integer(data.get("dense_limit", DENSE_THETA_LIMIT), "dense_limit"),
             seed=_integer(data.get("seed", 0), "seed"),
             sweep_n=sweep_n,
@@ -153,20 +149,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     shared = sorted({label for label in labels if labels.count(label) > 1})
     if shared:
         raise ConfigError(f"attacks share artifact names: {', '.join(shared)}")
-    # An n whose bound overflows even at c_offset = 0 is far past the
-    # capacity limits, which refuse it (exit 3); only c_offset is at fault here.
-    for n in {cfg.n, *cfg.sweep_n}:
-        if _finite_bound(n, 0) and not _finite_bound(n, cfg.c_offset):
-            raise ConfigError(f"'c_offset' {cfg.c_offset} overflows the counting bound at n = {n}")
     return cfg
-
-
-def _finite_bound(n: int, c_offset: int) -> bool:
-    """Whether the largest counting bound at n, at l = m = n + 1, is a finite float."""
-    try:
-        return math.isfinite(tradeoff_bound(n + 1, n + 1, n, c_offset))
-    except OverflowError:
-        return False
 
 
 class JobRecord(NamedTuple):
@@ -192,7 +175,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec) -> JobRecord:
     spec = AttackSpec(kind=spec.kind, n=n, params=dict(spec.params))
     inst = ProtocolInstance.from_channel(product_attack(spec))
     dense = n <= cfg.dense_limit
-    report = verify_tradeoff(inst, natural_bases(spec), cfg.c_offset, dense)
+    report = verify_tradeoff(inst, natural_bases(spec), dense)
     ok = report.all_hold
     checks = {}
     if dense:
@@ -218,6 +201,8 @@ def _artifacts(record: JobRecord) -> dict[str, str]:
         profile_b=prof_b.lengths,
         profile_e=prof_e.lengths,
         seed=record.seed,
+        # The stored references hold it; roadmap item 1's regeneration drops it.
+        c_offset=0,
         **record.dense_checks,
         all_hold=record.all_hold,
     )

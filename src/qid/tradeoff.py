@@ -80,11 +80,11 @@ def landau_pollak_check(projectors: Sequence[np.ndarray], rho: np.ndarray) -> LP
     return _lp_sum(traces, norms, range(len(traces)))
 
 
-def tradeoff_bound(l: int, m: int, n: int, c_offset: int = 0) -> float:
-    """Counting bound 2^n (1 + 2^((l+m-n+3)/2 + c))."""
+def tradeoff_bound(l: int, m: int, n: int) -> float:
+    """Counting bound 2^n (1 + 2^((l+m-n+3)/2))."""
     if l < 0 or m < 0:
         raise ValidationError("l and m must be nonnegative")
-    return 2.0**n * (1.0 + 2.0 ** ((l + m - n + 3) / 2.0 + c_offset))
+    return 2.0**n * (1.0 + 2.0 ** ((l + m - n + 3) / 2.0))
 
 
 # A report record's fields are its keys in the CLI's JSON report, and the
@@ -137,7 +137,7 @@ class ShannonCheck:
 
 @dataclass(frozen=True)
 class AverageCheck:
-    """Average proxy complexity sum, reported against n - c (not asserted)."""
+    """Average proxy complexity sum, reported against n (not asserted)."""
 
     avg_sum: float
     reference: float
@@ -146,7 +146,6 @@ class AverageCheck:
 @dataclass(frozen=True)
 class TradeoffReport:
     n: int
-    c_offset: int
     profile_b: ComplexityProfile
     profile_e: ComplexityProfile
     grid: tuple[GridPoint, ...]
@@ -212,32 +211,26 @@ def shannon_tradeoff_check(inst: ProtocolInstance, bob_basis: str, eve_basis: st
     return ShannonCheck(i_bz, i_ex, total, limit, total <= limit + VERDICT_TOL)
 
 
-def corollary_threshold(n: int, c_offset: int = 0) -> int:
-    """Least max-complexity sum the corollary allows: n - 3 - 2c."""
-    return n - 3 - 2 * c_offset
+def corollary_threshold(n: int) -> int:
+    """Least max-complexity sum the corollary allows: n - 3."""
+    return n - 3
 
 
 def max_complexity_corollary(
-    profile_b: ComplexityProfile,
-    profile_e: ComplexityProfile,
-    *,
-    c_offset: int = 0,
+    profile_b: ComplexityProfile, profile_e: ComplexityProfile
 ) -> CorollaryCheck:
-    """max_z len_B(z) + max_x len_E(x) >= n - 3 - 2c, with n from the profiles."""
+    """max_z len_B(z) + max_x len_E(x) >= n - 3, with n from the profiles."""
     max_b, max_e = profile_b.max_length(), profile_e.max_length()
-    threshold = corollary_threshold(profile_b.n, c_offset)
+    threshold = corollary_threshold(profile_b.n)
     return CorollaryCheck(max_b, max_e, max_b + max_e, threshold, max_b + max_e >= threshold)
 
 
 def average_complexity_check(
-    profile_b: ComplexityProfile,
-    profile_e: ComplexityProfile,
-    *,
-    c_offset: int = 0,
+    profile_b: ComplexityProfile, profile_e: ComplexityProfile
 ) -> AverageCheck:
     return AverageCheck(
         avg_sum=profile_b.average() + profile_e.average(),
-        reference=float(profile_b.n - c_offset),
+        reference=float(profile_b.n),
     )
 
 
@@ -253,7 +246,6 @@ def catalogues_for(inst: ProtocolInstance) -> tuple[DecoderCatalogue, DecoderCat
 def verify_tradeoff(
     inst: ProtocolInstance,
     bases: tuple[str, str],
-    c_offset: int = 0,
     dense: bool | None = None,
 ) -> TradeoffReport:
     """Full verification sweep for one attack at one n.
@@ -270,7 +262,7 @@ def verify_tradeoff(
     grid = []
     for l, m in product(range(n + 2), repeat=2):
         count_b, count_e = prof_b.count(l), prof_e.count(m)
-        bound = tradeoff_bound(l, m, n, c_offset)
+        bound = tradeoff_bound(l, m, n)
         holds = count_b + count_e <= bound + VERDICT_TOL
         grid.append(GridPoint(l, m, count_b, count_e, bound, holds))
     if dense is None:
@@ -301,14 +293,13 @@ def verify_tradeoff(
     shannon = shannon_tradeoff_check(inst, *bases)
     return TradeoffReport(
         n=n,
-        c_offset=c_offset,
         profile_b=prof_b,
         profile_e=prof_e,
         grid=tuple(grid),
         lp_records=tuple(lp_records),
         cross_norms=tuple(cross_norms),
-        corollary1=max_complexity_corollary(prof_b, prof_e, c_offset=c_offset),
+        corollary1=max_complexity_corollary(prof_b, prof_e),
         shannon=shannon,
-        average=average_complexity_check(prof_b, prof_e, c_offset=c_offset),
+        average=average_complexity_check(prof_b, prof_e),
     )
 

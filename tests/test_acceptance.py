@@ -176,7 +176,7 @@ def test_criterion_06_main_theorem_grid():
                 for m in range(n + 2):
                     points += 1
                     total = prof_b.count(l) + prof_e.count(m)
-                    if total > tradeoff_bound(l, m, n, 0) + 1e-9:
+                    if total > tradeoff_bound(l, m, n) + 1e-9:
                         violations += 1
     verdict(
         6,

@@ -157,7 +157,7 @@ def kron_then_regroup(spec):
     Kronecker products interleave the per-qubit outputs as (b1, e1, b2, e2, ...);
     a permutation matrix regroups them as (b1..bn, e1..en).
     """
-    single = attacks_mod._single_qubit_kraus(spec.kind, spec.params)
+    single = attacks_mod.ATTACKS[spec.kind].kraus(**spec.params)
     ops = single
     for _ in range(spec.n - 1):
         ops = [tensor(a, b) for a in ops for b in single]

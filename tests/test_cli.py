@@ -44,7 +44,6 @@ def write_config(path, **overrides):
     data = {
         "n": 1,
         "attacks": [{"kind": "cnot_probe"}],
-        "c_offset": 0,
         "dense_limit": 2,
         "seed": 11,
     }
@@ -88,15 +87,17 @@ class TestConfig:
             ("tolerances", {"spectral": 1e-8}),
             ("tolerances", {"structural": 1e-6}),
             ("outputs", {"dir": "elsewhere"}),
+            ("c_offset", 0),
         ],
-        ids=["decision", "spectral", "structural", "outputs_dir"],
+        ids=["decision", "spectral", "structural", "outputs_dir", "c_offset"],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_deleted_section_exits_config(
         self, tmp_path, monkeypatch, capsys, command, section, value
     ):
-        # No threshold is settable and --out is the one output setting, so a
-        # config naming either section is refused before any directory is made.
+        # No threshold or bound constant is settable and --out is the one output
+        # setting, so a config naming any of them is refused before any directory
+        # is made.
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "cfg.json", **{section: value})
         with pytest.raises(ConfigError, match=f"unknown config key\\(s\\): {section}$"):
@@ -125,8 +126,6 @@ class TestConfig:
             {"n": 1.9},
             {"sweep": {"n_values": [0, 1]}},
             {"sweep": {"n_values": [1, 2.0]}},
-            {"c_offset": 0.5},
-            {"c_offset": -4},
             {"dense_limit": True},
             {"seed": "11"},
         ],
@@ -134,8 +133,6 @@ class TestConfig:
             "n_float",
             "n_values_below_one",
             "n_values_float",
-            "c_offset",
-            "c_offset_negative",
             "dense_limit",
             "seed",
         ],
@@ -187,25 +184,6 @@ class TestConfig:
             load_config(cfg)
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"n": 2, "c_offset": 2000},
-            {"n": 8, "c_offset": 1012},
-            {"sweep": {"n_values": [1, 10**6]}, "c_offset": 1030},
-        ],
-        ids=["overflow_error", "infinite_bound", "any_configured_n"],
-    )
-    def test_c_offset_overflowing_the_bound_exits_config(self, tmp_path, overrides):
-        # 2.0 ** ((l + m - n + 3) / 2 + c) used to end the run in an OverflowError
-        # traceback or, at n = 8, to make the bound at l = m = 9 infinite.
-        cfg = write_config(tmp_path / "cfg.json", **overrides)
-        with pytest.raises(ConfigError, match="c_offset"):
-            load_config(cfg)
-        out = tmp_path / "o"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "out", ["afile", "afile/sub", pytest.param("x" * 300 + "/sub", id="name_too_long")]

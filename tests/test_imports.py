@@ -1,4 +1,4 @@
-"""Every name a ``qid`` module imports is used in that module."""
+"""Every name a ``qid`` module imports, and every private name it defines, is used in it."""
 
 import ast
 from pathlib import Path
@@ -23,11 +23,45 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Private module-level functions, classes and constants that no line of the module reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(private - read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reads_every_private_name(path):
+    assert unread_private_names(path.read_text()) == []
+
+
 def test_guard_sees_an_unused_name():
     source = "from .operators import ket_bra, tensor\nimport numpy as np\n\nx = tensor(np.eye(2))\n"
     assert unused_imports(source) == ["ket_bra"]
+
+
+def test_guard_sees_an_unread_private_name():
+    source = (
+        "_LIMIT = 3\n_unused = 4\n\n\n"
+        "def _helper(x):\n    return x + _LIMIT\n\n\n"
+        "def _left_over(n):\n    return n\n\n\n"
+        "def public():\n    return _helper(1)\n"
+    )
+    assert unread_private_names(source) == ["_left_over", "_unused"]

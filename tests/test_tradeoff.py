@@ -148,35 +148,34 @@ class TestCrossNorm:
 
 class TestBound:
     def test_examples(self):
-        assert tradeoff_bound(0, 0, 1, 0) == 6.0
-        assert tradeoff_bound(1, 1, 3, 0) == 24.0
-        assert tradeoff_bound(2, 2, 1, 0) == 18.0
+        assert tradeoff_bound(0, 0, 1) == 6.0
+        assert tradeoff_bound(1, 1, 3) == 24.0
+        assert tradeoff_bound(2, 2, 1) == 18.0
 
     def test_nontrivial_regime_boundary(self):
         for n in range(1, 7):
-            for c in (-1, 0, 1):
-                for l in range(n + 2):
-                    for m in range(n + 2):
-                        nontrivial = tradeoff_bound(l, m, n, c) <= 2.0 * 2**n + 1e-9
-                        assert nontrivial == (l + m <= n - 3 - 2 * c)
+            for l in range(n + 2):
+                for m in range(n + 2):
+                    nontrivial = tradeoff_bound(l, m, n) <= 2.0 * 2**n + 1e-9
+                    assert nontrivial == (l + m <= n - 3)
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValidationError):
             tradeoff_bound(-1, 0, 2)
 
     def test_theorem_form_is_exact_for_even_exponent(self):
-        # the theorem's final form 2^n (1 + 2^((l+m-n)/2 + c)) is tradeoff_bound
-        # without its +3 pre-constant, and a rational when l+m-n is even
-        def theorem_form(l, m, n, c=0):
-            return Fraction(2) ** n * (1 + Fraction(2) ** ((l + m - n) // 2 + c))
+        # the theorem's final form 2^n (1 + 2^((l+m-n)/2 + c)) at c = 0 is
+        # tradeoff_bound without its +3 pre-constant, and a rational when l+m-n
+        # is even
+        def theorem_form(l, m, n):
+            return Fraction(2) ** n * (1 + Fraction(2) ** ((l + m - n) // 2))
 
         assert theorem_form(12, 8, 24) == Fraction(5 * 2**24, 4)
         for n in range(1, 9):
-            for c in (-1, 0, 1):
-                for l in range(3, n + 5):
-                    for m in range(n + 2):
-                        if (l + m - n) % 2 == 0:
-                            assert theorem_form(l, m, n, c) == tradeoff_bound(l - 3, m, n, c)
+            for l in range(3, n + 5):
+                for m in range(n + 2):
+                    if (l + m - n) % 2 == 0:
+                        assert theorem_form(l, m, n) == tradeoff_bound(l - 3, m, n)
 
 
 class TestVerifyTradeoff:
