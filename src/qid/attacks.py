@@ -92,7 +92,6 @@ ATTACKS = {
         lambda theta: _measure_resend(lambda b: _rotated(b, theta)),
     ),
 }
-KINDS = tuple(ATTACKS)
 
 
 @dataclass(frozen=True)
@@ -152,8 +151,3 @@ def standard_attacks(n: int) -> list[AttackSpec]:
         AttackSpec(kind, n, {row.param[0]: row.param[3]} if row.param else {})
         for kind, row in ATTACKS.items()
     ]
-
-
-def natural_bases(spec: AttackSpec) -> tuple[str, str]:
-    """Bob's and Eve's measurement bases for the Shannon cross-check: Z and the row's basis."""
-    return "Z", ATTACKS[spec.kind].eve_basis

@@ -220,7 +220,6 @@ def isometry_to_channel(
     out_dims_b,
     out_dims_e,
     env_dim: int = 1,
-    name: str = "",
 ) -> QuantumChannel:
     """Channel from an isometry V: H_A -> H_B (x) H_E (x) H_env.
 
@@ -241,7 +240,6 @@ def isometry_to_channel(
         in_dims=in_dims,
         out_dims_b=tuple(out_dims_b),
         out_dims_e=tuple(out_dims_e),
-        name=name,
     )
     validate_channel(ch, "isometry")  # the Kraus operators are V's row slices, so sum K^dag K = V^dag V
     return ch

@@ -27,7 +27,7 @@ from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
-from .attacks import AttackSpec, natural_bases, product_attack
+from .attacks import ATTACKS, AttackSpec, product_attack
 from .channels import matrix_from_pairs
 from .errors import CapacityError, ConfigError, DimensionError, QidError
 from .operators import Projector, validate_state
@@ -175,7 +175,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec) -> JobRecord:
     spec = AttackSpec(kind=spec.kind, n=n, params=dict(spec.params))
     inst = ProtocolInstance.from_channel(product_attack(spec))
     dense = n <= cfg.dense_limit
-    report = verify_tradeoff(inst, natural_bases(spec), dense)
+    report = verify_tradeoff(inst, ATTACKS[spec.kind].eve_basis, dense)
     ok = report.all_hold
     checks = {}
     if dense:

@@ -19,7 +19,7 @@ import numpy as np
 from .distinguishability import DistinguishableClass
 from .errors import CapacityError, DimensionError, ValidationError
 from .operators import MAX_DIM, VERDICT_TOL, ket_bra
-from .protocol import FAMILY_BASIS, ProtocolInstance, encode
+from .protocol import FAMILY_BASIS, ProtocolInstance, basis_table
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,9 @@ class StructuredProjector:
         if total > MAX_DIM:
             raise CapacityError(f"dense projector side {total} exceeds the limit of {MAX_DIM}")
         out = np.zeros((total, total), dtype=np.complex128)
+        table = basis_table(FAMILY_BASIS[self.side], self.n)
         for msg, proj in self.terms:
-            probe = ket_bra(encode(msg, FAMILY_BASIS[self.side], self.n))
+            probe = ket_bra(table[msg])
             if self.side == "B":
                 out += np.kron(np.kron(probe, proj), np.eye(self.dim_e))
             else:

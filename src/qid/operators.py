@@ -19,8 +19,8 @@ from .errors import CapacityError, DimensionError, ValidationError
 # Every threshold the package compares against.  Three tiers come first:
 # representation-level checks, eigenvalues computed by the Hermitian
 # eigensolver, and distinguishability decisions built on top of those.
-# Only one is settable, through the config's tolerances block:
-# ``decision`` is passed to ``distinguishability.distinguishable_partition``.
+# No config sets any of them; ``DECISION_TOL`` is the default ``tol`` of
+# ``distinguishability.distinguishable_partition``.
 STRUCTURAL_TOL = 1e-10  # hermiticity, unit trace, positivity; protocol equivalence
 SPECTRAL_TOL = 1e-8  # eigenvalues at or below this lie outside a state's support
 DECISION_TOL = 1e-7  # support overlaps at or below this count as orthogonal

@@ -83,10 +83,9 @@ def epr_state(n: int) -> np.ndarray:
 
 def _factor_marginals(factor: QuantumChannel, side: Side) -> np.ndarray:
     """One side's marginals of a factor for every message of its register, in the side's basis."""
-    basis, pick, k = FAMILY_BASIS[side], list(FAMILY_BASIS).index(side), len(factor.in_dims)
-    return np.stack(
-        [vector_marginals(factor, encode(msg, basis, k))[pick] for msg in range(factor.in_dim)]
-    )
+    pick = list(FAMILY_BASIS).index(side)
+    table = basis_table(FAMILY_BASIS[side], len(factor.in_dims))
+    return np.stack([vector_marginals(factor, psi)[pick] for psi in table])
 
 
 @dataclass(frozen=True)

@@ -202,10 +202,10 @@ def mutual_information(joint: np.ndarray) -> float:
     return 0.0 if -PROBABILITY_TOL < val < 0.0 else val
 
 
-def shannon_tradeoff_check(inst: ProtocolInstance, bob_basis: str, eve_basis: str) -> ShannonCheck:
-    """I(msg : Bob | Z) + I(msg : Eve | X) <= n, each side read in the given basis."""
+def shannon_tradeoff_check(inst: ProtocolInstance, eve_basis: str) -> ShannonCheck:
+    """I(msg : Bob | Z) + I(msg : Eve | X) <= n, with Bob read in Z and Eve in ``eve_basis``."""
     ch = inst.channel
-    i_bz = mutual_information(outcome_distribution(inst.rho_b, ch.out_dims_b, bob_basis))
+    i_bz = mutual_information(outcome_distribution(inst.rho_b, ch.out_dims_b, FAMILY_BASIS["B"]))
     i_ex = mutual_information(outcome_distribution(inst.sigma_e, ch.out_dims_e, eve_basis))
     total, limit = i_bz + i_ex, float(inst.n)
     return ShannonCheck(i_bz, i_ex, total, limit, total <= limit + VERDICT_TOL)
@@ -245,7 +245,7 @@ def catalogues_for(inst: ProtocolInstance) -> tuple[DecoderCatalogue, DecoderCat
 
 def verify_tradeoff(
     inst: ProtocolInstance,
-    bases: tuple[str, str],
+    eve_basis: str,
     dense: bool | None = None,
 ) -> TradeoffReport:
     """Full verification sweep for one attack at one n.
@@ -253,7 +253,7 @@ def verify_tradeoff(
     Populates the (l, m) counting grid over [0, n+1]^2, the dense
     Landau-Pollak and cross-norm records when the global state fits in
     memory, both corollary checks and the Shannon cross-check, which
-    reads Bob's and Eve's sides in the ``bases`` pair.
+    reads Eve's side in ``eve_basis``.
     """
     n = inst.n
     cat_b, cat_e = catalogues_for(inst)
@@ -290,7 +290,7 @@ def verify_tradeoff(
         for l, m in product(range(n + 2), repeat=2):
             family = [i for i in side_b if weights[i] <= l] + [j for j in side_e if weights[j] <= m]
             lp_records.append(LPRecord(l, m, **vars(_lp_sum(traces, norms, family))))
-    shannon = shannon_tradeoff_check(inst, *bases)
+    shannon = shannon_tradeoff_check(inst, eve_basis)
     return TradeoffReport(
         n=n,
         profile_b=prof_b,

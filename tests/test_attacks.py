@@ -5,7 +5,7 @@ import pytest
 
 import qid.attacks as attacks_mod
 import qid.channels as channels_mod
-from qid.attacks import KINDS, AttackSpec, make_attack, natural_bases, standard_attacks
+from qid.attacks import ATTACKS, AttackSpec, make_attack, standard_attacks
 from qid.channels import validate_channel, vector_marginals
 from qid.errors import CapacityError, ValidationError
 from qid.operators import tensor
@@ -169,7 +169,7 @@ def kron_then_regroup(spec):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", tuple(ATTACKS))
 def test_broadcast_tensor_power_matches_kron_then_regroup(kind, n, attack_spec, channel):
     expected = kron_then_regroup(attack_spec(kind, n))
     got = channel(kind, n).kraus
@@ -178,10 +178,10 @@ def test_broadcast_tensor_power_matches_kron_then_regroup(kind, n, attack_spec, 
 
 
 def test_standard_library_covers_all_kinds():
-    assert tuple(s.kind for s in standard_attacks(1)) == KINDS
+    assert tuple(s.kind for s in standard_attacks(1)) == tuple(ATTACKS)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", tuple(ATTACKS))
 def test_table_row_is_the_attack_check(kind):
     row = attacks_mod.ATTACKS[kind]
     library = next(spec for spec in standard_attacks(1) if spec.kind == kind)
@@ -206,4 +206,4 @@ def test_table_row_is_the_attack_check(kind):
     for bad in ({name: True}, {name: "0.5"}, [(name, 0.5)]):
         with pytest.raises(ValidationError, match="real numbers"):
             AttackSpec(kind, 1, bad)
-    assert natural_bases(library) == ("Z", "X" if kind == "universal_cloner" else "Z")
+    assert row.eve_basis == ("X" if kind == "universal_cloner" else "Z")

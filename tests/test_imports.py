@@ -1,6 +1,10 @@
-"""Every name a ``qid`` module imports, and every private name it defines, is used in it."""
+"""Every name a ``qid`` module imports, and every private name it defines, is used in it.
+
+Every name the benchmark's tracer wraps exists where it looks for it.
+"""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import qid
 
 MODULES = sorted(Path(qid.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -65,3 +70,27 @@ def test_guard_sees_an_unread_private_name():
         "def public():\n    return _helper(1)\n"
     )
     assert unread_private_names(source) == ["_left_over", "_unused"]
+
+
+def traced_names(source: str) -> dict:
+    """The tracer's ``FUNCTIONS`` and ``METHODS`` literals, read without importing it."""
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "METHODS")
+    }
+
+
+def test_every_traced_name_exists():
+    # A traced name that is missing crashes every traced benchmark run.
+    names = traced_names(TRACER.read_text())
+    assert names["FUNCTIONS"] and names["METHODS"]
+    for mod_name, funcs in names["FUNCTIONS"].items():
+        mod = importlib.import_module(mod_name)
+        for func in funcs:
+            assert callable(getattr(mod, func, None)), f"{mod_name}.{func}"
+    for mod_name, cls_name, meth in names["METHODS"]:
+        cls = getattr(importlib.import_module(mod_name), cls_name, None)
+        assert cls is not None and meth in vars(cls), f"{mod_name}.{cls_name}.{meth}"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qid.channels as channels_mod
 import qid.protocol as protocol
-from qid.attacks import KINDS, AttackSpec, make_attack, natural_bases, product_attack
+from qid.attacks import ATTACKS, AttackSpec, make_attack, product_attack
 from qid.channels import (
     ProductChannel,
     QuantumChannel,
@@ -42,8 +42,8 @@ def assert_same_states(fast, dense):
 
 
 def assert_same_verdicts(fast, dense, spec):
-    bases = natural_bases(spec)
-    ours, ref = verify_tradeoff(fast, bases), verify_tradeoff(dense, bases)
+    eve_basis = ATTACKS[spec.kind].eve_basis
+    ours, ref = verify_tradeoff(fast, eve_basis), verify_tradeoff(dense, eve_basis)
     assert ours.profile_b == ref.profile_b
     assert ours.profile_e == ref.profile_e
     assert ours.grid == ref.grid
@@ -59,7 +59,7 @@ def assert_same_verdicts(fast, dense, spec):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", tuple(ATTACKS))
 def test_product_instance_matches_dense_oracle(kind, n, attack_spec, instance):
     spec = attack_spec(kind, n)
     fast = ProtocolInstance.from_channel(product_attack(spec))
@@ -68,7 +68,7 @@ def test_product_instance_matches_dense_oracle(kind, n, attack_spec, instance):
     assert_same_verdicts(fast, dense, spec)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", tuple(ATTACKS))
 def test_two_qubit_factor_squared_matches_four_qubit_attack(kind, attack_spec, instance):
     # A plain channel on two qubits, taken twice, is the same attack on four.
     fast = ProtocolInstance.from_channel(ProductChannel(make_attack(attack_spec(kind, 2)), 2))
@@ -130,7 +130,7 @@ class TestCapacity:
         spec = attack_spec("depolarize", 3)
         inst = ProtocolInstance.from_channel(product_attack(spec))
         with pytest.raises(CapacityError, match="n <= 2"):
-            verify_tradeoff(inst, natural_bases(spec), dense=True)
+            verify_tradeoff(inst, ATTACKS[spec.kind].eve_basis, dense=True)
         for dense_check in (
             lambda: equivalence_check(inst),
             lambda: theta_matrix(inst),
@@ -250,7 +250,7 @@ class TestTables:
     def test_outcome_table_is_the_trace_of_each_pair(self, instance):
         # Oracle: 2^-n tr(rho_m |k><k|), each projector built from an explicit ket,
         # for both state families read in both bases.
-        for kind in KINDS:
+        for kind in ATTACKS:
             for n in (1, 2, 3):
                 inst = instance(kind, n)
                 ch = inst.channel

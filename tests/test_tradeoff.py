@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qid.attacks import natural_bases, standard_attacks
+from qid.attacks import ATTACKS, standard_attacks
 from qid.complexity import StructuredProjector, program_projector, proxy_complexity
 from qid.errors import DimensionError, ValidationError
 from qid.operators import ket_bra, operator_norm
@@ -179,22 +179,20 @@ class TestBound:
 
 
 class TestVerifyTradeoff:
-    def test_measure_x_counts(self, instance, attack_spec):
-        report = verify_tradeoff(instance("measure_x", 3), natural_bases(attack_spec("measure_x", 3)))
+    def test_measure_x_counts(self, instance):
+        report = verify_tradeoff(instance("measure_x", 3), ATTACKS["measure_x"].eve_basis)
         assert all(report.profile_b.count(l) == 0 for l in range(4))
         assert report.profile_e.count(1) == 8
         assert all(g.holds for g in report.grid)
 
-    def test_identity_counts(self, instance, attack_spec):
-        report = verify_tradeoff(instance("identity", 2), natural_bases(attack_spec("identity", 2)))
+    def test_identity_counts(self, instance):
+        report = verify_tradeoff(instance("identity", 2), ATTACKS["identity"].eve_basis)
         assert report.profile_b.count(1) == 4
         assert all(report.profile_e.count(m) == 0 for m in range(3))
         assert report.all_hold
 
-    def test_cloner_literal_only(self, instance, attack_spec):
-        report = verify_tradeoff(
-            instance("universal_cloner", 1), natural_bases(attack_spec("universal_cloner", 1))
-        )
+    def test_cloner_literal_only(self, instance):
+        report = verify_tradeoff(instance("universal_cloner", 1), ATTACKS["universal_cloner"].eve_basis)
         assert report.profile_b.count(1) == 0
         assert report.profile_b.count(2) == 2
         assert report.profile_e.count(2) == 2
@@ -203,15 +201,15 @@ class TestVerifyTradeoff:
         assert point.bound == 18.0
         assert report.all_hold
 
-    def test_dense_records_populated_at_small_n(self, instance, attack_spec):
-        report = verify_tradeoff(instance("measure_z", 1), natural_bases(attack_spec("measure_z", 1)))
+    def test_dense_records_populated_at_small_n(self, instance):
+        report = verify_tradeoff(instance("measure_z", 1), ATTACKS["measure_z"].eve_basis)
         assert len(report.lp_records) == 9
         assert all(r.holds for r in report.lp_records)
 
     @pytest.mark.parametrize("kind, n", DENSE_CASES)
     def test_dense_records_equal_the_per_family_checks(self, instance, kind, n):
         inst = dense_case_instance(instance, kind, n)
-        report = verify_tradeoff(inst, ("Z", "X"))
+        report = verify_tradeoff(inst, "X")
         theta = theta_matrix(inst)
         cat_b, cat_e = catalogues_for(inst)
         db, de = inst.channel.dim_b, inst.channel.dim_e
@@ -228,14 +226,14 @@ class TestVerifyTradeoff:
             assert rec == LPRecord(rec.l, rec.m, **vars(landau_pollak_check(family, theta)))
 
     def test_split_factor_mixes_both_sides(self):
-        report = verify_tradeoff(split_factor_instance(), ("Z", "X"))
+        report = verify_tradeoff(split_factor_instance(), "X")
         assert [(r.entry_b, r.entry_e) for r in report.cross_norms] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert all(abs(r.norm - 0.5) < 1e-12 and r.holds for r in report.cross_norms)
         mixed = [r for r in report.lp_records if r.l >= 2 and r.m >= 2]
         assert len(mixed) == 4 and all(r.lhs == pytest.approx(2.0) and r.holds for r in mixed)
 
-    def test_structured_only_at_n3(self, instance, attack_spec):
-        report = verify_tradeoff(instance("cnot_probe", 3), natural_bases(attack_spec("cnot_probe", 3)))
+    def test_structured_only_at_n3(self, instance):
+        report = verify_tradeoff(instance("cnot_probe", 3), ATTACKS["cnot_probe"].eve_basis)
         assert report.lp_records == ()
         assert report.all_hold
 
@@ -292,7 +290,7 @@ class TestOutcomeDistribution:
         inst = ProtocolInstance.from_channel(ch)
         assert inst.channel.out_dims_e == (3,)
         with pytest.raises(DimensionError, match="qubit"):
-            shannon_tradeoff_check(inst, "Z", "Z")
+            shannon_tradeoff_check(inst, "Z")
 
 
 class TestMutualInformation:
@@ -326,22 +324,20 @@ class TestMutualInformation:
 
 
 class TestShannon:
-    def test_identity_saturates(self, instance, attack_spec):
-        bases = natural_bases(attack_spec("identity", 2))
-        check = shannon_tradeoff_check(instance("identity", 2), *bases)
+    def test_identity_saturates(self, instance):
+        check = shannon_tradeoff_check(instance("identity", 2), ATTACKS["identity"].eve_basis)
         assert abs(check.i_bz - 2.0) < 1e-9
         assert abs(check.i_ex) < 1e-9
         assert abs(check.sum - 2.0) < 1e-9
 
-    def test_measure_x_saturates_from_eve(self, instance, attack_spec):
-        bases = natural_bases(attack_spec("measure_x", 2))
-        check = shannon_tradeoff_check(instance("measure_x", 2), *bases)
+    def test_measure_x_saturates_from_eve(self, instance):
+        check = shannon_tradeoff_check(instance("measure_x", 2), ATTACKS["measure_x"].eve_basis)
         assert abs(check.i_bz) < 1e-9
         assert abs(check.i_ex - 2.0) < 1e-9
 
-    def test_breidbart_single_qubit(self, instance, attack_spec):
-        spec = attack_spec("intercept_resend_angle", 1)
-        check = shannon_tradeoff_check(instance("intercept_resend_angle", 1), *natural_bases(spec))
+    def test_breidbart_single_qubit(self, instance):
+        eve_basis = ATTACKS["intercept_resend_angle"].eve_basis
+        check = shannon_tradeoff_check(instance("intercept_resend_angle", 1), eve_basis)
         # closed forms: Bob sees a BSC(1/4), Eve a BSC(sin^2(pi/8))
         assert abs(check.i_bz - (1.0 - binary_entropy(0.25))) < 1e-9
         assert abs(check.i_ex - (1.0 - binary_entropy(math.sin(math.pi / 8) ** 2))) < 1e-9
@@ -350,7 +346,7 @@ class TestShannon:
 
     def test_all_attacks_hold_at_n2(self, instance):
         for spec in standard_attacks(2):
-            check = shannon_tradeoff_check(instance(spec.kind, 2), *natural_bases(spec))
+            check = shannon_tradeoff_check(instance(spec.kind, 2), ATTACKS[spec.kind].eve_basis)
             assert check.holds, spec.label()
 
 
