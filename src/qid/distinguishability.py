@@ -2,8 +2,10 @@
 
 A family of states is perfectly distinguishable exactly when the
 supports are pairwise orthogonal; the support projectors then form a
-sub-PVM that identifies each member with certainty.  The partition
-routine groups all 2^n messages greedily into such classes.
+sub-PVM that identifies each member with certainty.  Both partition
+routines group all 2^n messages greedily into such classes: one from
+the N-qubit states (the dense oracle), one from the factor states of a
+product family, where two messages are orthogonal iff some factor pair is.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import kron_power
 from .errors import DimensionError
 from ._kernels import jacobi_eigh
 from .operators import DECISION_TOL, SPECTRAL_TOL, Projector
@@ -21,9 +24,11 @@ from .operators import DECISION_TOL, SPECTRAL_TOL, Projector
 class DistinguishableClass:
     """Messages whose receiver states are jointly perfectly distinguishable.
 
-    Classes of size >= 2 carry the identifying sub-PVM (one support
-    projector per member, in member order); singletons carry none and
-    are handled by the literal fallback code downstream.
+    Classes of size >= 2 from ``distinguishable_partition`` carry the
+    identifying sub-PVM (one support projector per member, in member
+    order), which the dense records need; those of ``product_partition``
+    (n > 2, where no N-qubit support is built) and singletons carry none.
+    Singletons are handled by the literal fallback code downstream.
     """
 
     members: tuple[int, ...]
@@ -67,6 +72,20 @@ def _overlap_table(states: np.ndarray, supports: list[Projector]) -> np.ndarray:
     return (states.reshape(len(states), -1) @ proj.T).real
 
 
+def _greedy(orthogonal: np.ndarray) -> list[tuple[int, ...]]:
+    """Messages in lexicographic order; each joins the first class it is orthogonal to all of."""
+    # Python bools: the loop reads the table one entry at a time.
+    classes: list[list[int]] = []
+    for msg, row in enumerate(orthogonal.tolist()):
+        for cls in classes:
+            if all(row[w] for w in cls):
+                cls.append(msg)
+                break
+        else:
+            classes.append([msg])
+    return [tuple(cls) for cls in classes]
+
+
 def distinguishable_partition(
     states: np.ndarray,
     tol: float = DECISION_TOL,
@@ -81,19 +100,27 @@ def distinguishable_partition(
     partition is one class.  ``states`` is a (k, d, d) stack of states.
     """
     supports = [support_projector(s) for s in states]
-    # Python floats: the greedy loop reads the table one entry at a time.
-    ov = _overlap_table(states, supports).tolist()
-    classes: list[list[int]] = []
-    for msg, row in enumerate(ov):
-        for cls in classes:
-            if all(max(row[w], ov[w][msg]) <= tol for w in cls):
-                cls.append(msg)
-                break
-        else:
-            classes.append([msg])
-    out = []
-    for cls in classes:
-        members = tuple(cls)
-        pvm = tuple(supports[m] for m in members) if len(members) >= 2 else ()
-        out.append(DistinguishableClass(members=members, pvm=pvm))
-    return out
+    ov = _overlap_table(states, supports)
+    return [
+        DistinguishableClass(cls, tuple(supports[m] for m in cls) if len(cls) >= 2 else ())
+        for cls in _greedy(np.maximum(ov, ov.T) <= tol)
+    ]
+
+
+def product_partition(factor_states: np.ndarray, copies: int) -> list[DistinguishableClass]:
+    """The same greedy partition of a product family, decided on its factor.
+
+    Message i1..i_copies is the Kronecker product of ``factor_states``
+    i1..i_copies (first factor slowest, as ``kron_power``), and two such
+    products are orthogonal iff some factor pair is.  So the factor
+    supports and one factor table at ``DECISION_TOL`` decide every pair:
+    no N-qubit support is built, no overlap compounds past the threshold,
+    and the classes carry no PVM.
+    """
+    supports = [support_projector(s) for s in factor_states]
+    ov = _overlap_table(factor_states, supports)
+    overlapping = np.maximum(ov, ov.T) > DECISION_TOL
+    return [
+        DistinguishableClass(cls)
+        for cls in _greedy(~kron_power(overlapping[None], copies)[0])
+    ]

@@ -20,7 +20,8 @@ from .errors import CapacityError, DimensionError, ValidationError
 # representation-level checks, eigenvalues computed by the Hermitian
 # eigensolver, and distinguishability decisions built on top of those.
 # No config sets any of them; ``DECISION_TOL`` is the default ``tol`` of
-# ``distinguishability.distinguishable_partition``.
+# ``distinguishability.distinguishable_partition`` and the threshold of
+# ``product_partition``'s factor table.
 STRUCTURAL_TOL = 1e-10  # hermiticity, unit trace, positivity; protocol equivalence
 SPECTRAL_TOL = 1e-8  # eigenvalues at or below this lie outside a state's support
 DECISION_TOL = 1e-7  # support overlaps at or below this count as orthogonal

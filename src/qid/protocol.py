@@ -97,13 +97,16 @@ class ProtocolInstance:
     is one read-only (2^n, d, d) array over all 2^n messages.  The
     channel is a ``ProductChannel`` (a plain channel is its own factor,
     taken once), so each state is the Kronecker product of its factor's
-    marginals, one per factor.
+    marginals, one per factor: ``factor_b`` and ``factor_e``, read-only
+    stacks over the messages of the factor's register.
     """
 
     n: int
     channel: ProductChannel
     rho_b: np.ndarray
     sigma_e: np.ndarray
+    factor_b: np.ndarray
+    factor_e: np.ndarray
 
     @classmethod
     def from_channel(cls, channel: QuantumChannel | ProductChannel) -> "ProtocolInstance":
@@ -125,18 +128,32 @@ class ProtocolInstance:
                 f"the limit is {mib(MAX_STATE_BYTES)}"
             )
         validate_channel(factor, "product factor")
-        families = {}
+        families, marginals = {}, {}
         for side in FAMILY_BASIS:
-            stack = kron_power(_factor_marginals(factor, side), product.n)
-            for rho in stack:
+            marginals[side] = _factor_marginals(factor, side)
+            families[side] = kron_power(marginals[side], product.n)
+            # A Kronecker product of states is a state, so above the dense
+            # limit each factor marginal is checked, not each of its products.
+            for rho in families[side] if n <= DENSE_THETA_LIMIT else marginals[side]:
                 validate_state(rho)
-            stack.setflags(write=False)
-            families[side] = stack
-        return cls(n=n, channel=product, rho_b=families["B"], sigma_e=families["E"])
+            families[side].setflags(write=False)
+            marginals[side].setflags(write=False)
+        return cls(
+            n=n,
+            channel=product,
+            rho_b=families["B"],
+            sigma_e=families["E"],
+            factor_b=marginals["B"],
+            factor_e=marginals["E"],
+        )
 
     def family(self, side: Side) -> np.ndarray:
         """The receiver states of one side: ``rho_b`` for B, ``sigma_e`` for E."""
         return {"B": self.rho_b, "E": self.sigma_e}[side]
+
+    def factor_family(self, side: Side) -> np.ndarray:
+        """One side's factor marginals: ``factor_b`` for B, ``factor_e`` for E."""
+        return {"B": self.factor_b, "E": self.factor_e}[side]
 
     @cached_property
     def kraus_channel(self) -> QuantumChannel:

@@ -25,7 +25,7 @@ from .complexity import (
     program_projector,
     proxy_complexity,
 )
-from .distinguishability import distinguishable_partition
+from .distinguishability import distinguishable_partition, product_partition
 from .errors import DimensionError, ValidationError
 from .operators import PROBABILITY_TOL, VERDICT_TOL, as_matrix, operator_norm
 from .protocol import DENSE_THETA_LIMIT, FAMILY_BASIS, ProtocolInstance, basis_table, theta_matrix
@@ -235,9 +235,20 @@ def average_complexity_check(
 
 
 def catalogues_for(inst: ProtocolInstance) -> tuple[DecoderCatalogue, DecoderCatalogue]:
-    """Bob/Z and Eve/X decoder catalogues for one protocol instance."""
+    """Bob/Z and Eve/X decoder catalogues for one protocol instance.
+
+    Within the dense limit the N-qubit states are partitioned, so each
+    class carries the PVM the dense records need; above it the factor
+    marginals decide every pair (``product_partition``).
+    """
     cat_b, cat_e = (
-        build_catalogue(distinguishable_partition(inst.family(side)), inst.n, side)
+        build_catalogue(
+            distinguishable_partition(inst.family(side))
+            if inst.n <= DENSE_THETA_LIMIT
+            else product_partition(inst.factor_family(side), inst.channel.n),
+            inst.n,
+            side,
+        )
         for side in FAMILY_BASIS
     )
     return cat_b, cat_e

@@ -1,16 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
-from qid.attacks import standard_attacks
+from qid.attacks import ATTACKS, AttackSpec, product_attack, standard_attacks
 from qid.channels import ProductChannel, isometry_to_channel
 from qid.distinguishability import (
     DistinguishableClass,
+    _overlap_table,
     distinguishable_partition,
+    product_partition,
     support_projector,
 )
 from qid.errors import DimensionError
-from qid.operators import SPECTRAL_TOL, ket_bra
-from qid.protocol import ProtocolInstance
+from qid.operators import DECISION_TOL, SPECTRAL_TOL, ket_bra
+from qid.protocol import FAMILY_BASIS, ProtocolInstance
+from qid.tradeoff import catalogues_for, verify_tradeoff
+
+from helpers import random_complex, random_isometry_channel, random_unitary
 
 
 XBAR0 = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -162,6 +169,26 @@ def test_leaky_factor_gives_bob_no_class(n):
     assert [c.members for c in part if c.size >= 2] == []
 
 
+def test_factor_rule_gives_the_leaky_factor_no_class_at_n4():
+    # The oracle's compounded overlap (the xfail above) never forms: the
+    # factor pair overlaps by 0.01, far above DECISION_TOL.
+    inst = ProtocolInstance.from_channel(ProductChannel(leaky_factor(0.1), 4))
+    cat_b, cat_e = catalogues_for(inst)
+    assert cat_b.classes == ()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_theta_pi_over_200_gives_bob_no_word_below_the_literal(n):
+    # Each qubit's two Bob states are full rank, with smallest eigenvalue
+    # sin^2(theta/2) = 6.2e-5, so no two N-qubit Bob states are orthogonal.
+    # The N-qubit products of that eigenvalue fall below SPECTRAL_TOL from
+    # N = 2 on, and the dense partition found classes at N = 3..7.
+    spec = AttackSpec("intercept_resend_angle", n, {"theta": math.pi / 200})
+    inst = ProtocolInstance.from_channel(product_attack(spec))
+    report = verify_tradeoff(inst, ATTACKS[spec.kind].eve_basis)
+    assert report.profile_b.lengths == (n + 1,) * 2**n
+
+
 def test_a_tighter_tol_keeps_overlapping_messages_apart():
     # At N = 4 each message and its complement overlap by 1e-8, which DECISION_TOL
     # takes for orthogonal (the xfail above); the partition's tol, the one place a
@@ -182,3 +209,71 @@ class TestDistinguishableClass:
         p = support_projector(np.diag([1.0, 0.0]))
         with pytest.raises(DimensionError):
             DistinguishableClass(members=(0, 1), pvm=(p,))
+
+
+def library_factors():
+    """Every library factor, a parametrized kind at 11 points spanning its range."""
+    for kind, row in ATTACKS.items():
+        values = [{}] if row.param is None else [
+            {row.param[0]: float(v)} for v in np.linspace(row.param[1], row.param[2], 11)
+        ]
+        for params in values:
+            yield product_attack(AttackSpec(kind, 1, params)).factor
+
+
+def random_factors(in_qubits):
+    """Seeded random isometry factors on ``in_qubits`` qubits: unentangled ones, which
+    hand Bob orthogonal pure states, and generic ones with an environment."""
+    rng = np.random.default_rng(in_qubits)
+    d = 2**in_qubits
+    for env_dim in (1, 2, 3):
+        for _ in range(3):
+            w = random_complex(rng, (2 * env_dim, 1))
+            v = np.kron(random_unitary(rng, d), w / np.linalg.norm(w))
+            yield isometry_to_channel(v, (2,) * in_qubits, (d,), (2,), env_dim=env_dim)
+            if in_qubits == 1:
+                v, _ = np.linalg.qr(random_complex(rng, (4 * env_dim, 2)))
+                yield isometry_to_channel(v, (2,), (2,), (2,), env_dim=env_dim)
+            else:
+                yield random_isometry_channel(rng, env_dim)
+
+
+FACTOR_GROUPS = {
+    "library": library_factors,
+    "random_one_qubit": lambda: random_factors(1),
+    "random_two_qubit": lambda: random_factors(2),
+    "split_factor": lambda: [isometry_to_channel(np.eye(4), (2, 2), (2,), (2,))],
+}
+
+
+def near_threshold(states):
+    """Whether an N-qubit eigenvalue or support overlap lies within 10x of the threshold deciding it."""
+    vals = np.linalg.eigvalsh(states)
+    ov = _overlap_table(states, [support_projector(s) for s in states])
+    return any(
+        ((v >= tol / 10) & (v <= 10 * tol)).any()
+        for v, tol in ((vals, SPECTRAL_TOL), (ov, DECISION_TOL))
+    )
+
+
+@pytest.mark.parametrize("group", FACTOR_GROUPS)
+def test_factor_partition_matches_the_dense_oracle(group, record_property):
+    # At N = 3..5 (the multiples of the factor's qubit count) the factor rule
+    # and the N-qubit greedy agree wherever no N-qubit decision is near its
+    # threshold; the draws where one is are skipped and counted.
+    checked = skipped = 0
+    for factor in FACTOR_GROUPS[group]():
+        k = len(factor.in_dims)
+        for copies in range(-(-3 // k), 5 // k + 1):
+            inst = ProtocolInstance.from_channel(ProductChannel(factor, copies))
+            if any(near_threshold(inst.family(side)) for side in FAMILY_BASIS):
+                skipped += 1
+                continue
+            for side in FAMILY_BASIS:
+                fast = product_partition(inst.factor_family(side), copies)
+                dense = distinguishable_partition(inst.family(side))
+                assert [c.members for c in fast] == [c.members for c in dense], (group, copies, side)
+                assert all(c.pvm == () for c in fast)
+            checked += 1
+    record_property("near_threshold_skipped", skipped)
+    assert checked > skipped

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qid.channels as channels_mod
+import qid.distinguishability as distinguishability_mod
+import qid.operators as operators_mod
 import qid.protocol as protocol
 from qid.attacks import ATTACKS, AttackSpec, make_attack, product_attack
 from qid.channels import (
@@ -88,6 +90,21 @@ def test_dense_oracle_is_built_once_and_equals_make_attack(monkeypatch):
     assert inst.kraus_channel is inst.kraus_channel
     assert len(calls) == 1
     np.testing.assert_array_equal(inst.kraus_channel.kraus, make_attack(spec).kraus)
+
+
+def test_above_the_dense_limit_only_factor_marginals_are_eigensolved(monkeypatch):
+    # Two marginals per side, each validated once and given its support once.
+    real, shapes = distinguishability_mod.jacobi_eigh, []
+
+    def counting(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    for mod in (operators_mod, distinguishability_mod):
+        monkeypatch.setattr(mod, "jacobi_eigh", counting)
+    spec = AttackSpec("depolarize", 5, {"p": 0.5})
+    verify_tradeoff(ProtocolInstance.from_channel(product_attack(spec)), ATTACKS[spec.kind].eve_basis)
+    assert shapes == [(2, 2)] * 8
 
 
 def test_kron_power_matches_kronecker_products():

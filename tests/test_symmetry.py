@@ -22,7 +22,7 @@ import pytest
 
 from qid.attacks import ATTACKS, product_attack, standard_attacks
 from qid.channels import ProductChannel, QuantumChannel, isometry_to_channel
-from qid.protocol import ProtocolInstance
+from qid.protocol import DENSE_THETA_LIMIT, ProtocolInstance
 from qid.tradeoff import verify_tradeoff
 
 from helpers import random_unitary
@@ -39,16 +39,19 @@ FACTORS = {
     for spec in standard_attacks(1)
 }
 FACTORS["split_factor"] = (isometry_to_channel(np.eye(4), (2, 2), (2,), (2,)), "X")
-# (factor, copies): every library factor at N = 1 and 2, the split factor at N = 2.
-CASES = [(kind, copies) for kind in ATTACKS for copies in (1, 2)] + [("split_factor", 1)]
+# (factor, copies): every library factor at N = 1..6, the split factor at N = 2, 4 and 6.
+# Up to N = 2 the reports carry the dense records; above it, counts and profiles.
+CASES = [(kind, copies) for kind in ATTACKS for copies in range(1, 7)]
+CASES += [("split_factor", copies) for copies in (1, 2, 3)]
 
 
 def report(kind, kraus, copies):
-    """The dense-record report of ``copies`` copies of factor ``kind`` with Kraus stack ``kraus``."""
+    """The report of ``copies`` copies of factor ``kind`` with Kraus stack ``kraus``,
+    with the dense records exactly where the global state fits (N <= 2)."""
     factor, eve_basis = FACTORS[kind]
     channel = QuantumChannel(kraus, factor.in_dims, factor.out_dims_b, factor.out_dims_e)
     inst = ProtocolInstance.from_channel(ProductChannel(channel, copies))
-    return verify_tradeoff(inst, eve_basis, dense=True)
+    return verify_tradeoff(inst, eve_basis)
 
 
 def rotated_factors(kind, copies):
@@ -72,7 +75,7 @@ def assert_same_records(got, want):
 @pytest.mark.parametrize("kind, copies", CASES)
 def test_output_unitaries_keep_every_record(kind, copies):
     base = report(kind, FACTORS[kind][0].kraus, copies)
-    assert base.lp_records  # dense records on
+    assert bool(base.lp_records) == (base.n <= DENSE_THETA_LIMIT)
     shannon_moves = []
     for kraus in rotated_factors(kind, copies):
         got = report(kind, kraus, copies)
