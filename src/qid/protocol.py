@@ -39,8 +39,11 @@ FAMILY_BASIS = {"B": "Z", "E": "X"}
 # structured identities must be used instead.
 DENSE_THETA_LIMIT = 2
 
-# Largest set of dense complex128 receiver states (2^N on each side) the
-# product path builds: N = 8 needs 512 MiB for qubit outputs, N = 9 4 GiB.
+# Largest dense complex128 receiver family (2^N states of one side) the
+# ``rho_b`` and ``sigma_e`` views build: N = 8 needs 256 MiB for qubit
+# outputs, N = 9 2 GiB.  The same budget bounds the tables the verdict
+# path allocates (``_verdict_bytes``): every library attack fits at
+# N = 11 and none at N = 12.
 MAX_STATE_BYTES = 1 << 30
 
 Basis = Literal["Z", "X"]
@@ -82,29 +85,48 @@ def epr_state(n: int) -> np.ndarray:
 
 
 def _factor_marginals(factor: QuantumChannel, side: Side) -> np.ndarray:
-    """One side's marginals of a factor for every message of its register, in the side's basis."""
+    """One side's marginals of a factor for every message of its register, in the side's basis, read-only."""
     pick = list(FAMILY_BASIS).index(side)
     table = basis_table(FAMILY_BASIS[side], len(factor.in_dims))
-    return np.stack([vector_marginals(factor, psi)[pick] for psi in table])
+    marginals = np.stack([vector_marginals(factor, psi)[pick] for psi in table])
+    marginals.setflags(write=False)
+    return marginals
+
+
+def _verdict_bytes(factor: QuantumChannel, copies: int) -> int:
+    """Bytes the verdict path allocates for ``copies`` copies of ``factor``, in integers.
+
+    ``product_partition`` holds the 2^N x 2^N orthogonality table, its
+    negation and the Python lists of its rows: 10 bytes an entry.  Each
+    side's Shannon read holds its float64 joint table (2^N messages by
+    the side's outcomes) and ``mutual_information``'s temporaries, about
+    6.2 tables at its peak: 7 are counted.  The partition and both reads
+    are counted together, so the sum bounds the peak of the three.
+    """
+    messages = factor.in_dim**copies
+    entries = messages * (factor.dim_b**copies + factor.dim_e**copies)
+    return 10 * messages**2 + 7 * 8 * entries
 
 
 @dataclass(frozen=True)
 class ProtocolInstance:
-    """A fixed (n, channel) pair with Bob's and Eve's reduced states cached.
+    """A fixed (n, channel) pair with Bob's and Eve's reduced states.
 
-    ``rho_b[z]`` is Bob's state for the Z-encoded message z and
-    ``sigma_e[x]`` Eve's state for the X-encoded message x.  Each family
-    is one read-only (2^n, d, d) array over all 2^n messages.  The
-    channel is a ``ProductChannel`` (a plain channel is its own factor,
-    taken once), so each state is the Kronecker product of its factor's
-    marginals, one per factor: ``factor_b`` and ``factor_e``, read-only
-    stacks over the messages of the factor's register.
+    The channel is a ``ProductChannel`` (a plain channel is its own
+    factor, taken once), so each receiver state is the Kronecker product
+    of its factor's marginals, one per factor.  The instance holds those
+    marginals only: ``factor_b`` and ``factor_e``, read-only stacks over
+    the messages of the factor's register.  ``rho_b[z]`` is Bob's state
+    for the Z-encoded message z and ``sigma_e[x]`` Eve's state for the
+    X-encoded message x; each family is a read-only (2^n, d, d) array
+    over all 2^n messages, built from its side's marginals on first use
+    and cached, like ``theta``.  Within the dense limit ``from_channel``
+    reads both families to validate every state; above it the verdicts
+    read the marginals only, and no N-qubit state is built.
     """
 
     n: int
     channel: ProductChannel
-    rho_b: np.ndarray
-    sigma_e: np.ndarray
     factor_b: np.ndarray
     factor_e: np.ndarray
 
@@ -117,39 +139,55 @@ class ProtocolInstance:
         )
         factor = product.factor
         n = len(factor.in_dims) * product.n
-        # Every factor at least doubles the state bytes, so past the
-        # limit's bit length the count is over it; k keeps it small.
+        # Every factor at least quadruples each term, so past the limit's
+        # bit length the count is over it; k keeps the integers small.
         k = min(product.n, MAX_STATE_BYTES.bit_length())
-        nbytes = 16 * factor.in_dim**k * (factor.dim_b ** (2 * k) + factor.dim_e ** (2 * k))
+        nbytes = _verdict_bytes(factor, k)
         if nbytes > MAX_STATE_BYTES:
             raise CapacityError(
-                f"{channel.name or 'channel'} at n={n}: receiver states need "
+                f"{channel.name or 'channel'} at n={n}: the verdict tables need "
                 f"{'more than ' if k < product.n else ''}{mib(nbytes)}; "
                 f"the limit is {mib(MAX_STATE_BYTES)}"
             )
         validate_channel(factor, "product factor")
-        families, marginals = {}, {}
+        inst = cls(n, product, _factor_marginals(factor, "B"), _factor_marginals(factor, "E"))
+        # A Kronecker product of states is a state, so above the dense
+        # limit each factor marginal is checked, not each of its products.
         for side in FAMILY_BASIS:
-            marginals[side] = _factor_marginals(factor, side)
-            families[side] = kron_power(marginals[side], product.n)
-            # A Kronecker product of states is a state, so above the dense
-            # limit each factor marginal is checked, not each of its products.
-            for rho in families[side] if n <= DENSE_THETA_LIMIT else marginals[side]:
+            for rho in inst.family(side) if n <= DENSE_THETA_LIMIT else inst.factor_family(side):
                 validate_state(rho)
-            families[side].setflags(write=False)
-            marginals[side].setflags(write=False)
-        return cls(
-            n=n,
-            channel=product,
-            rho_b=families["B"],
-            sigma_e=families["E"],
-            factor_b=marginals["B"],
-            factor_e=marginals["E"],
-        )
+        return inst
+
+    def _kron_family(self, side: Side) -> np.ndarray:
+        """One side's N-qubit family, refused before it is built when over ``MAX_STATE_BYTES``."""
+        factor, copies = self.channel.factor, self.channel.n
+        dim = factor.dim_b if side == "B" else factor.dim_e
+        # Every factor at least doubles the bytes; k keeps the integers small.
+        k = min(copies, MAX_STATE_BYTES.bit_length())
+        nbytes = 16 * (factor.in_dim * dim**2) ** k
+        if nbytes > MAX_STATE_BYTES:
+            raise CapacityError(
+                f"{self.channel.name or 'channel'} at n={self.n}: side {side}'s receiver "
+                f"states need {'more than ' if k < copies else ''}{mib(nbytes)}; "
+                f"the limit is {mib(MAX_STATE_BYTES)}"
+            )
+        family = kron_power(self.factor_family(side), copies)
+        family.setflags(write=False)
+        return family
+
+    @cached_property
+    def rho_b(self) -> np.ndarray:
+        """Bob's states of the Z-encoded messages, built on first use."""
+        return self._kron_family("B")
+
+    @cached_property
+    def sigma_e(self) -> np.ndarray:
+        """Eve's states of the X-encoded messages, built on first use."""
+        return self._kron_family("E")
 
     def family(self, side: Side) -> np.ndarray:
         """The receiver states of one side: ``rho_b`` for B, ``sigma_e`` for E."""
-        return {"B": self.rho_b, "E": self.sigma_e}[side]
+        return getattr(self, {"B": "rho_b", "E": "sigma_e"}[side])
 
     def factor_family(self, side: Side) -> np.ndarray:
         """One side's factor marginals: ``factor_b`` for B, ``factor_e`` for E."""

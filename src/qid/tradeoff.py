@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .channels import kron_power
 from .complexity import (
     ComplexityProfile,
     DecoderCatalogue,
@@ -203,10 +204,21 @@ def mutual_information(joint: np.ndarray) -> float:
 
 
 def shannon_tradeoff_check(inst: ProtocolInstance, eve_basis: str) -> ShannonCheck:
-    """I(msg : Bob | Z) + I(msg : Eve | X) <= n, with Bob read in Z and Eve in ``eve_basis``."""
-    ch = inst.channel
-    i_bz = mutual_information(outcome_distribution(inst.rho_b, ch.out_dims_b, FAMILY_BASIS["B"]))
-    i_ex = mutual_information(outcome_distribution(inst.sigma_e, ch.out_dims_e, eve_basis))
+    """I(msg : Bob | Z) + I(msg : Eve | X) <= n, with Bob read in Z and Eve in ``eve_basis``.
+
+    Messages, receiver states and outcomes of the product are Kronecker
+    products of the factor's, first factor slowest, so each side's joint
+    table is the Kronecker power of its factor's table, whose 1/#messages
+    weights multiply to 2^-n.  No N-qubit state is read.
+    """
+    factor, copies = inst.channel.factor, inst.channel.n
+
+    def information(side: str, measured: str) -> float:
+        dims = factor.out_dims_b if side == "B" else factor.out_dims_e
+        table = outcome_distribution(inst.factor_family(side), dims, measured)
+        return mutual_information(kron_power(table, copies))
+
+    i_bz, i_ex = information("B", FAMILY_BASIS["B"]), information("E", eve_basis)
     total, limit = i_bz + i_ex, float(inst.n)
     return ShannonCheck(i_bz, i_ex, total, limit, total <= limit + VERDICT_TOL)
 

@@ -278,14 +278,18 @@ class TestSimulate:
         ids=["depolarize", "identity"],
     )
     def test_receiver_states_over_byte_limit_exit_capacity(self, tmp_path, monkeypatch, attack):
-        # 2 * 2^9 dense 512 x 512 receiver states would take 4 GiB, over MAX_STATE_BYTES.
+        # At n = 12 the verdict path's 4^12-entry tables would take 1952 MiB,
+        # over MAX_STATE_BYTES; no receiver state or table is built.
+        import qid.distinguishability as distinguishability
         import qid.protocol as protocol
+        import qid.tradeoff as tradeoff
 
         def no_build(*args):
-            raise AssertionError("receiver states built before the capacity check")
+            raise AssertionError("receiver states or tables built before the capacity check")
 
-        monkeypatch.setattr(protocol, "kron_power", no_build)
-        cfg = write_config(tmp_path / "cfg.json", n=9, attacks=[attack])
+        for module in (protocol, distinguishability, tradeoff):
+            monkeypatch.setattr(module, "kron_power", no_build)
+        cfg = write_config(tmp_path / "cfg.json", n=12, attacks=[attack])
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
         assert not out.exists()
@@ -578,10 +582,10 @@ class TestWriter:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failing_job_keeps_exactly_the_earlier_jobs(self, tmp_path, workers):
-        # The n = 9 jobs exit 3; jobs of later n may already run on another
+        # The n = 12 jobs exit 3; jobs of later n may already run on another
         # thread, but no record after the first failure reaches the writer.
         attacks = [{"kind": "measure_z"}, {"kind": "identity"}]
-        cfg = write_config(tmp_path / "cfg.json", attacks=attacks, sweep={"n_values": [2, 9, 1]})
+        cfg = write_config(tmp_path / "cfg.json", attacks=attacks, sweep={"n_values": [2, 12, 1]})
         out = tmp_path / "out"
         argv = ["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]
         assert main(argv) == EXIT_CAPACITY
@@ -671,7 +675,7 @@ class TestWriter:
         if outcome == "violation":
             failing = EquivalenceReport(0.5, 0.0, passed=False)
             monkeypatch.setattr(cli, "equivalence_check", lambda inst: failing)
-        cfg = write_config(tmp_path / "cfg.json", n=9 if outcome == "capacity" else 1)
+        cfg = write_config(tmp_path / "cfg.json", n=12 if outcome == "capacity" else 1)
         expected = {"holds": EXIT_OK, "violation": EXIT_VIOLATION, "capacity": EXIT_CAPACITY}
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == expected[outcome]

@@ -18,7 +18,8 @@ import qid.channels as channels_mod
 import qid.distinguishability as distinguishability_mod
 import qid.operators as operators_mod
 import qid.protocol as protocol
-from qid.attacks import ATTACKS, AttackSpec, make_attack, product_attack
+import qid.tradeoff as tradeoff_mod
+from qid.attacks import ATTACKS, AttackSpec, make_attack, product_attack, standard_attacks
 from qid.channels import (
     ProductChannel,
     QuantumChannel,
@@ -30,7 +31,12 @@ from qid.distinguishability import _overlap_table, support_projector
 from qid.errors import CapacityError, DimensionError, ValidationError
 from qid.operators import ket_bra
 from qid.protocol import ProtocolInstance, encode, equivalence_check, theta_matrix
-from qid.tradeoff import outcome_distribution, verify_tradeoff
+from qid.tradeoff import (
+    mutual_information,
+    outcome_distribution,
+    shannon_tradeoff_check,
+    verify_tradeoff,
+)
 
 from helpers import random_complex, random_unitary
 
@@ -119,30 +125,49 @@ def test_kron_power_matches_kronecker_products():
                 np.testing.assert_array_equal(got[9 * i + 3 * j + k], expected)
 
 
+def no_build(*args):
+    raise AssertionError("built before the capacity check")
+
+
 class TestCapacity:
-    def test_nine_qubits_refused_before_any_state_is_built(self, monkeypatch):
-        def no_build(*args):
-            raise AssertionError("receiver states built before the capacity check")
+    def test_twelve_qubits_refused_before_any_table_is_built(self, monkeypatch):
+        for mod in (protocol, distinguishability_mod, tradeoff_mod):
+            monkeypatch.setattr(mod, "kron_power", no_build)
+        monkeypatch.setattr(protocol, "_factor_marginals", no_build)
+        with pytest.raises(CapacityError, match="verdict tables need 1952 MiB"):
+            ProtocolInstance.from_channel(product_attack(AttackSpec("identity", 12)))
 
+    def test_eleven_qubits_fit_the_budget(self):
+        # The 4^N-entry bool table at 10 bytes an entry and both sides'
+        # 4^N-entry joint tables at 7 * 8 bytes: 488 MiB at N = 11, 1952 MiB at N = 12.
+        assert (10 + 2 * 56) * 4**11 <= protocol.MAX_STATE_BYTES < (10 + 2 * 56) * 4**12
+        for spec in standard_attacks(11):
+            inst = ProtocolInstance.from_channel(product_attack(spec))
+            assert "rho_b" not in vars(inst) and "sigma_e" not in vars(inst)
+        for spec in standard_attacks(12):
+            with pytest.raises(CapacityError):
+                ProtocolInstance.from_channel(product_attack(spec))
+
+    def test_nine_qubit_family_refused_before_it_is_built(self, monkeypatch):
+        # One side's 2^9 states of 512 x 512 complex128 take 2 GiB; at N = 8 256 MiB.
+        assert 2**8 * 256**2 * 16 <= protocol.MAX_STATE_BYTES < 2**9 * 512**2 * 16
+        inst = ProtocolInstance.from_channel(product_attack(AttackSpec("identity", 9)))
         monkeypatch.setattr(protocol, "kron_power", no_build)
-        with pytest.raises(CapacityError, match="MiB"):
-            ProtocolInstance.from_channel(product_attack(AttackSpec("identity", 9)))
-
-    def test_eight_qubits_fit_the_budget(self):
-        # 2 * 2^8 states of 256 x 256 complex128: exactly 512 MiB.
-        assert 2 * 2**8 * 256**2 * 16 <= protocol.MAX_STATE_BYTES < 2 * 2**9 * 512**2 * 16
+        for side in ("B", "E"):
+            with pytest.raises(CapacityError, match="2048 MiB"):
+                inst.family(side)
 
     def test_state_byte_limit_is_inclusive(self, monkeypatch):
-        # N = 2: 2 * 4 states of 4 x 4 complex128 = 2 KiB.
-        monkeypatch.setattr(protocol, "MAX_STATE_BYTES", 2 * 4 * 16 * 16)
-        ProtocolInstance.from_channel(product_attack(AttackSpec("measure_x", 2)))
+        # N = 3: one side's 8 states of 8 x 8 complex128 = 8 KiB.
+        inst = ProtocolInstance.from_channel(product_attack(AttackSpec("measure_x", 3)))
+        monkeypatch.setattr(protocol, "MAX_STATE_BYTES", 8 * 8 * 8 * 16)
+        assert inst.rho_b.nbytes == protocol.MAX_STATE_BYTES
+        monkeypatch.setattr(protocol, "MAX_STATE_BYTES", 8 * 8 * 8 * 16 - 1)
+        monkeypatch.setattr(protocol, "kron_power", no_build)
         with pytest.raises(CapacityError):
-            ProtocolInstance.from_channel(product_attack(AttackSpec("measure_x", 3)))
+            inst.sigma_e
 
     def test_dense_checks_above_the_limit_refused_before_the_oracle(self, monkeypatch, attack_spec):
-        def no_build(*args):
-            raise AssertionError("dense oracle built before the dense-size check")
-
         monkeypatch.setattr(protocol, "dense_channel", no_build)
         spec = attack_spec("depolarize", 3)
         inst = ProtocolInstance.from_channel(product_attack(spec))
@@ -160,9 +185,6 @@ class TestCapacity:
         # (269 MiB), over MAX_DIM = 4096 per side, though n is within the limit.
         factor = isometry_to_channel(np.eye(42 * 50, 2), (2,), (42,), (50,))
         inst = ProtocolInstance.from_channel(factor)
-
-        def no_build(*args):
-            raise AssertionError("dense oracle built before the Θ size check")
 
         monkeypatch.setattr(protocol, "dense_channel", no_build)
         with pytest.raises(CapacityError, match="4200"):
@@ -202,17 +224,28 @@ class TestMemory:
 
     def test_instance_holds_its_states_once(self):
         # At N = 7 the states take 64 MiB; copying them out of the raw stacks peaked at 2x.
-        spec = AttackSpec("universal_cloner", 7)
-        product = product_attack(spec)
+        inst = ProtocolInstance.from_channel(product_attack(AttackSpec("universal_cloner", 7)))
         tracemalloc.start()
         try:
-            inst = ProtocolInstance.from_channel(product)
+            states = inst.rho_b.nbytes + inst.sigma_e.nbytes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        states = inst.rho_b.nbytes + inst.sigma_e.nbytes
         assert states == 64 * 2**20
         assert peak <= 1.1 * states
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", tuple(ATTACKS))
+    def test_verdicts_above_the_dense_limit_build_no_family(self, kind, n, attack_spec):
+        spec = attack_spec(kind, n)
+        inst = ProtocolInstance.from_channel(product_attack(spec))
+        verify_tradeoff(inst, ATTACKS[kind].eve_basis)
+        assert "rho_b" not in vars(inst) and "sigma_e" not in vars(inst)
+
+    def test_each_view_builds_only_its_side(self):
+        inst = ProtocolInstance.from_channel(product_attack(AttackSpec("depolarize", 4, {"p": 0.5})))
+        assert inst.family("E") is inst.sigma_e
+        assert "sigma_e" in vars(inst) and "rho_b" not in vars(inst)
 
     def test_overlap_table_copies_no_state(self):
         # One side at N = 7 holds 32 MiB of states.  The product reads them
@@ -317,3 +350,60 @@ def test_random_isometry_factors_match_dense_oracle(seed, env_dim, n, unentangle
     assert all(point.holds for point in report.grid)
     if unentangled:
         assert report.profile_b.max_length() == 1  # one class holds every message
+
+
+def shannon_oracle(inst, eve_basis):
+    """(i_bz, i_ex, sum) read off the N-qubit families in the bases of their whole register."""
+    ch = inst.channel
+    i_bz = mutual_information(outcome_distribution(inst.family("B"), ch.out_dims_b, "Z"))
+    i_ex = mutual_information(outcome_distribution(inst.family("E"), ch.out_dims_e, eve_basis))
+    return i_bz, i_ex, i_bz + i_ex
+
+
+def assert_same_shannon(inst, eve_basis, same_text=True):
+    """The factor read against the oracle: within 1e-12, and the same 12-digit report text."""
+    check = shannon_tradeoff_check(inst, eve_basis)
+    for got, want in zip((check.i_bz, check.i_ex, check.sum), shannon_oracle(inst, eve_basis)):
+        assert abs(got - want) <= 1e-12
+        if same_text:
+            assert f"{got:.12g}" == f"{want:.12g}"
+
+
+GRID_SPECS = [
+    AttackSpec(kind, 1, {name: lo + (hi - lo) * i / 10})
+    for kind, (name, lo, hi, _) in ((k, row.param) for k, row in ATTACKS.items() if row.param)
+    for i in range(11)
+]
+
+
+class TestShannonOnTheFactor:
+    # Each joint table is the Kronecker power of the factor's.  A Z read
+    # takes the same products of the same diagonal entries as the oracle;
+    # an X read sums in another order, so its table may differ in the last
+    # bit, and the library's and the split factor's reports must not move.
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_library_and_parameter_grids_match_the_oracle(self, n):
+        specs = standard_attacks(n) + [AttackSpec(s.kind, n, s.params) for s in GRID_SPECS]
+        for spec in specs:
+            inst = ProtocolInstance.from_channel(product_attack(spec))
+            assert_same_shannon(inst, ATTACKS[spec.kind].eve_basis)
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_split_factor_matches_the_oracle(self, copies):
+        split = isometry_to_channel(np.eye(4), (2, 2), (2,), (2,))
+        assert_same_shannon(ProtocolInstance.from_channel(ProductChannel(split, copies)), "X")
+
+    @pytest.mark.parametrize("qubits, copies", [(1, c) for c in range(1, 7)] + [(2, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_factors_match_the_oracle(self, qubits, copies, seed):
+        rng = np.random.default_rng([seed, qubits, copies])
+        dim, env_dim = 2**qubits, 2
+        v, _ = np.linalg.qr(random_complex(rng, (dim * dim * env_dim, dim)))
+        dims = (2,) * qubits
+        factor = isometry_to_channel(v, dims, dims, dims, env_dim=env_dim)
+        inst = ProtocolInstance.from_channel(ProductChannel(factor, copies))
+        assert_same_shannon(inst, "Z")
+        # A random factor's X-read values can lie within round-off of a
+        # 12-digit rounding boundary, so only the 1e-12 bound is kept.
+        assert_same_shannon(inst, "X", same_text=False)
