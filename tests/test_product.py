@@ -379,8 +379,8 @@ GRID_SPECS = [
 class TestShannonOnTheFactor:
     # Each joint table is the Kronecker power of the factor's.  A Z read
     # takes the same products of the same diagonal entries as the oracle;
-    # an X read sums in another order, so its table may differ in the last
-    # bit, and the library's and the split factor's reports must not move.
+    # an X read sums in another order, so its table may differ by round-off,
+    # and the library's and the split factor's reports must not move.
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_library_and_parameter_grids_match_the_oracle(self, n):
