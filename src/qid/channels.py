@@ -15,14 +15,30 @@ import numpy as np
 from .errors import CapacityError, DimensionError, ValidationError
 from .operators import COMPLETENESS_TOL, MAX_DIM, as_matrix
 
-# Largest complex128 Kraus set dense_channel will build (depolarize at
-# N = 5 needs 512 MiB; at N = 6 it would need 16 GiB).
-MAX_KRAUS_BYTES = 1 << 30
+# The one byte budget: the Kraus oracle (depolarize at N = 5 needs
+# 512 MiB, at N = 6 16 GiB), one receiver family (N = 8 needs 256 MiB
+# for qubit outputs, N = 9 2 GiB) and the verdict path's tables (every
+# library attack fits at N = 11 and none at N = 12).
+MAX_BYTES = 1 << 30
 
 
 def mib(nbytes: int) -> str:
     """A byte count in whole MiB, rounded up, with integer arithmetic only."""
     return f"{-(-nbytes // 2**20)} MiB"
+
+
+def check_bytes(what: str, copies: int, nbytes) -> None:
+    """Raise ``CapacityError`` when ``nbytes(copies)`` bytes exceed ``MAX_BYTES``; allocate nothing.
+
+    ``nbytes(k)`` counts the bytes of k copies and at least doubles with
+    each copy, so past the budget's bit length the count is over it:
+    k stops there, which keeps the integers small.
+    """
+    k = min(copies, MAX_BYTES.bit_length())
+    need = nbytes(k)
+    if need > MAX_BYTES:
+        more = "more than " if k < copies else ""
+        raise CapacityError(f"{what} need {more}{mib(need)}; the limit is {mib(MAX_BYTES)}")
 
 
 class _SplitSizes:
@@ -155,20 +171,15 @@ def dense_channel(product: ProductChannel) -> QuantumChannel:
     """Kraus form of a product channel on all its qubits: the dense oracle.
 
     Raises ``CapacityError`` before allocating when the stack would
-    exceed ``MAX_KRAUS_BYTES`` or an output side would exceed ``MAX_DIM``.
+    exceed ``MAX_BYTES`` or an output side would exceed ``MAX_DIM``.
     """
     factor, n = product.factor, product.n
-    # Each factor multiplies the output side by at least 4, so past the byte
-    # limit's bit length the stack is refused anyway; k keeps integers small.
-    k = min(n, MAX_KRAUS_BYTES.bit_length())
-    nbytes = 16 * (len(factor.kraus) * factor.out_dim * factor.in_dim) ** k
-    side = factor.out_dim**k
-    if nbytes > MAX_KRAUS_BYTES or side > MAX_DIM:
-        more = "more than " if k < n else ""
-        raise CapacityError(
-            f"attack {product.name} at n={n}: {more}{mib(nbytes)} of Kraus operators, "
-            f"output side {more}{side}; limits {mib(MAX_KRAUS_BYTES)} and {MAX_DIM} per side"
-        )
+    per_copy = len(factor.kraus) * factor.out_dim * factor.in_dim
+    check_bytes(f"attack {product.name} at n={n}: the Kraus operators", n, lambda k: 16 * per_copy**k)
+    # Within the byte budget n is small, so the side is a small integer.
+    side = factor.out_dim**n
+    if side > MAX_DIM:
+        raise CapacityError(f"attack {product.name} at n={n}: output side {side} > {MAX_DIM}")
     return QuantumChannel(
         kraus=_tensor_power(factor, n),
         in_dims=product.in_dims,

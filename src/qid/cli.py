@@ -82,13 +82,11 @@ def _csv(header, rows) -> str:
 class ExperimentConfig:
     n: int
     attacks: list[AttackSpec]
-    dense_limit: int
-    seed: int
     sweep_n: tuple[int, ...]
 
 
 # Every accepted key; anything else is a typo and raises ConfigError.
-CONFIG_KEYS = {"n", "attacks", "dense_limit", "seed", "sweep"}
+CONFIG_KEYS = {"n", "attacks", "dense_limit", "sweep"}
 SWEEP_KEYS = {"n_values"}
 ATTACK_KEYS = {"kind", "params"}
 
@@ -135,13 +133,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         sweep_n = tuple(_integer(v, "n_values", 1) for v in sweep.get("n_values", []))
         if len(set(sweep_n)) != len(sweep_n):
             raise ConfigError(f"'n_values' repeats a value: {list(sweep_n)}")
-        cfg = ExperimentConfig(
-            n=n,
-            attacks=attacks,
-            dense_limit=_integer(data.get("dense_limit", DENSE_THETA_LIMIT), "dense_limit"),
-            seed=_integer(data.get("seed", 0), "seed"),
-            sweep_n=sweep_n,
-        )
+        # The benchmark's configs still name the dense limit, so its one value is accepted.
+        dense_limit = _integer(data.get("dense_limit", DENSE_THETA_LIMIT), "dense_limit")
+        if dense_limit != DENSE_THETA_LIMIT:
+            raise ConfigError(f"'dense_limit' is fixed at {DENSE_THETA_LIMIT}, got {dense_limit}")
+        cfg = ExperimentConfig(n=n, attacks=attacks, sweep_n=sweep_n)
     except (KeyError, TypeError, ValueError, QidError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
     # A label does not depend on n, so equal labels collide at every swept n.
@@ -158,14 +154,13 @@ class JobRecord(NamedTuple):
     n: int
     label: str
     attack: dict
-    seed: int
     report: TradeoffReport
     # "equivalence" and "expectation" when the dense checks ran, else empty.
     dense_checks: dict
     all_hold: bool
 
 
-def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec) -> JobRecord:
+def run_single(n: int, spec: AttackSpec) -> JobRecord:
     """Run one (n, attack) experiment and return its record; write nothing.
 
     The record's ``all_hold`` is every verdict of the trade-off report
@@ -174,11 +169,10 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec) -> JobRecord:
     """
     spec = AttackSpec(kind=spec.kind, n=n, params=dict(spec.params))
     inst = ProtocolInstance.from_channel(product_attack(spec))
-    dense = n <= cfg.dense_limit
-    report = verify_tradeoff(inst, ATTACKS[spec.kind].eve_basis, dense)
+    report = verify_tradeoff(inst, ATTACKS[spec.kind].eve_basis)
     ok = report.all_hold
     checks = {}
-    if dense:
+    if inst.dense:
         checks["equivalence"] = eq = equivalence_check(inst)
         theta = theta_matrix(inst)
         checks["expectation"] = expectation = [
@@ -188,7 +182,7 @@ def run_single(cfg: ExperimentConfig, n: int, spec: AttackSpec) -> JobRecord:
         ]
         ok = ok and eq.passed and all(chk.agree for chk in expectation)
     attack = {"kind": spec.kind, "params": dict(spec.params)}
-    return JobRecord(n, spec.label(), attack, cfg.seed, report, checks, ok)
+    return JobRecord(n, spec.label(), attack, report, checks, ok)
 
 
 def _artifacts(record: JobRecord) -> dict[str, str]:
@@ -200,8 +194,8 @@ def _artifacts(record: JobRecord) -> dict[str, str]:
         attack=record.attack,
         profile_b=prof_b.lengths,
         profile_e=prof_e.lengths,
-        seed=record.seed,
-        # The stored references hold it; roadmap item 1's regeneration drops it.
+        # The stored references hold both; roadmap item 1's regeneration drops them.
+        seed=0,
         c_offset=0,
         **record.dense_checks,
         all_hold=record.all_hold,
@@ -307,7 +301,7 @@ def _config_and_out(args) -> tuple[ExperimentConfig, Path]:
     return cfg, out_dir
 
 
-def _run(cfg: ExperimentConfig, out_dir: Path, jobs: list, workers: int) -> int:
+def _run(out_dir: Path, jobs: list, workers: int) -> int:
     """Run the (n, attack) jobs on ``workers`` threads; the writer writes their records.
 
     Records go in config order, so a failed job stops the run after the
@@ -320,10 +314,10 @@ def _run(cfg: ExperimentConfig, out_dir: Path, jobs: list, workers: int) -> int:
     with _artifact_writer(out_dir) as send:
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            running = deque(pool.submit(run_single, cfg, *job) for job in islice(todo, workers))
+            running = deque(pool.submit(run_single, *job) for job in islice(todo, workers))
             while running:
                 record = running.popleft().result()
-                running.extend(pool.submit(run_single, cfg, *job) for job in islice(todo, 1))
+                running.extend(pool.submit(run_single, *job) for job in islice(todo, 1))
                 send(record)
                 all_ok = record.all_hold and all_ok
         finally:
@@ -333,13 +327,13 @@ def _run(cfg: ExperimentConfig, out_dir: Path, jobs: list, workers: int) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, out_dir = _config_and_out(args)
-    return _run(cfg, out_dir, [(cfg.n, spec) for spec in cfg.attacks], 1)
+    return _run(out_dir, [(cfg.n, spec) for spec in cfg.attacks], 1)
 
 
 def cmd_sweep(args) -> int:
     cfg, out_dir = _config_and_out(args)
     jobs = [(n, spec) for n in cfg.sweep_n or (cfg.n,) for spec in cfg.attacks]
-    return _run(cfg, out_dir, jobs, args.workers)
+    return _run(out_dir, jobs, args.workers)
 
 
 def _load_operators(path: str | Path, key: str, check) -> list:

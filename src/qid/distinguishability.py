@@ -2,10 +2,10 @@
 
 A family of states is perfectly distinguishable exactly when the
 supports are pairwise orthogonal; the support projectors then form a
-sub-PVM that identifies each member with certainty.  Both partition
-routines group all 2^n messages greedily into such classes: one from
-the N-qubit states (the dense oracle), one from the factor states of a
-product family, where two messages are orthogonal iff some factor pair is.
+sub-PVM that identifies each member with certainty.  One partition
+routine groups all messages of a product family greedily into such
+classes, deciding each pair on the factor states: two messages are
+orthogonal iff some factor pair is.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from .operators import DECISION_TOL, SPECTRAL_TOL, Projector
 class DistinguishableClass:
     """Messages whose receiver states are jointly perfectly distinguishable.
 
-    Classes of size >= 2 from ``distinguishable_partition`` carry the
-    identifying sub-PVM (one support projector per member, in member
-    order), which the dense records need; those of ``product_partition``
-    (n > 2, where no N-qubit support is built) and singletons carry none.
-    Singletons are handled by the literal fallback code downstream.
+    Classes of size >= 2 of a one-copy ``distinguishable_partition``
+    carry the identifying sub-PVM (one support projector per member, in
+    member order), which the dense records need; those of a partition
+    over several copies (n > 2, where no N-qubit support is built) and
+    singletons carry none.  Singletons are handled by the literal
+    fallback code downstream.
     """
 
     members: tuple[int, ...]
@@ -89,38 +90,29 @@ def _greedy(orthogonal: np.ndarray) -> list[tuple[int, ...]]:
 def distinguishable_partition(
     states: np.ndarray,
     tol: float = DECISION_TOL,
+    copies: int = 1,
 ) -> list[DistinguishableClass]:
-    """Greedy partition of the message set into distinguishable classes.
+    """Greedy partition of the messages of ``copies`` copies of ``states`` into distinguishable classes.
 
-    Messages are visited in lexicographic order; each joins the first
-    existing class all of whose members have supports orthogonal to its
-    own (both directions at most ``tol``), otherwise it opens a new class.
-    The rule is deterministic, so identical inputs give identical
-    partitions.  A family is perfectly distinguishable exactly when its
-    partition is one class.  ``states`` is a (k, d, d) stack of states.
+    ``states`` is a (k, d, d) stack of states.  Message i1..i_copies is
+    the Kronecker product of states i1..i_copies (first factor slowest,
+    as ``kron_power``), and two such products are orthogonal iff some
+    factor pair is: supports orthogonal in both directions up to ``tol``.
+    So one factor table decides every pair, and no overlap compounds
+    past the threshold.  Messages are visited in lexicographic order;
+    each joins the first existing class all of whose members it is
+    orthogonal to, otherwise it opens a new class.  The rule is
+    deterministic, and a family is perfectly distinguishable exactly
+    when its partition is one class.  At one copy each class of size
+    >= 2 carries its members' support projectors as its PVM; over
+    several copies no N-qubit support is built and the classes carry none.
     """
     supports = [support_projector(s) for s in states]
     ov = _overlap_table(states, supports)
+    overlapping = np.maximum(ov, ov.T) > tol
     return [
-        DistinguishableClass(cls, tuple(supports[m] for m in cls) if len(cls) >= 2 else ())
-        for cls in _greedy(np.maximum(ov, ov.T) <= tol)
-    ]
-
-
-def product_partition(factor_states: np.ndarray, copies: int) -> list[DistinguishableClass]:
-    """The same greedy partition of a product family, decided on its factor.
-
-    Message i1..i_copies is the Kronecker product of ``factor_states``
-    i1..i_copies (first factor slowest, as ``kron_power``), and two such
-    products are orthogonal iff some factor pair is.  So the factor
-    supports and one factor table at ``DECISION_TOL`` decide every pair:
-    no N-qubit support is built, no overlap compounds past the threshold,
-    and the classes carry no PVM.
-    """
-    supports = [support_projector(s) for s in factor_states]
-    ov = _overlap_table(factor_states, supports)
-    overlapping = np.maximum(ov, ov.T) > DECISION_TOL
-    return [
-        DistinguishableClass(cls)
+        DistinguishableClass(
+            cls, tuple(supports[m] for m in cls) if copies == 1 and len(cls) >= 2 else ()
+        )
         for cls in _greedy(~kron_power(overlapping[None], copies)[0])
     ]

@@ -20,9 +20,9 @@ from .channels import (
     ProductChannel,
     QuantumChannel,
     apply_channel_to_vector_raw,
+    check_bytes,
     dense_channel,
     kron_power,
-    mib,
     validate_channel,
     vector_marginals,
 )
@@ -36,15 +36,9 @@ BASES = ("Z", "X")
 FAMILY_BASIS = {"B": "Z", "E": "X"}
 
 # Dense A' (x) B (x) E states scale as 2^(6N) in memory; above this the
-# structured identities must be used instead.
+# structured identities must be used instead.  ``ProtocolInstance.dense``
+# is the one place that states this rule.
 DENSE_THETA_LIMIT = 2
-
-# Largest dense complex128 receiver family (2^N states of one side) the
-# ``rho_b`` and ``sigma_e`` views build: N = 8 needs 256 MiB for qubit
-# outputs, N = 9 2 GiB.  The same budget bounds the tables the verdict
-# path allocates (``_verdict_bytes``): every library attack fits at
-# N = 11 and none at N = 12.
-MAX_STATE_BYTES = 1 << 30
 
 Basis = Literal["Z", "X"]
 Side = Literal["B", "E"]
@@ -96,12 +90,13 @@ def _factor_marginals(factor: QuantumChannel, side: Side) -> np.ndarray:
 def _verdict_bytes(factor: QuantumChannel, copies: int) -> int:
     """Bytes the verdict path allocates for ``copies`` copies of ``factor``, in integers.
 
-    ``product_partition`` holds the 2^N x 2^N orthogonality table, its
-    negation and the Python lists of its rows: 10 bytes an entry.  Each
-    side's Shannon read holds its float64 joint table (2^N messages by
-    the side's outcomes) and ``mutual_information``'s temporaries, about
-    6.2 tables at its peak: 7 are counted.  The partition and both reads
-    are counted together, so the sum bounds the peak of the three.
+    ``distinguishable_partition`` over the copies holds the 2^N x 2^N
+    table of overlapping messages, its negation and the Python lists of
+    its rows: 10 bytes an entry.  Each side's Shannon read holds its
+    float64 joint table (2^N messages by the side's outcomes) and
+    ``mutual_information``'s temporaries, about 6.2 tables at its peak:
+    7 are counted.  The partition and both reads are counted together,
+    so the sum bounds the peak of the three.
     """
     messages = factor.in_dim**copies
     entries = messages * (factor.dim_b**copies + factor.dim_e**copies)
@@ -120,9 +115,9 @@ class ProtocolInstance:
     for the Z-encoded message z and ``sigma_e[x]`` Eve's state for the
     X-encoded message x; each family is a read-only (2^n, d, d) array
     over all 2^n messages, built from its side's marginals on first use
-    and cached, like ``theta``.  Within the dense limit ``from_channel``
-    reads both families to validate every state; above it the verdicts
-    read the marginals only, and no N-qubit state is built.
+    and cached, like ``theta``.  Within the dense limit (``dense``)
+    ``from_channel`` reads both families to validate every state; above
+    it the verdicts read the marginals only, and no N-qubit state is built.
     """
 
     n: int
@@ -139,38 +134,34 @@ class ProtocolInstance:
         )
         factor = product.factor
         n = len(factor.in_dims) * product.n
-        # Every factor at least quadruples each term, so past the limit's
-        # bit length the count is over it; k keeps the integers small.
-        k = min(product.n, MAX_STATE_BYTES.bit_length())
-        nbytes = _verdict_bytes(factor, k)
-        if nbytes > MAX_STATE_BYTES:
-            raise CapacityError(
-                f"{channel.name or 'channel'} at n={n}: the verdict tables need "
-                f"{'more than ' if k < product.n else ''}{mib(nbytes)}; "
-                f"the limit is {mib(MAX_STATE_BYTES)}"
-            )
+        check_bytes(
+            f"{channel.name or 'channel'} at n={n}: the verdict tables",
+            product.n,
+            lambda k: _verdict_bytes(factor, k),
+        )
         validate_channel(factor, "product factor")
         inst = cls(n, product, _factor_marginals(factor, "B"), _factor_marginals(factor, "E"))
         # A Kronecker product of states is a state, so above the dense
         # limit each factor marginal is checked, not each of its products.
         for side in FAMILY_BASIS:
-            for rho in inst.family(side) if n <= DENSE_THETA_LIMIT else inst.factor_family(side):
+            for rho in inst.family(side) if inst.dense else inst.factor_family(side):
                 validate_state(rho)
         return inst
 
+    @property
+    def dense(self) -> bool:
+        """Whether the dense records run: the N-qubit states, Θ and its checks."""
+        return self.n <= DENSE_THETA_LIMIT
+
     def _kron_family(self, side: Side) -> np.ndarray:
-        """One side's N-qubit family, refused before it is built when over ``MAX_STATE_BYTES``."""
+        """One side's N-qubit family, refused before it is built when over ``MAX_BYTES``."""
         factor, copies = self.channel.factor, self.channel.n
         dim = factor.dim_b if side == "B" else factor.dim_e
-        # Every factor at least doubles the bytes; k keeps the integers small.
-        k = min(copies, MAX_STATE_BYTES.bit_length())
-        nbytes = 16 * (factor.in_dim * dim**2) ** k
-        if nbytes > MAX_STATE_BYTES:
-            raise CapacityError(
-                f"{self.channel.name or 'channel'} at n={self.n}: side {side}'s receiver "
-                f"states need {'more than ' if k < copies else ''}{mib(nbytes)}; "
-                f"the limit is {mib(MAX_STATE_BYTES)}"
-            )
+        check_bytes(
+            f"{self.channel.name or 'channel'} at n={self.n}: side {side}'s receiver states",
+            copies,
+            lambda k: 16 * (factor.in_dim * dim**2) ** k,
+        )
         family = kron_power(self.factor_family(side), copies)
         family.setflags(write=False)
         return family
@@ -210,7 +201,7 @@ class ProtocolInstance:
         before the instance's Kraus form is built.
         """
         n = self.n
-        if n > DENSE_THETA_LIMIT:
+        if not self.dense:
             raise CapacityError(f"dense global state needs n <= {DENSE_THETA_LIMIT} (got {n})")
         if 2**n * self.channel.out_dim > MAX_DIM:
             raise CapacityError(f"dense global state side {2**n * self.channel.out_dim} > {MAX_DIM}")

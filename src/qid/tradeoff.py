@@ -26,10 +26,10 @@ from .complexity import (
     program_projector,
     proxy_complexity,
 )
-from .distinguishability import distinguishable_partition, product_partition
+from .distinguishability import distinguishable_partition
 from .errors import DimensionError, ValidationError
 from .operators import PROBABILITY_TOL, VERDICT_TOL, as_matrix, operator_norm
-from .protocol import DENSE_THETA_LIMIT, FAMILY_BASIS, ProtocolInstance, basis_table, theta_matrix
+from .protocol import FAMILY_BASIS, ProtocolInstance, basis_table, theta_matrix
 
 
 @dataclass(frozen=True)
@@ -251,13 +251,13 @@ def catalogues_for(inst: ProtocolInstance) -> tuple[DecoderCatalogue, DecoderCat
 
     Within the dense limit the N-qubit states are partitioned, so each
     class carries the PVM the dense records need; above it the factor
-    marginals decide every pair (``product_partition``).
+    marginals decide every pair, over the instance's copies.
     """
     cat_b, cat_e = (
         build_catalogue(
             distinguishable_partition(inst.family(side))
-            if inst.n <= DENSE_THETA_LIMIT
-            else product_partition(inst.factor_family(side), inst.channel.n),
+            if inst.dense
+            else distinguishable_partition(inst.factor_family(side), copies=inst.channel.n),
             inst.n,
             side,
         )
@@ -266,17 +266,13 @@ def catalogues_for(inst: ProtocolInstance) -> tuple[DecoderCatalogue, DecoderCat
     return cat_b, cat_e
 
 
-def verify_tradeoff(
-    inst: ProtocolInstance,
-    eve_basis: str,
-    dense: bool | None = None,
-) -> TradeoffReport:
+def verify_tradeoff(inst: ProtocolInstance, eve_basis: str) -> TradeoffReport:
     """Full verification sweep for one attack at one n.
 
     Populates the (l, m) counting grid over [0, n+1]^2, the dense
-    Landau-Pollak and cross-norm records when the global state fits in
-    memory, both corollary checks and the Shannon cross-check, which
-    reads Eve's side in ``eve_basis``.
+    Landau-Pollak and cross-norm records when the instance is ``dense``,
+    both corollary checks and the Shannon cross-check, which reads Eve's
+    side in ``eve_basis``.
     """
     n = inst.n
     cat_b, cat_e = catalogues_for(inst)
@@ -288,11 +284,9 @@ def verify_tradeoff(
         bound = tradeoff_bound(l, m, n)
         holds = count_b + count_e <= bound + VERDICT_TOL
         grid.append(GridPoint(l, m, count_b, count_e, bound, holds))
-    if dense is None:
-        dense = n <= DENSE_THETA_LIMIT
     lp_records: list[LPRecord] = []
     cross_norms: list[CrossNormRecord] = []
-    if dense:
+    if inst.dense:
         # One table of traces and pairwise norms over Bob's entries, then
         # Eve's, serves every cross-norm record and every grid point.
         theta = theta_matrix(inst)

@@ -301,7 +301,6 @@ def test_criterion_11_determinism(tmp_path):
                     {"kind": "cnot_probe"},
                     {"kind": "depolarize", "params": {"p": 0.5}},
                 ],
-                "seed": 99,
             }
         )
     )
@@ -311,4 +310,4 @@ def test_criterion_11_determinism(tmp_path):
     identical = code_a == code_b == 0
     for name in sorted(p.name for p in out_a.iterdir()):
         identical = identical and (out_a / name).read_bytes() == (out_b / name).read_bytes()
-    verdict(11, "identical config and seed give byte-identical reports", identical)
+    verdict(11, "identical configs give byte-identical reports", identical)

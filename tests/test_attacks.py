@@ -143,14 +143,6 @@ def test_huge_n_raises_capacity_error_from_integer_sizes():
         make_attack(AttackSpec("identity", 2000))
 
 
-def test_kraus_byte_limit_is_inclusive(monkeypatch):
-    # depolarize at N = 2: 16 operators of 16 x 4 complex128 = 16 KiB.
-    monkeypatch.setattr(channels_mod, "MAX_KRAUS_BYTES", 16 * 1024)
-    make_attack(AttackSpec("depolarize", 2, {"p": 0.5}))
-    with pytest.raises(CapacityError):
-        make_attack(AttackSpec("depolarize", 3, {"p": 0.5}))
-
-
 def kron_then_regroup(spec):
     """Reference Kraus set: tensor power by Kronecker products, then a permutation.
 

@@ -45,7 +45,6 @@ def write_config(path, **overrides):
         "n": 1,
         "attacks": [{"kind": "cnot_probe"}],
         "dense_limit": 2,
-        "seed": 11,
     }
     data.update(overrides)
     path.write_text(json.dumps(data))
@@ -88,16 +87,17 @@ class TestConfig:
             ("tolerances", {"structural": 1e-6}),
             ("outputs", {"dir": "elsewhere"}),
             ("c_offset", 0),
+            ("seed", 7),
         ],
-        ids=["decision", "spectral", "structural", "outputs_dir", "c_offset"],
+        ids=["decision", "spectral", "structural", "outputs_dir", "c_offset", "seed"],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_deleted_section_exits_config(
         self, tmp_path, monkeypatch, capsys, command, section, value
     ):
-        # No threshold or bound constant is settable and --out is the one output
-        # setting, so a config naming any of them is refused before any directory
-        # is made.
+        # No threshold or bound constant is settable, --out is the one output
+        # setting and a seed changes no result, so a config naming any of them
+        # is refused before any directory is made.
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "cfg.json", **{section: value})
         with pytest.raises(ConfigError, match=f"unknown config key\\(s\\): {section}$"):
@@ -127,14 +127,12 @@ class TestConfig:
             {"sweep": {"n_values": [0, 1]}},
             {"sweep": {"n_values": [1, 2.0]}},
             {"dense_limit": True},
-            {"seed": "11"},
         ],
         ids=[
             "n_float",
             "n_values_below_one",
             "n_values_float",
             "dense_limit",
-            "seed",
         ],
     )
     def test_bad_integer_exits_config(self, tmp_path, overrides):
@@ -248,29 +246,31 @@ class TestSimulate:
         )
         assert {p.name for p in out.iterdir()} == expected
 
-    def test_dense_request_beyond_cap_exits_capacity(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", n=9, dense_limit=9)
-        assert (
-            main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
-            == EXIT_CAPACITY
-        )
-
-    def test_dense_limit_above_two_exits_capacity_before_the_oracle(self, tmp_path, monkeypatch):
+    def test_dense_limit_is_fixed_at_two(self, tmp_path, monkeypatch, capsys):
+        # The dense records run iff n <= 2, so the key takes that one value.
+        # Any other exits 2 before the Kraus oracle is built or a directory is
+        # made; with the key at 2 or without it, the dense records run.
         import qid.protocol as protocol
 
+        without = tmp_path / "without.json"
+        without.write_text(json.dumps({"n": 2, "attacks": [{"kind": "cnot_probe"}]}))
+        reports = []
+        for cfg in (write_config(tmp_path / "with.json", n=2), without):
+            out = tmp_path / cfg.stem
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            reports.append((out / "report_cnot_probe_n2.json").read_text())
+        assert reports[0] == reports[1] and '"equivalence"' in reports[0]
+
         def no_build(*args):
-            raise AssertionError("dense oracle built before the dense-size check")
+            raise AssertionError("dense oracle built for a refused config")
 
         monkeypatch.setattr(protocol, "dense_channel", no_build)
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            n=3,
-            dense_limit=3,
-            attacks=[{"kind": "depolarize", "params": {"p": 0.5}}],
-        )
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
-        assert not out.exists()
+        for limit in (0, 1, 3, 9):
+            cfg = write_config(tmp_path / f"d{limit}.json", n=2, dense_limit=limit)
+            out = tmp_path / f"o{limit}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+            assert f"'dense_limit' is fixed at 2, got {limit}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "attack",
@@ -279,7 +279,7 @@ class TestSimulate:
     )
     def test_receiver_states_over_byte_limit_exit_capacity(self, tmp_path, monkeypatch, attack):
         # At n = 12 the verdict path's 4^12-entry tables would take 1952 MiB,
-        # over MAX_STATE_BYTES; no receiver state or table is built.
+        # over channels.MAX_BYTES; no receiver state or table is built.
         import qid.distinguishability as distinguishability
         import qid.protocol as protocol
         import qid.tradeoff as tradeoff
@@ -596,10 +596,10 @@ class TestWriter:
     def test_failing_simulate_job_keeps_exactly_the_earlier_jobs(self, tmp_path, monkeypatch):
         run_single = cli.run_single
 
-        def second_fails(cfg, n, spec):
+        def second_fails(n, spec):
             if spec.kind == "measure_z":
                 raise CapacityError("over the limit (simulated)")
-            return run_single(cfg, n, spec)
+            return run_single(n, spec)
 
         monkeypatch.setattr(cli, "run_single", second_fails)
         cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS[:3])
@@ -620,11 +620,11 @@ class TestWriter:
         # of seven jobs after the second had failed.
         run_single, started = cli.run_single, []
 
-        def second_fails(cfg, n, spec):
+        def second_fails(n, spec):
             started.append(spec.kind)
             if spec.kind == "measure_z":
                 raise CapacityError("over the limit (simulated)")
-            return run_single(cfg, n, spec)
+            return run_single(n, spec)
 
         monkeypatch.setattr(cli, "run_single", second_fails)
         cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS)
@@ -638,7 +638,7 @@ class TestWriter:
     def test_run_single_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = load_config(write_config(tmp_path / "cfg.json"))
-        record = cli.run_single(cfg, 1, cfg.attacks[0])
+        record = cli.run_single(1, cfg.attacks[0])
         assert record.all_hold is True
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
         assert set(cli._artifacts(record)) == artifact_names("cnot_probe_n1")
@@ -661,7 +661,7 @@ class TestWriter:
     def test_broken_pipe_while_sending_is_the_writer_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_write_artifacts", failing_write)
         cfg = load_config(write_config(tmp_path / "cfg.json"))
-        record = cli.run_single(cfg, 1, cfg.attacks[0])
+        record = cli.run_single(1, cfg.attacks[0])
         with pytest.raises(QidError, match="artifact writer failed") as failure:
             with cli._artifact_writer(tmp_path / "out") as send:
                 # Sending ends only when the dead child's pipe breaks.

@@ -9,7 +9,6 @@ from qid.distinguishability import (
     DistinguishableClass,
     _overlap_table,
     distinguishable_partition,
-    product_partition,
     support_projector,
 )
 from qid.errors import DimensionError
@@ -189,6 +188,19 @@ def test_theta_pi_over_200_gives_bob_no_word_below_the_literal(n):
     assert report.profile_b.lengths == (n + 1,) * 2**n
 
 
+@pytest.mark.parametrize("copies", [1, 2, 3, 4])
+def test_tol_reaches_the_factor_table(copies):
+    # The factor's two Bob states overlap by 1e-8: orthogonal at tol = 1e-7,
+    # not at 1e-9, at any number of copies, so a threshold moved by 10x
+    # moves the factor decision too.
+    states = ProtocolInstance.from_channel(leaky_factor(1e-4)).factor_b
+    assert _overlap_table(states, [support_projector(s) for s in states])[0, 1] == pytest.approx(1e-8)
+    loose = distinguishable_partition(states, tol=1e-7, copies=copies)
+    tight = distinguishable_partition(states, tol=1e-9, copies=copies)
+    assert [c.members for c in loose] == [tuple(range(2**copies))]
+    assert [c.members for c in tight] == [(m,) for m in range(2**copies)]
+
+
 def test_a_tighter_tol_keeps_overlapping_messages_apart():
     # At N = 4 each message and its complement overlap by 1e-8, which DECISION_TOL
     # takes for orthogonal (the xfail above); the partition's tol, the one place a
@@ -270,7 +282,7 @@ def test_factor_partition_matches_the_dense_oracle(group, record_property):
                 skipped += 1
                 continue
             for side in FAMILY_BASIS:
-                fast = product_partition(inst.factor_family(side), copies)
+                fast = distinguishable_partition(inst.factor_family(side), copies=copies)
                 dense = distinguishable_partition(inst.family(side))
                 assert [c.members for c in fast] == [c.members for c in dense], (group, copies, side)
                 assert all(c.pvm == () for c in fast)

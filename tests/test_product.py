@@ -129,6 +129,31 @@ def no_build(*args):
     raise AssertionError("built before the capacity check")
 
 
+# Each site of the one byte budget: the bytes it needs, the call that
+# needs them and the builder that must not run when they are refused.
+BUDGET_SITES = {
+    # depolarize at N = 2: 16 Kraus operators of 16 x 4 complex128.
+    "kraus_oracle": (
+        16 * 16 * 4 * 16,
+        lambda: dense_channel(product_attack(AttackSpec("depolarize", 2, {"p": 0.5}))),
+        (channels_mod, "_tensor_power"),
+    ),
+    # measure_x at N = 3: side E's 8 states of 8 x 8 complex128.
+    "family_view": (
+        8 * 8 * 8 * 16,
+        lambda: ProtocolInstance.from_channel(product_attack(AttackSpec("measure_x", 3))).sigma_e,
+        (protocol, "kron_power"),
+    ),
+    # identity at N = 3: the 8 x 8 orthogonality table at 10 bytes an entry
+    # and both sides' 8 x 8 joint tables at 7 * 8.
+    "verdict_tables": (
+        10 * 64 + 2 * 7 * 8 * 64,
+        lambda: ProtocolInstance.from_channel(product_attack(AttackSpec("identity", 3))),
+        (protocol, "_factor_marginals"),
+    ),
+}
+
+
 class TestCapacity:
     def test_twelve_qubits_refused_before_any_table_is_built(self, monkeypatch):
         for mod in (protocol, distinguishability_mod, tradeoff_mod):
@@ -140,7 +165,7 @@ class TestCapacity:
     def test_eleven_qubits_fit_the_budget(self):
         # The 4^N-entry bool table at 10 bytes an entry and both sides'
         # 4^N-entry joint tables at 7 * 8 bytes: 488 MiB at N = 11, 1952 MiB at N = 12.
-        assert (10 + 2 * 56) * 4**11 <= protocol.MAX_STATE_BYTES < (10 + 2 * 56) * 4**12
+        assert (10 + 2 * 56) * 4**11 <= channels_mod.MAX_BYTES < (10 + 2 * 56) * 4**12
         for spec in standard_attacks(11):
             inst = ProtocolInstance.from_channel(product_attack(spec))
             assert "rho_b" not in vars(inst) and "sigma_e" not in vars(inst)
@@ -150,29 +175,27 @@ class TestCapacity:
 
     def test_nine_qubit_family_refused_before_it_is_built(self, monkeypatch):
         # One side's 2^9 states of 512 x 512 complex128 take 2 GiB; at N = 8 256 MiB.
-        assert 2**8 * 256**2 * 16 <= protocol.MAX_STATE_BYTES < 2**9 * 512**2 * 16
+        assert 2**8 * 256**2 * 16 <= channels_mod.MAX_BYTES < 2**9 * 512**2 * 16
         inst = ProtocolInstance.from_channel(product_attack(AttackSpec("identity", 9)))
         monkeypatch.setattr(protocol, "kron_power", no_build)
         for side in ("B", "E"):
             with pytest.raises(CapacityError, match="2048 MiB"):
                 inst.family(side)
 
-    def test_state_byte_limit_is_inclusive(self, monkeypatch):
-        # N = 3: one side's 8 states of 8 x 8 complex128 = 8 KiB.
-        inst = ProtocolInstance.from_channel(product_attack(AttackSpec("measure_x", 3)))
-        monkeypatch.setattr(protocol, "MAX_STATE_BYTES", 8 * 8 * 8 * 16)
-        assert inst.rho_b.nbytes == protocol.MAX_STATE_BYTES
-        monkeypatch.setattr(protocol, "MAX_STATE_BYTES", 8 * 8 * 8 * 16 - 1)
-        monkeypatch.setattr(protocol, "kron_power", no_build)
-        with pytest.raises(CapacityError):
-            inst.sigma_e
+    @pytest.mark.parametrize("site", BUDGET_SITES)
+    def test_byte_budget_is_inclusive(self, monkeypatch, site):
+        need, build, (module, builder) = BUDGET_SITES[site]
+        monkeypatch.setattr(channels_mod, "MAX_BYTES", need)
+        build()
+        monkeypatch.setattr(channels_mod, "MAX_BYTES", need - 1)
+        monkeypatch.setattr(module, builder, no_build)
+        with pytest.raises(CapacityError, match=f"need {channels_mod.mib(need)}; the limit"):
+            build()
 
     def test_dense_checks_above_the_limit_refused_before_the_oracle(self, monkeypatch, attack_spec):
         monkeypatch.setattr(protocol, "dense_channel", no_build)
         spec = attack_spec("depolarize", 3)
         inst = ProtocolInstance.from_channel(product_attack(spec))
-        with pytest.raises(CapacityError, match="n <= 2"):
-            verify_tradeoff(inst, ATTACKS[spec.kind].eve_basis, dense=True)
         for dense_check in (
             lambda: equivalence_check(inst),
             lambda: theta_matrix(inst),
