@@ -271,8 +271,9 @@ def verify_tradeoff(inst: ProtocolInstance, eve_basis: str) -> TradeoffReport:
 
     Populates the (l, m) counting grid over [0, n+1]^2, the dense
     Landau-Pollak and cross-norm records when the instance is ``dense``,
-    both corollary checks and the Shannon cross-check, which reads Eve's
-    side in ``eve_basis``.
+    the one corollary check (max lengths), the Shannon cross-check, which
+    reads Eve's side in ``eve_basis``, and the ``average`` block, which is
+    reported but is no verdict.
     """
     n = inst.n
     cat_b, cat_e = catalogues_for(inst)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -544,23 +545,19 @@ class TestSweep:
         assert (out / "report_measure_z_n1.json").exists()
         assert (out / "report_measure_z_n2.json").exists()
 
-    def test_workers_and_simulate_write_the_same_bytes(self, tmp_path):
+    def test_sweep_writes_the_bytes_of_simulate_at_each_n(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS, sweep={"n_values": [1, 2, 3]})
-        swept = {}
-        for workers in (1, 3):
-            out = tmp_path / f"sweep{workers}"
-            argv = ["sweep", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]
-            assert main(argv) == EXIT_OK
-            swept[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert len(swept[1]) == 7 * 3 * 4
-        assert swept[1] == swept[3]
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        swept = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(swept) == 7 * 3 * 4
         for n in (1, 2, 3):
             cfg_n = write_config(tmp_path / f"n{n}.json", n=n, attacks=ALL_ATTACKS)
             out = tmp_path / f"simulate{n}"
             assert main(["simulate", "--config", str(cfg_n), "--out", str(out)]) == EXIT_OK
             simulated = {p.name: p.read_bytes() for p in out.iterdir()}
             assert simulated == {
-                name: data for name, data in swept[1].items() if Path(name).stem.endswith(f"_n{n}")
+                name: data for name, data in swept.items() if Path(name).stem.endswith(f"_n{n}")
             }
 
 
@@ -580,15 +577,12 @@ def failing_write(out_dir, artifacts):
 class TestWriter:
     """One forked child writes a run's artifacts; the jobs write nothing."""
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_failing_job_keeps_exactly_the_earlier_jobs(self, tmp_path, workers):
-        # The n = 12 jobs exit 3; jobs of later n may already run on another
-        # thread, but no record after the first failure reaches the writer.
+    def test_failing_job_keeps_exactly_the_earlier_jobs(self, tmp_path):
+        # The n = 12 jobs exit 3, so the n = 1 jobs after them write nothing.
         attacks = [{"kind": "measure_z"}, {"kind": "identity"}]
         cfg = write_config(tmp_path / "cfg.json", attacks=attacks, sweep={"n_values": [2, 12, 1]})
         out = tmp_path / "out"
-        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]
-        assert main(argv) == EXIT_CAPACITY
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
         expected = artifact_names("measure_z_n2") | artifact_names("identity_n2")
         assert {p.name for p in out.iterdir()} == expected
         assert_no_child_left()
@@ -609,15 +603,13 @@ class TestWriter:
         assert_no_child_left()
 
     @pytest.mark.parametrize(
-        "command, flags, most",
-        [("simulate", [], 2), ("sweep", ["--workers", "2"], 3)],
+        "command, flags",
+        [("simulate", []), ("sweep", ["--workers", "2"])],
         ids=["simulate", "sweep_workers_2"],
     )
-    def test_failing_job_starts_at_most_workers_minus_one_later_jobs(
-        self, tmp_path, monkeypatch, command, flags, most
-    ):
-        # Every job used to be queued at once, so simulate started the third
-        # of seven jobs after the second had failed.
+    def test_no_job_starts_after_a_failed_one(self, tmp_path, monkeypatch, command, flags):
+        # Job threads used to start the third of seven jobs in a sweep with
+        # --workers 2 while the second was failing.
         run_single, started = cli.run_single, []
 
         def second_fails(n, spec):
@@ -630,9 +622,33 @@ class TestWriter:
         cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == EXIT_CAPACITY
-        assert 2 <= len(started) <= most
-        assert sorted(started) == sorted(a["kind"] for a in ALL_ATTACKS[: len(started)])
+        assert started == ["identity", "measure_z"]
         assert {p.name for p in out.iterdir()} == artifact_names("identity_n1")
+        assert_no_child_left()
+
+    def test_jobs_run_one_at_a_time(self, tmp_path, monkeypatch):
+        # --workers is accepted and changes nothing; it used to start four job threads.
+        run_single, lock = cli.run_single, threading.Lock()
+        running, most = 0, 0
+
+        def counted(n, spec):
+            nonlocal running, most
+            with lock:
+                running += 1
+                most = max(most, running)
+            time.sleep(0.02)
+            try:
+                return run_single(n, spec)
+            finally:
+                with lock:
+                    running -= 1
+
+        monkeypatch.setattr(cli, "run_single", counted)
+        cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "4"]) == EXIT_OK
+        assert most == 1
+        assert len(list(out.iterdir())) == 7 * 4
         assert_no_child_left()
 
     def test_run_single_writes_nothing(self, tmp_path, monkeypatch):
