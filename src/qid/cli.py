@@ -20,7 +20,6 @@ import pickle
 import sys
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,14 +46,14 @@ def _round12(value):
     """Report data with floats at ``_fmt``'s 12 digits, tuples as lists and records as dicts."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
-    if isinstance(value, (int, str)) or value is None:  # most of a report; skips is_dataclass
+    if isinstance(value, (int, str)) or value is None:  # most of a report
         return value
     if isinstance(value, dict):
         return {key: _round12(item) for key, item in value.items()}
+    if hasattr(value, "_asdict"):  # a NamedTuple record, before its tuple branch
+        return _round12(value._asdict())
     if isinstance(value, (list, tuple)):
         return [_round12(item) for item in value]
-    if is_dataclass(value):
-        return _round12(vars(value))
     return value
 
 
@@ -75,8 +74,7 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     n: int
     attacks: list[AttackSpec]
     sweep_n: tuple[int, ...]
@@ -187,7 +185,7 @@ def _artifacts(record: JobRecord) -> dict[str, str]:
     n, label, report = record.n, record.label, record.report
     prof_b, prof_e = report.profile_b, report.profile_e
     data = dict(
-        vars(report),
+        report._asdict(),
         attack=record.attack,
         profile_b=prof_b.lengths,
         profile_e=prof_e.lengths,
@@ -198,7 +196,7 @@ def _artifacts(record: JobRecord) -> dict[str, str]:
         all_hold=record.all_hold,
     )
     # A grid row is n, the attack label and one GridPoint's fields in order.
-    grid = [(n, label, *vars(g).values()) for g in report.grid]
+    grid = [(n, label, *g) for g in report.grid]
     plot = [("count_B", l, "", prof_b.count(l)) for l in range(n + 2)]
     plot += [("count_E", "", m, prof_e.count(m)) for m in range(n + 2)]
     plot += [("bound", g.l, g.m, g.bound) for g in report.grid]
@@ -425,7 +423,19 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """Run ``main`` and leave by ``os._exit`` once stdout and stderr are flushed.
+
+    The writer is reaped by then, so only the interpreter's teardown (where
+    most of the fork's copy-on-write faults landed) and atexit hooks are
+    skipped; a failed flush or an exception from ``main`` exits normally.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        raise SystemExit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -197,8 +197,7 @@ def cumulative_projector(cat: DecoderCatalogue, l: int, dim_b: int, dim_e: int) 
     return _projector(cat, [i for i, v in enumerate(cat.lengths) if v <= l], dim_b, dim_e)
 
 
-@dataclass(frozen=True)
-class ExpectationCheck:
+class ExpectationCheck(NamedTuple):
     """Structured and dense expectation vs catalogue count, for one side at one l."""
 
     side: str

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -225,8 +225,7 @@ def theta_matrix(inst: ProtocolInstance) -> np.ndarray:
     return inst.theta
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Dense-vs-structured comparison of the two protocol pictures."""
 
     max_probability_deviation: float

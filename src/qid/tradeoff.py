@@ -12,9 +12,8 @@ instance and reported per (l, m) grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ from .operators import PROBABILITY_TOL, VERDICT_TOL, as_matrix, operator_norm
 from .protocol import FAMILY_BASIS, ProtocolInstance, basis_table, theta_matrix
 
 
-@dataclass(frozen=True)
-class LPCheck:
+class LPCheck(NamedTuple):
     lhs: float
     rhs: float
     holds: bool
@@ -88,10 +86,9 @@ def tradeoff_bound(l: int, m: int, n: int) -> float:
     return 2.0**n * (1.0 + 2.0 ** ((l + m - n + 3) / 2.0))
 
 
-# A report record's fields are its keys in the CLI's JSON report, and the
-# function that builds it stores its verdict once.
-@dataclass(frozen=True)
-class GridPoint:
+# A report record is a NamedTuple whose fields are its keys in the CLI's
+# JSON report, and the function that builds it stores its verdict once.
+class GridPoint(NamedTuple):
     l: int
     m: int
     count_b: int
@@ -100,8 +97,7 @@ class GridPoint:
     holds: bool
 
 
-@dataclass(frozen=True)
-class LPRecord:
+class LPRecord(NamedTuple):
     l: int
     m: int
     lhs: float
@@ -109,8 +105,7 @@ class LPRecord:
     holds: bool
 
 
-@dataclass(frozen=True)
-class CrossNormRecord:
+class CrossNormRecord(NamedTuple):
     entry_b: int
     entry_e: int
     norm: float
@@ -118,8 +113,7 @@ class CrossNormRecord:
     holds: bool
 
 
-@dataclass(frozen=True)
-class CorollaryCheck:
+class CorollaryCheck(NamedTuple):
     max_b: int
     max_e: int
     sum: int
@@ -127,8 +121,7 @@ class CorollaryCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
-class ShannonCheck:
+class ShannonCheck(NamedTuple):
     i_bz: float
     i_ex: float
     sum: float
@@ -136,16 +129,14 @@ class ShannonCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
-class AverageCheck:
+class AverageCheck(NamedTuple):
     """Average proxy complexity sum, reported against n (not asserted)."""
 
     avg_sum: float
     reference: float
 
 
-@dataclass(frozen=True)
-class TradeoffReport:
+class TradeoffReport(NamedTuple):
     n: int
     profile_b: ComplexityProfile
     profile_e: ComplexityProfile
@@ -307,7 +298,7 @@ def verify_tradeoff(inst: ProtocolInstance, eve_basis: str) -> TradeoffReport:
             cross_norms.append(CrossNormRecord(i, j - nb, norm, limit, norm <= limit + VERDICT_TOL))
         for l, m in product(range(n + 2), repeat=2):
             family = [i for i in side_b if weights[i] <= l] + [j for j in side_e if weights[j] <= m]
-            lp_records.append(LPRecord(l, m, **vars(_lp_sum(traces, norms, family))))
+            lp_records.append(LPRecord(l, m, *_lp_sum(traces, norms, family)))
     shannon = shannon_tradeoff_check(inst, eve_basis)
     return TradeoffReport(
         n=n,

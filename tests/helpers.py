@@ -8,7 +8,8 @@ import numpy as np
 from qid.attacks import standard_attacks
 from qid.channels import isometry_to_channel
 from qid.complexity import ExpectationCheck, cumulative_projector
-from qid.operators import VERDICT_TOL, validate_state
+from qid.distinguishability import _overlap_table, support_projector
+from qid.operators import DECISION_TOL, SPECTRAL_TOL, VERDICT_TOL, validate_state
 from qid.protocol import ProtocolInstance, epr_state
 
 
@@ -46,6 +47,16 @@ def random_isometry_channel(rng, env_dim=3):
     """
     v, _ = np.linalg.qr(random_complex(rng, (6 * env_dim, 4)))
     return isometry_to_channel(v, (2, 2), (2,), (3,), env_dim=env_dim)
+
+
+def near_threshold(states):
+    """Whether an eigenvalue or support overlap of ``states`` lies within 10x of the threshold deciding it."""
+    vals = np.linalg.eigvalsh(states)
+    ov = _overlap_table(states, [support_projector(s) for s in states])
+    return any(
+        ((v >= tol / 10) & (v <= 10 * tol)).any()
+        for v, tol in ((vals, SPECTRAL_TOL), (ov, DECISION_TOL))
+    )
 
 
 def partial_trace(m, dims, keep):

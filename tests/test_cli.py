@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -370,7 +369,7 @@ class TestAllHold:
 
         def one_disagrees(inst, cat, theta):
             return [
-                replace(chk, agree=False) if (chk.side, chk.l) == ("E", 1) else chk
+                chk._replace(agree=False) if (chk.side, chk.l) == ("E", 1) else chk
                 for chk in real(inst, cat, theta)
             ]
 
@@ -526,8 +525,7 @@ class TestReportSchema:
 
     def test_cross_norm_keys(self):
         # No library attack gives both sides a catalogue entry, so no artifact holds one.
-        names = [f.name for f in fields(CrossNormRecord)]
-        assert names == ["entry_b", "entry_e", "norm", "limit", "holds"]
+        assert CrossNormRecord._fields == ("entry_b", "entry_e", "norm", "limit", "holds")
 
 
 class TestSweep:
@@ -774,15 +772,79 @@ def test_exit_status_reflects_violations(tmp_path, monkeypatch):
     assert json.loads((out / "report_cnot_probe_n1.json").read_text())["all_hold"] is False
 
 
-def test_console_entry_runs_as_module(tmp_path):
+def run_module(tmp_path, *args, stdout=subprocess.PIPE, unbuffered=False):
+    """``python -m qid.cli args`` in a fresh interpreter, stderr captured as text.
+
+    A piped stdout is block-buffered unless ``unbuffered`` sets ``PYTHONUNBUFFERED``.
+    """
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "qid.cli", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+
+
+def check_lp_files(tmp_path) -> list[str]:
+    """``check-lp`` arguments for the family {1} against the maximally mixed qubit."""
     fam = tmp_path / "family.json"
     st = tmp_path / "state.json"
     fam.write_text(json.dumps({"projectors": [pairs(np.eye(2))]}))
     st.write_text(json.dumps({"matrix": pairs(np.eye(2) / 2)}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qid.cli", "check-lp", "--family", str(fam), "--state", str(st)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("lhs = 1")
+    return ["check-lp", "--family", str(fam), "--state", str(st)]
+
+
+# The console entry ends the process with os._exit once its streams are
+# flushed; each case is (config overrides, exit status, start of stderr).
+ENTRY_RUNS = {
+    "simulate": ({"attacks": [{"kind": "identity"}, {"kind": "measure_z"}]}, EXIT_OK, ""),
+    "config_error": ({"seed": 7}, EXIT_CONFIG, "config error: unknown config key(s): seed\n"),
+    "capacity_error": ({"n": 12}, EXIT_CAPACITY, "capacity error: "),
+}
+
+
+@pytest.mark.parametrize("case", ["check_lp", *ENTRY_RUNS])
+def test_console_entry_runs_as_module(tmp_path, case):
+    if case == "check_lp":
+        # Through a pipe, stdout is block-buffered: every line must still arrive.
+        proc = run_module(tmp_path, *check_lp_files(tmp_path))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout == "lhs = 1\nrhs = 1\nholds = true\n"
+        return
+    overrides, status, stderr = ENTRY_RUNS[case]
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    proc = run_module(tmp_path, "simulate", "--config", str(cfg), "--out", "sub")
+    assert proc.returncode == status
+    assert proc.stderr.startswith(stderr) if stderr else proc.stderr == ""
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "main")]) == status
+    if status != EXIT_OK:
+        assert not (tmp_path / "sub").exists() and not (tmp_path / "main").exists()
+        return
+    names = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert len(names) == 8
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered, status", [(True, 1), (False, 120)])
+def test_console_entry_fails_on_a_closed_stdout(tmp_path, unbuffered, status):
+    # Unbuffered, print raises inside main and the traceback exits 1.  Buffered,
+    # the entry's flush raises, so the process takes Python's normal exit,
+    # whose own flush fails again: exit 120, as without the fast exit.
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = run_module(tmp_path, *check_lp_files(tmp_path), stdout=write_fd, unbuffered=unbuffered)
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == status
+    assert "BrokenPipeError" in proc.stderr

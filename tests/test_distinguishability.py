@@ -12,11 +12,11 @@ from qid.distinguishability import (
     support_projector,
 )
 from qid.errors import DimensionError
-from qid.operators import DECISION_TOL, SPECTRAL_TOL, ket_bra
+from qid.operators import SPECTRAL_TOL, ket_bra
 from qid.protocol import FAMILY_BASIS, ProtocolInstance
 from qid.tradeoff import catalogues_for, verify_tradeoff
 
-from helpers import random_complex, random_isometry_channel, random_unitary
+from helpers import near_threshold, random_complex, random_isometry_channel, random_unitary
 
 
 XBAR0 = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -256,16 +256,6 @@ FACTOR_GROUPS = {
     "random_two_qubit": lambda: random_factors(2),
     "split_factor": lambda: [isometry_to_channel(np.eye(4), (2, 2), (2,), (2,))],
 }
-
-
-def near_threshold(states):
-    """Whether an N-qubit eigenvalue or support overlap lies within 10x of the threshold deciding it."""
-    vals = np.linalg.eigvalsh(states)
-    ov = _overlap_table(states, [support_projector(s) for s in states])
-    return any(
-        ((v >= tol / 10) & (v <= 10 * tol)).any()
-        for v, tol in ((vals, SPECTRAL_TOL), (ov, DECISION_TOL))
-    )
 
 
 @pytest.mark.parametrize("group", FACTOR_GROUPS)

@@ -223,7 +223,7 @@ class TestVerifyTradeoff:
         assert len(report.lp_records) == (n + 2) ** 2
         for rec in report.lp_records:
             family = [p for w, p in bob if w <= rec.l] + [q for w, q in eve if w <= rec.m]
-            assert rec == LPRecord(rec.l, rec.m, **vars(landau_pollak_check(family, theta)))
+            assert rec == LPRecord(rec.l, rec.m, **landau_pollak_check(family, theta)._asdict())
 
     def test_split_factor_mixes_both_sides(self):
         report = verify_tradeoff(split_factor_instance(), "X")
