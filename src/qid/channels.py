@@ -105,35 +105,40 @@ class QuantumChannel(_SplitSizes):
 
 @dataclass(frozen=True)
 class ProductChannel(_SplitSizes):
-    """The ``n``-fold tensor power of a channel ``factor`` on qubit inputs.
+    """The ``copies``-fold tensor power of a channel ``factor`` on qubit inputs.
 
     Only the factor is stored; a plain channel is its own factor, taken
     once.  Outputs are grouped (B1..Bn, E1..En) like the Kraus form of
-    the whole channel, whose stack grows as K^n (out*in)^n and is only
-    materialized as the dense oracle (``dense_channel``).
+    the whole channel, whose stack grows as K^copies (out*in)^copies and
+    is only materialized as the dense oracle (``dense_channel``).
     """
 
     factor: QuantumChannel
-    n: int
+    copies: int
     name: str = ""
 
     def __post_init__(self):
         if set(self.factor.in_dims) != {2}:
             raise DimensionError(f"product factor inputs must be qubits, got {self.factor.in_dims}")
-        if self.n < 1:
-            raise DimensionError("product channel needs n >= 1 factors")
+        if self.copies < 1:
+            raise DimensionError("product channel needs copies >= 1")
 
     @property
     def in_dims(self) -> tuple[int, ...]:
-        return self.factor.in_dims * self.n
+        return self.factor.in_dims * self.copies
 
     @property
     def out_dims_b(self) -> tuple[int, ...]:
-        return self.factor.out_dims_b * self.n
+        return self.factor.out_dims_b * self.copies
 
     @property
     def out_dims_e(self) -> tuple[int, ...]:
-        return self.factor.out_dims_e * self.n
+        return self.factor.out_dims_e * self.copies
+
+    @property
+    def label(self) -> str:
+        """The name and qubit count that capacity messages print."""
+        return f"{self.name or 'channel'} at n={len(self.in_dims)}"
 
 
 def kron_power(stack: np.ndarray, n: int) -> np.ndarray:
@@ -173,15 +178,15 @@ def dense_channel(product: ProductChannel) -> QuantumChannel:
     Raises ``CapacityError`` before allocating when the stack would
     exceed ``MAX_BYTES`` or an output side would exceed ``MAX_DIM``.
     """
-    factor, n = product.factor, product.n
+    factor, copies = product.factor, product.copies
     per_copy = len(factor.kraus) * factor.out_dim * factor.in_dim
-    check_bytes(f"attack {product.name} at n={n}: the Kraus operators", n, lambda k: 16 * per_copy**k)
-    # Within the byte budget n is small, so the side is a small integer.
-    side = factor.out_dim**n
+    check_bytes(f"{product.label}: the Kraus operators", copies, lambda k: 16 * per_copy**k)
+    # Within the byte budget the copies are few, so the side is a small integer.
+    side = factor.out_dim**copies
     if side > MAX_DIM:
-        raise CapacityError(f"attack {product.name} at n={n}: output side {side} > {MAX_DIM}")
+        raise CapacityError(f"{product.label}: output side {side} > {MAX_DIM}")
     return QuantumChannel(
-        kraus=_tensor_power(factor, n),
+        kraus=_tensor_power(factor, copies),
         in_dims=product.in_dims,
         out_dims_b=product.out_dims_b,
         out_dims_e=product.out_dims_e,

@@ -223,7 +223,7 @@ def expectation_identity_check(
     projector is made dense once.
     """
     n = inst.n
-    states = inst.family(cat.side)
+    states = inst.family(cat.side).states
     cums = [cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e) for l in range(n + 2)]
     # Classes are disjoint, so a message names its term and a tuple of
     # messages names the set of classes a cumulative projector holds.

@@ -26,10 +26,8 @@ class DistinguishableClass:
 
     Classes of size >= 2 of a one-copy ``distinguishable_partition``
     carry the identifying sub-PVM (one support projector per member, in
-    member order), which the dense records need; those of a partition
-    over several copies (n > 2, where no N-qubit support is built) and
-    singletons carry none.  Singletons are handled by the literal
-    fallback code downstream.
+    member order), which the dense records need; those over several
+    copies and singletons (left to the literal words) carry none.
     """
 
     members: tuple[int, ...]
@@ -100,12 +98,9 @@ def distinguishable_partition(
     factor pair is: supports orthogonal in both directions up to ``tol``.
     So one factor table decides every pair, and no overlap compounds
     past the threshold.  Messages are visited in lexicographic order;
-    each joins the first existing class all of whose members it is
-    orthogonal to, otherwise it opens a new class.  The rule is
-    deterministic, and a family is perfectly distinguishable exactly
-    when its partition is one class.  At one copy each class of size
-    >= 2 carries its members' support projectors as its PVM; over
-    several copies no N-qubit support is built and the classes carry none.
+    each joins the first class all of whose members it is orthogonal
+    to, else opens one.  A family is perfectly distinguishable exactly
+    when its partition is one class.
     """
     supports = [support_projector(s) for s in states]
     ov = _overlap_table(states, supports)

@@ -26,6 +26,7 @@ from .channels import (
     validate_channel,
     vector_marginals,
 )
+from .distinguishability import DistinguishableClass, distinguishable_partition
 from .errors import CapacityError, ValidationError
 from .operators import MAX_DIM, STRUCTURAL_TOL, validate_state
 
@@ -36,7 +37,7 @@ BASES = ("Z", "X")
 FAMILY_BASIS = {"B": "Z", "E": "X"}
 
 # Dense A' (x) B (x) E states scale as 2^(6N) in memory; above this the
-# structured identities must be used instead.  ``ProtocolInstance.dense``
+# structured identities must be used instead.  ``ProductFamily.dense``
 # is the one place that states this rule.
 DENSE_THETA_LIMIT = 2
 
@@ -78,15 +79,6 @@ def epr_state(n: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128).ravel() / math.sqrt(dim)
 
 
-def _factor_marginals(factor: QuantumChannel, side: Side) -> np.ndarray:
-    """One side's marginals of a factor for every message of its register, in the side's basis, read-only."""
-    pick = list(FAMILY_BASIS).index(side)
-    table = basis_table(FAMILY_BASIS[side], len(factor.in_dims))
-    marginals = np.stack([vector_marginals(factor, psi)[pick] for psi in table])
-    marginals.setflags(write=False)
-    return marginals
-
-
 def _verdict_bytes(factor: QuantumChannel, copies: int) -> int:
     """Bytes the verdict path allocates for ``copies`` copies of ``factor``, in integers.
 
@@ -104,85 +96,112 @@ def _verdict_bytes(factor: QuantumChannel, copies: int) -> int:
 
 
 @dataclass(frozen=True)
-class ProtocolInstance:
-    """A fixed (n, channel) pair with Bob's and Eve's reduced states.
+class ProductFamily:
+    """One side's receiver states, the Kronecker products of ``copies`` factor states.
 
-    The channel is a ``ProductChannel`` (a plain channel is its own
-    factor, taken once), so each receiver state is the Kronecker product
-    of its factor's marginals, one per factor.  The instance holds those
-    marginals only: ``factor_b`` and ``factor_e``, read-only stacks over
-    the messages of the factor's register.  ``rho_b[z]`` is Bob's state
-    for the Z-encoded message z and ``sigma_e[x]`` Eve's state for the
-    X-encoded message x; each family is a read-only (2^n, d, d) array
-    over all 2^n messages, built from its side's marginals on first use
-    and cached, like ``theta``.  Within the dense limit (``dense``)
-    ``from_channel`` reads both families to validate every state; above
-    it the verdicts read the marginals only, and no N-qubit state is built.
+    ``factor`` is the read-only (k, d, d) stack of the side's marginals of
+    the channel's factor, one per message of its register in the side's
+    basis, and ``dims`` the side's output dims for one factor.  Message
+    i1..i_copies has the product of factor states i1..i_copies, first
+    factor slowest; only this type knows that structure.
     """
 
+    factor: np.ndarray
+    side: Side
+    dims: tuple[int, ...]
+    copies: int
     n: int
+    label: str
+
+    @classmethod
+    def of(cls, product: ProductChannel, side: Side) -> "ProductFamily":
+        """``side``'s family of ``product``, from its factor's marginals for every message."""
+        factor, pick = product.factor, list(FAMILY_BASIS).index(side)
+        table = basis_table(FAMILY_BASIS[side], len(factor.in_dims))
+        marginals = np.stack([vector_marginals(factor, psi)[pick] for psi in table])
+        marginals.setflags(write=False)
+        dims = factor.out_dims_b if side == "B" else factor.out_dims_e
+        return cls(marginals, side, dims, product.copies, len(product.in_dims), product.label)
+
+    @property
+    def dense(self) -> bool:
+        """Whether the N-qubit states are decided on and the dense records run: the one density rule."""
+        return self.n <= DENSE_THETA_LIMIT
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The read-only (2^n, D, D) N-qubit states, built on first use; refused first when over ``MAX_BYTES``."""
+        what = f"{self.label}: side {self.side}'s receiver states"
+        check_bytes(what, self.copies, lambda k: 16 * self.factor.size**k)
+        states = kron_power(self.factor, self.copies)
+        states.setflags(write=False)
+        return states
+
+    @property
+    def decided(self) -> np.ndarray:
+        """What validation and the partition decide on: ``states`` when ``dense``, else ``factor``.
+
+        Products of states are states, orthogonal iff some factor pair is.
+        """
+        return self.states if self.dense else self.factor
+
+    def partition(self) -> list[DistinguishableClass]:
+        """The messages' distinguishable classes; when ``dense`` each class of size >= 2 carries its PVM."""
+        if self.dense:
+            return distinguishable_partition(self.states)
+        return distinguishable_partition(self.factor, copies=self.copies)
+
+    def power(self, table: np.ndarray) -> np.ndarray:
+        """The Kronecker power over the copies of a per-factor table whose rows are the factor's messages."""
+        return kron_power(table, self.copies)
+
+
+@dataclass(frozen=True)
+class ProtocolInstance:
+    """A product channel (a plain channel is its own factor, taken once) and its two families.
+
+    ``b`` holds Bob's states of the Z-encoded messages and ``e`` Eve's of
+    the X-encoded ones; ``rho_b[z]`` and ``sigma_e[x]`` read them.
+    """
+
     channel: ProductChannel
-    factor_b: np.ndarray
-    factor_e: np.ndarray
+    b: ProductFamily
+    e: ProductFamily
 
     @classmethod
     def from_channel(cls, channel: QuantumChannel | ProductChannel) -> "ProtocolInstance":
-        product = (
-            channel
-            if isinstance(channel, ProductChannel)
-            else ProductChannel(channel, 1, channel.name)
-        )
-        factor = product.factor
-        n = len(factor.in_dims) * product.n
-        check_bytes(
-            f"{channel.name or 'channel'} at n={n}: the verdict tables",
-            product.n,
-            lambda k: _verdict_bytes(factor, k),
-        )
-        validate_channel(factor, "product factor")
-        inst = cls(n, product, _factor_marginals(factor, "B"), _factor_marginals(factor, "E"))
-        # A Kronecker product of states is a state, so above the dense
-        # limit each factor marginal is checked, not each of its products.
-        for side in FAMILY_BASIS:
-            for rho in inst.family(side) if inst.dense else inst.factor_family(side):
+        product = channel if isinstance(channel, ProductChannel) else ProductChannel(channel, 1, channel.name)
+        what = f"{product.label}: the verdict tables"
+        check_bytes(what, product.copies, lambda k: _verdict_bytes(product.factor, k))
+        validate_channel(product.factor, "product factor")
+        inst = cls(product, *(ProductFamily.of(product, side) for side in FAMILY_BASIS))
+        for family in (inst.b, inst.e):
+            for rho in family.decided:
                 validate_state(rho)
         return inst
 
     @property
+    def n(self) -> int:
+        return self.b.n
+
+    @property
     def dense(self) -> bool:
         """Whether the dense records run: the N-qubit states, Θ and its checks."""
-        return self.n <= DENSE_THETA_LIMIT
+        return self.b.dense
 
-    def _kron_family(self, side: Side) -> np.ndarray:
-        """One side's N-qubit family, refused before it is built when over ``MAX_BYTES``."""
-        factor, copies = self.channel.factor, self.channel.n
-        dim = factor.dim_b if side == "B" else factor.dim_e
-        check_bytes(
-            f"{self.channel.name or 'channel'} at n={self.n}: side {side}'s receiver states",
-            copies,
-            lambda k: 16 * (factor.in_dim * dim**2) ** k,
-        )
-        family = kron_power(self.factor_family(side), copies)
-        family.setflags(write=False)
-        return family
-
-    @cached_property
+    @property
     def rho_b(self) -> np.ndarray:
-        """Bob's states of the Z-encoded messages, built on first use."""
-        return self._kron_family("B")
+        """Bob's states of the Z-encoded messages."""
+        return self.b.states
 
-    @cached_property
+    @property
     def sigma_e(self) -> np.ndarray:
-        """Eve's states of the X-encoded messages, built on first use."""
-        return self._kron_family("E")
+        """Eve's states of the X-encoded messages."""
+        return self.e.states
 
-    def family(self, side: Side) -> np.ndarray:
-        """The receiver states of one side: ``rho_b`` for B, ``sigma_e`` for E."""
-        return getattr(self, {"B": "rho_b", "E": "sigma_e"}[side])
-
-    def factor_family(self, side: Side) -> np.ndarray:
-        """One side's factor marginals: ``factor_b`` for B, ``factor_e`` for E."""
-        return {"B": self.factor_b, "E": self.factor_e}[side]
+    def family(self, side: Side) -> ProductFamily:
+        """One side's family: ``b`` for B, ``e`` for E."""
+        return self.b if side == "B" else self.e
 
     @cached_property
     def kraus_channel(self) -> QuantumChannel:

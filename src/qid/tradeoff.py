@@ -17,7 +17,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import kron_power
 from .complexity import (
     ComplexityProfile,
     DecoderCatalogue,
@@ -25,10 +24,9 @@ from .complexity import (
     program_projector,
     proxy_complexity,
 )
-from .distinguishability import distinguishable_partition
 from .errors import DimensionError, ValidationError
 from .operators import PROBABILITY_TOL, VERDICT_TOL, as_matrix, operator_norm
-from .protocol import FAMILY_BASIS, ProtocolInstance, basis_table, theta_matrix
+from .protocol import FAMILY_BASIS, ProductFamily, ProtocolInstance, basis_table, theta_matrix
 
 
 class LPCheck(NamedTuple):
@@ -199,17 +197,15 @@ def shannon_tradeoff_check(inst: ProtocolInstance, eve_basis: str) -> ShannonChe
 
     Messages, receiver states and outcomes of the product are Kronecker
     products of the factor's, first factor slowest, so each side's joint
-    table is the Kronecker power of its factor's table, whose 1/#messages
+    table is its family's power of its factor's table, whose 1/#messages
     weights multiply to 2^-n.  No N-qubit state is read.
     """
-    factor, copies = inst.channel.factor, inst.channel.n
 
-    def information(side: str, measured: str) -> float:
-        dims = factor.out_dims_b if side == "B" else factor.out_dims_e
-        table = outcome_distribution(inst.factor_family(side), dims, measured)
-        return mutual_information(kron_power(table, copies))
+    def information(family: ProductFamily, measured: str) -> float:
+        table = outcome_distribution(family.factor, family.dims, measured)
+        return mutual_information(family.power(table))
 
-    i_bz, i_ex = information("B", FAMILY_BASIS["B"]), information("E", eve_basis)
+    i_bz, i_ex = information(inst.b, FAMILY_BASIS["B"]), information(inst.e, eve_basis)
     total, limit = i_bz + i_ex, float(inst.n)
     return ShannonCheck(i_bz, i_ex, total, limit, total <= limit + VERDICT_TOL)
 
@@ -238,23 +234,8 @@ def average_complexity_check(
 
 
 def catalogues_for(inst: ProtocolInstance) -> tuple[DecoderCatalogue, DecoderCatalogue]:
-    """Bob/Z and Eve/X decoder catalogues for one protocol instance.
-
-    Within the dense limit the N-qubit states are partitioned, so each
-    class carries the PVM the dense records need; above it the factor
-    marginals decide every pair, over the instance's copies.
-    """
-    cat_b, cat_e = (
-        build_catalogue(
-            distinguishable_partition(inst.family(side))
-            if inst.dense
-            else distinguishable_partition(inst.factor_family(side), copies=inst.channel.n),
-            inst.n,
-            side,
-        )
-        for side in FAMILY_BASIS
-    )
-    return cat_b, cat_e
+    """Bob/Z and Eve/X decoder catalogues, one per family's partition."""
+    return tuple(build_catalogue(inst.family(s).partition(), inst.n, s) for s in FAMILY_BASIS)
 
 
 def verify_tradeoff(inst: ProtocolInstance, eve_basis: str) -> TradeoffReport:

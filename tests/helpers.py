@@ -119,7 +119,7 @@ def dense_case_instance(instance, kind, n):
 def expectation_at_level(inst, cat, l, theta):
     """One side's expectation record at one l, computed on its own from the cumulative projector."""
     n = inst.n
-    states = inst.family(cat.side)
+    states = inst.family(cat.side).states
     cum = cumulative_projector(cat, l, inst.channel.dim_b, inst.channel.dim_e)
     lhs = 2.0 ** (-n) * sum(float(np.trace(states[msg] @ proj).real) for msg, proj in cum.terms)
     rhs = 2.0 ** (-n) * len(cum.terms)

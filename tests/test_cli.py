@@ -282,12 +282,11 @@ class TestSimulate:
         # over channels.MAX_BYTES; no receiver state or table is built.
         import qid.distinguishability as distinguishability
         import qid.protocol as protocol
-        import qid.tradeoff as tradeoff
 
         def no_build(*args):
             raise AssertionError("receiver states or tables built before the capacity check")
 
-        for module in (protocol, distinguishability, tradeoff):
+        for module in (protocol, distinguishability):
             monkeypatch.setattr(module, "kron_power", no_build)
         cfg = write_config(tmp_path / "cfg.json", n=12, attacks=[attack])
         out = tmp_path / "o"

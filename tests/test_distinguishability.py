@@ -193,7 +193,7 @@ def test_tol_reaches_the_factor_table(copies):
     # The factor's two Bob states overlap by 1e-8: orthogonal at tol = 1e-7,
     # not at 1e-9, at any number of copies, so a threshold moved by 10x
     # moves the factor decision too.
-    states = ProtocolInstance.from_channel(leaky_factor(1e-4)).factor_b
+    states = ProtocolInstance.from_channel(leaky_factor(1e-4)).b.factor
     assert _overlap_table(states, [support_projector(s) for s in states])[0, 1] == pytest.approx(1e-8)
     loose = distinguishable_partition(states, tol=1e-7, copies=copies)
     tight = distinguishable_partition(states, tol=1e-9, copies=copies)
@@ -268,12 +268,14 @@ def test_factor_partition_matches_the_dense_oracle(group, record_property):
         k = len(factor.in_dims)
         for copies in range(-(-3 // k), 5 // k + 1):
             inst = ProtocolInstance.from_channel(ProductChannel(factor, copies))
-            if any(near_threshold(inst.family(side)) for side in FAMILY_BASIS):
+            if any(near_threshold(inst.family(side).states) for side in FAMILY_BASIS):
                 skipped += 1
                 continue
             for side in FAMILY_BASIS:
-                fast = distinguishable_partition(inst.factor_family(side), copies=copies)
-                dense = distinguishable_partition(inst.family(side))
+                family = inst.family(side)
+                assert not family.dense and family.decided is family.factor
+                fast = family.partition()
+                dense = distinguishable_partition(family.states)
                 assert [c.members for c in fast] == [c.members for c in dense], (group, copies, side)
                 assert all(c.pvm == () for c in fast)
             checked += 1

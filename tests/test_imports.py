@@ -94,3 +94,61 @@ def test_every_traced_name_exists():
     for mod_name, cls_name, meth in names["METHODS"]:
         cls = getattr(importlib.import_module(mod_name), cls_name, None)
         assert cls is not None and meth in vars(cls), f"{mod_name}.{cls_name}.{meth}"
+
+
+def product_structure_reads(source: str) -> dict:
+    """Where a module touches the factor-and-copies structure: names ``kron_power``,
+    passes ``copies=`` to a call, or reads ``.channel.n``."""
+    tree = ast.parse(source)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names.update(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    return {
+        "kron_power": "kron_power" in names,
+        "copies=": any(
+            kw.arg == "copies"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for kw in node.keywords
+        ),
+        ".channel.n": any(
+            isinstance(node, ast.Attribute)
+            and node.attr == "n"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "channel"
+            for node in ast.walk(tree)
+        ),
+    }
+
+
+# The one product-family type in protocol.py takes Kronecker powers and
+# passes copy counts; channels.py defines kron_power and distinguishability.py
+# partitions over the copies it is given.
+KRON_POWER_MODULES = {"channels.py", "protocol.py", "distinguishability.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_family_type_knows_the_copies(path):
+    reads = product_structure_reads(path.read_text())
+    assert not reads["kron_power"] or path.name in KRON_POWER_MODULES
+    assert not reads["copies="] or path.name == "protocol.py"
+    assert not reads[".channel.n"]
+
+
+def test_guard_sees_the_copies_outside_the_family():
+    source = (
+        "from .channels import kron_power\n\n\n"
+        "def information(inst, table):\n"
+        "    part = distinguishable_partition(inst.b.factor, copies=inst.channel.n)\n"
+        "    return kron_power(table, inst.channel.n), part\n"
+    )
+    assert product_structure_reads(source) == {"kron_power": True, "copies=": True, ".channel.n": True}
+    assert product_structure_reads("x = inst.b.copies\n") == {
+        "kron_power": False,
+        "copies=": False,
+        ".channel.n": False,
+    }

@@ -18,7 +18,6 @@ import qid.channels as channels_mod
 import qid.distinguishability as distinguishability_mod
 import qid.operators as operators_mod
 import qid.protocol as protocol
-import qid.tradeoff as tradeoff_mod
 from qid.attacks import ATTACKS, AttackSpec, make_attack, product_attack, standard_attacks
 from qid.channels import (
     ProductChannel,
@@ -149,16 +148,16 @@ BUDGET_SITES = {
     "verdict_tables": (
         10 * 64 + 2 * 7 * 8 * 64,
         lambda: ProtocolInstance.from_channel(product_attack(AttackSpec("identity", 3))),
-        (protocol, "_factor_marginals"),
+        (protocol, "vector_marginals"),
     ),
 }
 
 
 class TestCapacity:
     def test_twelve_qubits_refused_before_any_table_is_built(self, monkeypatch):
-        for mod in (protocol, distinguishability_mod, tradeoff_mod):
+        for mod in (protocol, distinguishability_mod):
             monkeypatch.setattr(mod, "kron_power", no_build)
-        monkeypatch.setattr(protocol, "_factor_marginals", no_build)
+        monkeypatch.setattr(protocol, "vector_marginals", no_build)
         with pytest.raises(CapacityError, match="verdict tables need 1952 MiB"):
             ProtocolInstance.from_channel(product_attack(AttackSpec("identity", 12)))
 
@@ -168,7 +167,7 @@ class TestCapacity:
         assert (10 + 2 * 56) * 4**11 <= channels_mod.MAX_BYTES < (10 + 2 * 56) * 4**12
         for spec in standard_attacks(11):
             inst = ProtocolInstance.from_channel(product_attack(spec))
-            assert "rho_b" not in vars(inst) and "sigma_e" not in vars(inst)
+            assert "states" not in vars(inst.b) and "states" not in vars(inst.e)
         for spec in standard_attacks(12):
             with pytest.raises(CapacityError):
                 ProtocolInstance.from_channel(product_attack(spec))
@@ -180,7 +179,7 @@ class TestCapacity:
         monkeypatch.setattr(protocol, "kron_power", no_build)
         for side in ("B", "E"):
             with pytest.raises(CapacityError, match="2048 MiB"):
-                inst.family(side)
+                inst.family(side).states
 
     @pytest.mark.parametrize("site", BUDGET_SITES)
     def test_byte_budget_is_inclusive(self, monkeypatch, site):
@@ -263,12 +262,12 @@ class TestMemory:
         spec = attack_spec(kind, n)
         inst = ProtocolInstance.from_channel(product_attack(spec))
         verify_tradeoff(inst, ATTACKS[kind].eve_basis)
-        assert "rho_b" not in vars(inst) and "sigma_e" not in vars(inst)
+        assert "states" not in vars(inst.b) and "states" not in vars(inst.e)
 
     def test_each_view_builds_only_its_side(self):
         inst = ProtocolInstance.from_channel(product_attack(AttackSpec("depolarize", 4, {"p": 0.5})))
-        assert inst.family("E") is inst.sigma_e
-        assert "sigma_e" in vars(inst) and "rho_b" not in vars(inst)
+        assert inst.family("E").states is inst.sigma_e
+        assert "states" in vars(inst.e) and "states" not in vars(inst.b)
 
     def test_overlap_table_copies_no_state(self):
         # One side at N = 7 holds 32 MiB of states.  The product reads them
@@ -298,8 +297,8 @@ class TestValidation:
 
     def test_invalid_marginal_rejected(self, monkeypatch):
         # Unit trace but a negative eigenvalue, and so is every Kronecker power of it.
-        bad = np.array([np.diag([1.5, -0.5])] * 2, dtype=complex)
-        monkeypatch.setattr(protocol, "_factor_marginals", lambda factor, side: bad)
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        monkeypatch.setattr(protocol, "vector_marginals", lambda ch, psi: (bad, bad))
         with pytest.raises(ValidationError, match="invalid density operator"):
             ProtocolInstance.from_channel(product_attack(AttackSpec("identity", 3)))
 
@@ -378,8 +377,8 @@ def test_random_isometry_factors_match_dense_oracle(seed, env_dim, n, unentangle
 def shannon_oracle(inst, eve_basis):
     """(i_bz, i_ex, sum) read off the N-qubit families in the bases of their whole register."""
     ch = inst.channel
-    i_bz = mutual_information(outcome_distribution(inst.family("B"), ch.out_dims_b, "Z"))
-    i_ex = mutual_information(outcome_distribution(inst.family("E"), ch.out_dims_e, eve_basis))
+    i_bz = mutual_information(outcome_distribution(inst.rho_b, ch.out_dims_b, "Z"))
+    i_ex = mutual_information(outcome_distribution(inst.sigma_e, ch.out_dims_e, eve_basis))
     return i_bz, i_ex, i_bz + i_ex
 
 
@@ -430,3 +429,17 @@ class TestShannonOnTheFactor:
         # A random factor's X-read values can lie within round-off of a
         # 12-digit rounding boundary, so only the 1e-12 bound is kept.
         assert_same_shannon(inst, "X", same_text=False)
+
+
+def test_capacity_messages_name_the_qubits_not_the_copies():
+    # An unnamed two-qubit factor taken 5 times acts on 10 qubits.  Its
+    # Kraus stack (64^5 complex128 entries) and one side's states (64^5)
+    # each need 16 GiB.
+    factor = isometry_to_channel(np.eye(16, 4), (2, 2), (2, 2), (2, 2))
+    product = ProductChannel(factor, 5)
+    with pytest.raises(CapacityError, match=r"^channel at n=10: the Kraus operators need 16384 MiB"):
+        dense_channel(product)
+    inst = ProtocolInstance.from_channel(product)
+    assert inst.n == 10
+    with pytest.raises(CapacityError, match=r"^channel at n=10: side B's receiver states need 16384 MiB"):
+        inst.rho_b

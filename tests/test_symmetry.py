@@ -149,7 +149,7 @@ def near_a_threshold(inst, rep):
     """Whether a decision behind ``rep`` lies within 10x of its threshold: an
     eigenvalue or overlap of a family the partition reads, or an LP or
     cross-norm margin against ``VERDICT_TOL``."""
-    families = [inst.family(s) if inst.dense else inst.factor_family(s) for s in FAMILY_BASIS]
+    families = [inst.family(s).decided for s in FAMILY_BASIS]
     margins = np.array(
         [r.lhs - r.rhs for r in rep.lp_records] + [r.norm - r.limit for r in rep.cross_norms]
     )
