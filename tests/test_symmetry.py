@@ -157,7 +157,7 @@ def near_a_threshold(inst, rep):
     return near_margin or any(near_threshold(f) for f in families)
 
 
-def test_random_factors_keep_both_relations(record_property):
+def test_random_factors_keep_both_relations(request):
     # Relation (a) under one Haar pair, and relation (b) on the rotated factor,
     # for RANDOM_DRAWS draws at N <= 6.  Draws near a threshold are skipped,
     # counted, and replaced by new draws.
@@ -188,5 +188,5 @@ def test_random_factors_keep_both_relations(record_property):
         checked.append(seed)
 
     draw()
-    record_property("near_threshold_skipped", len(skipped))
+    request.node.user_properties.append(("near_threshold_skipped", len(skipped)))
     assert len(checked) >= RANDOM_DRAWS
