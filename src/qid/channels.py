@@ -61,7 +61,7 @@ class _SplitSizes:
         return self.dim_b * self.dim_e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel(_SplitSizes):
     """Kraus-form channel with labeled output splitting H_B (x) H_E.
 
@@ -69,7 +69,8 @@ class QuantumChannel(_SplitSizes):
     stacked on construction from any sequence of Kraus matrices.
     Construction checks shape coherence only; Kraus completeness is
     checked separately, by ``validate_channel``, so that deliberately
-    broken channels can be built for negative tests.
+    broken channels can be built for negative tests.  Equality and
+    hashing are by identity, here and in the types built on it.
     """
 
     kraus: np.ndarray
@@ -103,7 +104,7 @@ class QuantumChannel(_SplitSizes):
         object.__setattr__(self, "out_dims_e", out_e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductChannel(_SplitSizes):
     """The ``copies``-fold tensor power of a channel ``factor`` on qubit inputs.
 

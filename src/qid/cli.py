@@ -1,12 +1,11 @@
-"""Command-line front end: experiments, sweeps, and standalone checks.
+"""Command-line front end: the verifier's experiments and sweeps.
 
-Subcommands mirror the library structure: ``simulate`` runs the full
-verification pipeline for the attacks in a config file, ``sweep`` runs
-a grid over qubit counts and ``check-lp`` evaluates the uncertainty
-relation on serialized operators.  Reports are JSON, tables CSV; floats
-carry 12 significant digits and identical configs produce byte
-identical outputs.  A run computes its jobs one at a time, in config
-order; one forked child formats and writes their artifacts.
+``simulate`` runs the full verification pipeline for the attacks in a
+config file and ``sweep`` runs it over a grid of qubit counts.  Reports
+are JSON, tables CSV; floats carry 12 significant digits and identical
+configs produce byte identical outputs.  A run computes its jobs one at
+a time, in config order; one forked child formats and writes their
+artifacts.
 """
 
 from __future__ import annotations
@@ -24,17 +23,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .attacks import ATTACKS, AttackSpec, product_attack
-from .channels import matrix_from_pairs
-from .errors import CapacityError, ConfigError, DimensionError, QidError
-from .operators import Projector, validate_state
+from .errors import CapacityError, ConfigError, QidError
 from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
-from .tradeoff import (
-    TradeoffReport,
-    catalogues_for,
-    landau_pollak_check,
-    verify_tradeoff,
-)
+from .tradeoff import TradeoffReport, catalogues_for, verify_tradeoff
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -321,51 +313,6 @@ def cmd_sweep(args) -> int:
     return _run(out_dir, [(n, spec) for n in cfg.sweep_n or (cfg.n,) for spec in cfg.attacks])
 
 
-def _load_operators(path: str | Path, key: str, check) -> list:
-    """Every matrix of a ``check-lp`` file, each at least 2 x 2 and passed to ``check``.
-
-    ``check`` is ``Projector`` or ``validate_state``.  The file holds
-    ``{key: matrices}`` or the bare matrices, where ``matrices`` is one
-    matrix or a list of them.
-    """
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if isinstance(data, dict):
-        if key not in data:
-            raise ConfigError(f"{path} holds no {key!r}")
-        data = data[key]
-    if not isinstance(data, list):
-        raise ConfigError(f"{path}: expected a list")
-    try:
-        grids = data if data and isinstance(data[0][0][0], list) else [data]
-        mats = [matrix_from_pairs(g) for g in grids]
-        for m in mats:
-            if len(m) < 2:
-                raise DimensionError(f"matrices must be at least 2 x 2, got shape {m.shape}")
-            check(m)
-    except (QidError, TypeError, IndexError) as exc:
-        raise ConfigError(f"{path}: bad {key}: {exc}") from exc
-    return mats
-
-
-def cmd_check_lp(args) -> int:
-    family = _load_operators(args.family, "projectors", Projector)
-    states = _load_operators(args.state, "matrix", validate_state)
-    if len(states) != 1:
-        raise ConfigError(f"{args.state} holds {len(states)} matrices, not one state")
-    state = states[0]
-    if any(p.shape != state.shape for p in family):
-        dims = sorted({len(p) for p in family})
-        raise ConfigError(f"family dimensions {dims} differ from the state's {len(state)}")
-    lp = landau_pollak_check(family, state)
-    print(f"lhs = {_fmt(lp.lhs)}")
-    print(f"rhs = {_fmt(lp.rhs)}")
-    print(f"holds = {_fmt(lp.holds)}")
-    return EXIT_OK if lp.holds else EXIT_VIOLATION
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -399,11 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_positive_int, help="changes nothing; goes once the benchmark stops passing it"
     )
     sweep.set_defaults(func=cmd_sweep)
-
-    lp = sub.add_parser("check-lp", help="Landau-Pollak check on serialized operators")
-    lp.add_argument("--family", required=True)
-    lp.add_argument("--state", required=True)
-    lp.set_defaults(func=cmd_check_lp)
     return parser
 
 

@@ -95,7 +95,7 @@ def _verdict_bytes(factor: QuantumChannel, copies: int) -> int:
     return 10 * messages**2 + 7 * 8 * entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductFamily:
     """One side's receiver states, the Kronecker products of ``copies`` factor states.
 
@@ -156,7 +156,7 @@ class ProductFamily:
         return kron_power(table, self.copies)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolInstance:
     """A product channel (a plain channel is its own factor, taken once) and its two families.
 

@@ -156,6 +156,20 @@ class TestSerialization:
         m = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         np.testing.assert_array_equal(matrix_from_pairs(pairs(m)), m)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+            [[["1", 0], [0, 0]], [[0, 0], [0, 0]]],
+            [[[True, 0], [0, 0]], [[0, 0], [False, 0]]],
+            [[0.5, 0.0], [0.0, 0.5]],
+        ],
+        ids=["ragged_grid", "string_entry", "bool_entry", "no_pairs"],
+    )
+    def test_malformed_encoding_rejected(self, rows):
+        with pytest.raises(ValidationError):
+            matrix_from_pairs(rows)
+
 
 def test_library_outputs_are_valid_states(instance):
     # brute-force loop: every attack's output on a Z-encoded message

@@ -23,8 +23,6 @@ from qid.errors import CapacityError, ConfigError, QidError
 from qid.protocol import EquivalenceReport
 from qid.tradeoff import CrossNormRecord
 
-from helpers import pairs
-
 # The four artifacts of two simulate jobs (see TestReportSchema).
 SCHEMA_DIR = Path(__file__).resolve().parent / "report_schema"
 
@@ -696,71 +694,6 @@ class TestWriter:
         assert_no_child_left()
 
 
-class TestCheckLP:
-    def test_valid_family_holds(self, tmp_path):
-        fam = tmp_path / "family.json"
-        state = tmp_path / "state.json"
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        fam.write_text(json.dumps({"projectors": [pairs(p) for p in (p0, p1)]}))
-        state.write_text(json.dumps({"matrix": pairs(np.eye(2, dtype=complex) / 2)}))
-        assert main(["check-lp", "--family", str(fam), "--state", str(state)]) == EXIT_OK
-
-    @pytest.mark.parametrize(
-        "family, state",
-        [
-            ([2 * np.eye(2)], np.eye(2) / 2),
-            ([np.diag([1.0, 0.0])], np.diag([1.5, -0.5])),
-            ([np.eye(4)], np.eye(2) / 2),
-            ([np.diag([1.0, 0.0])], np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])),
-            ([np.diag([1.0, np.nan])], np.eye(2) / 2),
-            ([np.diag([1.0, 0.0])], [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
-            ([np.diag([1.0, 0.0])], [pairs(np.eye(2) / 2)] * 2),
-            ([np.eye(1)], np.eye(1)),
-            ([np.array([[1.0, 1.0], [0.0, 0.0]])], np.eye(2) / 2),
-            ([[[["1", 0], [0, 0]], [[0, 0], [0, 0]]]], np.eye(2) / 2),
-            ([np.diag([1.0, 0.0])], [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]),
-        ],
-        ids=[
-            "not_projector",
-            "not_psd_state",
-            "dimension_mismatch",
-            "non_square_state",
-            "nan_entry",
-            "ragged_grid",
-            "two_states",
-            "one_by_one",
-            "non_hermitian_projector",
-            "string_entry",
-            "bool_entry",
-        ],
-    )
-    def test_invalid_input_exits_config(self, tmp_path, family, state):
-        fam = tmp_path / "family.json"
-        st = tmp_path / "state.json"
-        fam.write_text(json.dumps({"projectors": [pairs(p) for p in family]}))
-        st.write_text(json.dumps({"matrix": pairs(state)}))
-        assert main(["check-lp", "--family", str(fam), "--state", str(st)]) == EXIT_CONFIG
-
-    def test_family_under_matrix_key_exits_config(self, tmp_path):
-        # The family is read only from "projectors" or a bare list, not from "matrix".
-        fam = tmp_path / "family.json"
-        st = tmp_path / "state.json"
-        fam.write_text(json.dumps({"matrix": [pairs(np.eye(2))]}))
-        st.write_text(json.dumps({"matrix": pairs(np.eye(2) / 2)}))
-        assert main(["check-lp", "--family", str(fam), "--state", str(st)]) == EXIT_CONFIG
-
-    def test_bad_file_exits_config(self, tmp_path):
-        fam = tmp_path / "family.json"
-        fam.write_text("[]")
-        state = tmp_path / "state.json"
-        state.write_text("not json")
-        assert (
-            main(["check-lp", "--family", str(fam), "--state", str(state)])
-            == EXIT_CONFIG
-        )
-
-
 def test_exit_status_reflects_violations(tmp_path, monkeypatch):
     # force a failing verdict to confirm the violation exit path
     cfg = write_config(tmp_path / "cfg.json")
@@ -771,10 +704,10 @@ def test_exit_status_reflects_violations(tmp_path, monkeypatch):
     assert json.loads((out / "report_cnot_probe_n1.json").read_text())["all_hold"] is False
 
 
-def run_module(tmp_path, *args, stdout=subprocess.PIPE, unbuffered=False):
-    """``python -m qid.cli args`` in a fresh interpreter, stderr captured as text.
+def run_module(tmp_path, *args, stderr=subprocess.PIPE, unbuffered=False):
+    """``python -m qid.cli args`` in a fresh interpreter, stdout and stderr captured as text.
 
-    A piped stdout is block-buffered unless ``unbuffered`` sets ``PYTHONUNBUFFERED``.
+    A piped stream is block-buffered unless ``unbuffered`` sets ``PYTHONUNBUFFERED``.
     """
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -783,22 +716,13 @@ def run_module(tmp_path, *args, stdout=subprocess.PIPE, unbuffered=False):
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "qid.cli", *args],
-        stdout=stdout,
-        stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=stderr,
         text=True,
         env=env,
         cwd=tmp_path,
         timeout=120,
     )
-
-
-def check_lp_files(tmp_path) -> list[str]:
-    """``check-lp`` arguments for the family {1} against the maximally mixed qubit."""
-    fam = tmp_path / "family.json"
-    st = tmp_path / "state.json"
-    fam.write_text(json.dumps({"projectors": [pairs(np.eye(2))]}))
-    st.write_text(json.dumps({"matrix": pairs(np.eye(2) / 2)}))
-    return ["check-lp", "--family", str(fam), "--state", str(st)]
 
 
 # The console entry ends the process with os._exit once its streams are
@@ -810,14 +734,8 @@ ENTRY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", ["check_lp", *ENTRY_RUNS])
+@pytest.mark.parametrize("case", ENTRY_RUNS)
 def test_console_entry_runs_as_module(tmp_path, case):
-    if case == "check_lp":
-        # Through a pipe, stdout is block-buffered: every line must still arrive.
-        proc = run_module(tmp_path, *check_lp_files(tmp_path))
-        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-        assert proc.stdout == "lhs = 1\nrhs = 1\nholds = true\n"
-        return
     overrides, status, stderr = ENTRY_RUNS[case]
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     proc = run_module(tmp_path, "simulate", "--config", str(cfg), "--out", "sub")
@@ -835,15 +753,24 @@ def test_console_entry_runs_as_module(tmp_path, case):
 
 
 @pytest.mark.parametrize("unbuffered, status", [(True, 1), (False, 120)])
-def test_console_entry_fails_on_a_closed_stdout(tmp_path, unbuffered, status):
-    # Unbuffered, print raises inside main and the traceback exits 1.  Buffered,
-    # the entry's flush raises, so the process takes Python's normal exit,
-    # whose own flush fails again: exit 120, as without the fast exit.
+def test_console_entry_fails_on_a_closed_stderr(tmp_path, unbuffered, status):
+    # The config error's print to the closed pipe raises inside main either way.
+    # Unbuffered, nothing is left to flush and the exit is 1; buffered, the
+    # text stays in stderr's buffer and Python's exit flush fails again: 120.
+    cfg = write_config(tmp_path / "cfg.json", seed=7)
     read_fd, write_fd = os.pipe()
     os.close(read_fd)
     try:
-        proc = run_module(tmp_path, *check_lp_files(tmp_path), stdout=write_fd, unbuffered=unbuffered)
+        proc = run_module(tmp_path, "simulate", "--config", str(cfg), stderr=write_fd, unbuffered=unbuffered)
     finally:
         os.close(write_fd)
     assert proc.returncode == status
-    assert "BrokenPipeError" in proc.stderr
+
+
+def test_check_lp_is_not_a_command():
+    # The verifier's CLI runs attacks only; the Landau-Pollak relation is a library call.
+    with pytest.raises(SystemExit) as exc:
+        main(["check-lp", "--family", "family.json", "--state", "state.json"])
+    assert exc.value.code == 2
+    (commands,) = (a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    assert sorted(commands) == ["simulate", "sweep"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qid.attacks import standard_attacks
+from qid.attacks import AttackSpec, product_attack, standard_attacks
 from qid.channels import QuantumChannel, apply_channel_to_vector_raw
 from qid.errors import CapacityError, DimensionError, ValidationError
 from qid.operators import ket_bra, validate_state
@@ -108,6 +108,22 @@ class TestInstanceCaches:
                 inst = instance(spec.kind, n)
                 for rho in [*inst.rho_b, *inst.sigma_e]:
                     validate_state(rho)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [lambda inst: inst.channel.factor, lambda inst: inst.channel, lambda inst: inst.b, lambda inst: inst],
+    ids=["QuantumChannel", "ProductChannel", "ProductFamily", "ProtocolInstance"],
+)
+def test_equality_is_identity_and_hashing_works(part):
+    # The fields hold arrays, whose == has no single truth value.
+    def build():
+        return part(ProtocolInstance.from_channel(product_attack(AttackSpec("identity", 2))))
+
+    x = build()
+    assert x == x
+    assert x != build()
+    assert hash(x) == hash(x) and {x: 1}[x] == 1
 
 
 class TestGlobalState:

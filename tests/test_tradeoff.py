@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qid.attacks import ATTACKS, standard_attacks
+from qid.attacks import ATTACKS, AttackSpec, product_attack, standard_attacks
 from qid.complexity import StructuredProjector, program_projector, proxy_complexity
 from qid.errors import DimensionError, ValidationError
 from qid.operators import ket_bra, operator_norm
@@ -176,6 +176,23 @@ class TestBound:
                 for m in range(n + 2):
                     if (l + m - n) % 2 == 0:
                         assert theorem_form(l, m, n) == tradeoff_bound(l - 3, m, n)
+
+    def test_sharp_bound_holds_on_the_library(self):
+        # The sharp bound count_B(l) + count_E(m) <= 2^n (1 + 2^((l+m-n)/2)) is the
+        # paper's without its +3, decided in integers: with s = count - 2^n, a
+        # point holds if s <= 0 or s^2 <= (2^n 2^((l+m-n)/2))^2 = 2^(n+l+m).
+        points = 0
+        for n in range(1, 9):
+            specs = standard_attacks(n) + [AttackSpec("intercept_resend_angle", n, {"theta": math.pi / 200})]
+            for spec in specs:
+                inst = ProtocolInstance.from_channel(product_attack(spec))
+                prof_b, prof_e = (proxy_complexity(cat) for cat in catalogues_for(inst))
+                for l in range(n + 2):
+                    for m in range(n + 2):
+                        s = prof_b.count(l) + prof_e.count(m) - 2**n
+                        assert s <= 0 or s * s <= 2 ** (n + l + m), (spec.label(), n, l, m)
+                        points += 1
+        assert points == 8 * sum((n + 2) ** 2 for n in range(1, 9)) == 3040
 
 
 class TestVerifyTradeoff:
