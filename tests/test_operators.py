@@ -143,6 +143,10 @@ class TestValidateState:
         with pytest.raises(ValidationError, match="invalid density operator"):
             validate_state(m)
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_state(np.diag([1.0, np.nan]))
+
 
 class TestProjector:
     def test_eigenvalues_are_zero_or_one(self):
@@ -175,6 +179,10 @@ class TestProjector:
     def test_needs_square_input(self):
         with pytest.raises(DimensionError):
             Projector(np.ones((2, 3)))
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            Projector(np.diag([1.0, np.nan]))
 
 
 def test_permutation_matrix_swaps_factors():

@@ -89,6 +89,33 @@ class TestLandauPollak:
         with pytest.raises(DimensionError):
             landau_pollak_check([np.eye(2)], np.eye(4) / 4)
 
+    def test_identity_family_meets_the_bound_with_equality(self):
+        # No pairs, so rhs is exactly 1; the trace of the identity is exactly 1.
+        assert landau_pollak_check([np.eye(2)], np.eye(2) / 2) == (1.0, 1.0, True)
+
+    def test_conjugate_pair_on_the_mixed_state(self):
+        # ||P0 P+||^2 = 1/2 for each ordered pair: rhs 1 + sqrt(1) = 2, lhs 1/2 + 1/2.
+        p0 = ket_bra(encode(0, "Z", 1))
+        pplus = ket_bra(encode(0, "X", 1))
+        lp = landau_pollak_check([p0, pplus], np.eye(2) / 2)
+        assert lp.lhs == pytest.approx(1.0, abs=1e-12)
+        assert lp.rhs == pytest.approx(2.0, abs=1e-12)
+        assert lp.holds
+
+    @pytest.mark.parametrize(
+        "family, rho, error",
+        [
+            ([np.diag([1.0, np.nan])], np.eye(2) / 2, ValidationError),
+            ([np.diag([1.0, 0.0])], np.diag([0.5, np.inf]), ValidationError),
+            ([np.eye(4)], np.eye(2) / 2, DimensionError),
+            ([np.diag([1.0, 0.0])], np.array([0.5, 0.5]), DimensionError),
+        ],
+        ids=["nan_projector", "inf_state", "projector_larger_than_state", "vector_state"],
+    )
+    def test_malformed_input_rejected(self, family, rho, error):
+        with pytest.raises(error):
+            landau_pollak_check(family, rho)
+
 
 class TestConjugateOverlap:
     @pytest.mark.parametrize("n", [1, 2, 3])
