@@ -22,33 +22,27 @@ from .channels import (
     ProductChannel, QuantumChannel, dense_channel, isometry_to_channel, validate_channel,
 )
 from .errors import ValidationError
-from .operators import basis_ket, ket_bra
+from .operators import ket_bra
+from .protocol import basis_table
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_E0 = basis_ket(0, 2).reshape(2, 1)  # Eve's blank register
+_Z, _X = basis_table("Z", 1), basis_table("X", 1)  # row b is the state read as outcome b
+_E0 = _Z[:1].T  # Eve's blank register
 
 
-def _ket(bit: int) -> np.ndarray:
-    return basis_ket(bit, 2)
-
-
-def _xbar(bit: int) -> np.ndarray:
-    return np.array([1.0, 1.0 - 2.0 * bit], dtype=np.complex128) / np.sqrt(2.0)
-
-
-def _rotated(bit: int, theta: float) -> np.ndarray:
-    # Bloch-sphere rotation by theta in the X-Z plane; theta=0 is the Z
-    # basis and theta=pi/2 the X basis (up to sign).
+def _rotated(theta: float) -> np.ndarray:
+    # The basis table turned by theta on the Bloch sphere's X-Z plane; theta=0
+    # is the Z basis and theta=pi/2 the X basis (up to sign).
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([c, s] if bit == 0 else [-s, c], dtype=np.complex128)
+    return np.array([[c, s], [-s, c]], dtype=np.complex128)
 
 
-def _measure_resend(ket: Callable[[int], np.ndarray]) -> list[np.ndarray]:
-    """Measure in the basis ``ket``, resend the outcome to Bob and record it for Eve."""
-    return [ket_bra(np.kron(ket(b), _ket(b)), ket(b)) for b in (0, 1)]
+def _measure_resend(basis: np.ndarray) -> list[np.ndarray]:
+    """Measure in the (2, 2) table ``basis``, resend the state read to Bob and record its bit for Eve."""
+    return [ket_bra(np.kron(basis[b], _Z[b]), basis[b]) for b in (0, 1)]
 
 
 def _cloner_kraus() -> list[np.ndarray]:
@@ -80,16 +74,16 @@ class AttackKind(NamedTuple):
 # The library, in the order of ``standard_attacks``.
 ATTACKS = {
     "identity": AttackKind(None, "Z", lambda: [np.kron(_I2, _E0)]),
-    "measure_z": AttackKind(None, "Z", lambda: _measure_resend(_ket)),
-    "measure_x": AttackKind(None, "Z", lambda: _measure_resend(_xbar)),
-    "cnot_probe": AttackKind(None, "Z", lambda: [sum(_measure_resend(_ket))]),  # coherent measure_z
+    "measure_z": AttackKind(None, "Z", lambda: _measure_resend(_Z)),
+    "measure_x": AttackKind(None, "Z", lambda: _measure_resend(_X)),
+    "cnot_probe": AttackKind(None, "Z", lambda: [sum(_measure_resend(_Z))]),  # coherent measure_z
     # Eve's clone carries conjugate-basis information.
     "universal_cloner": AttackKind(None, "X", _cloner_kraus),
     "depolarize": AttackKind(("p", 0.0, 1.0, 0.5), "Z", _depolarize_kraus),
     "intercept_resend_angle": AttackKind(
         ("theta", 0.0, math.pi / 2, math.pi / 4),
         "Z",
-        lambda theta: _measure_resend(lambda b: _rotated(b, theta)),
+        lambda theta: _measure_resend(_rotated(theta)),
     ),
 }
 

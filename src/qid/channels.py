@@ -263,7 +263,7 @@ def isometry_to_channel(
 
 
 def matrix_from_pairs(rows) -> np.ndarray:
-    """Matrix from the nested [re, im] pair encoding of the JSON interfaces."""
+    """Matrix from nested [re, im] pairs; unused in qid, kept for ROADMAP item 8's factor files."""
     try:
         arr = np.asarray(rows, dtype=np.float64)
     except ValueError as exc:  # ragged grids and non-numeric entries

@@ -236,7 +236,8 @@ def _artifact_writer(out_dir: Path):
     prints its traceback) fails the run, also when sending found the
     pipe broken.
     """
-    sys.stderr.flush()  # or the child's traceback would repeat what is buffered
+    if sys.stderr is not None:  # None when fd 2 was closed at start
+        sys.stderr.flush()  # or the child's traceback would repeat what is buffered
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -250,7 +251,8 @@ def _artifact_writer(out_dir: Path):
         except BaseException:
             traceback.print_exc()
         finally:
-            sys.stderr.flush()
+            if sys.stderr is not None:
+                sys.stderr.flush()
             os._exit(status)
     os.close(read_fd)
     pipe = os.fdopen(write_fd, "wb")
@@ -365,7 +367,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Run ``main`` and leave by ``os._exit`` once stdout and stderr are flushed.
+    """Run ``main`` and leave by ``os._exit`` once stdout and stderr, where open, are flushed.
 
     The writer is reaped by then, so only the interpreter's teardown (where
     most of the fork's copy-on-write faults landed) and atexit hooks are
@@ -373,8 +375,8 @@ def entry() -> None:
     """
     code = main()
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None when its fd was closed at start
+            stream.flush()
     except (OSError, ValueError):
         raise SystemExit(code)
     os._exit(code)

@@ -44,12 +44,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def basis_ket(index: int, dim: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return v
-
-
 def ket_bra(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """Outer product |v><w| (|v><v| when w is omitted)."""
     v = np.asarray(v, dtype=np.complex128).ravel()

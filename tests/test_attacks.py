@@ -5,7 +5,7 @@ import pytest
 
 import qid.attacks as attacks_mod
 import qid.channels as channels_mod
-from qid.attacks import ATTACKS, AttackSpec, make_attack, standard_attacks
+from qid.attacks import ATTACKS, AttackSpec, make_attack, product_attack, standard_attacks
 from qid.channels import validate_channel, vector_marginals
 from qid.errors import CapacityError, ValidationError
 from qid.operators import tensor
@@ -167,6 +167,53 @@ def test_broadcast_tensor_power_matches_kron_then_regroup(kind, n, attack_spec, 
     got = channel(kind, n).kraus
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+def literal_kraus(kind, p=None, theta=None):
+    """A kind's one-qubit Kraus stack from literals; row 2b + e is Bob's b and Eve's e."""
+    if kind == "identity":
+        return [[[1, 0], [0, 0], [0, 1], [0, 0]]]
+    if kind == "measure_z":
+        return [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0, 1]]]
+    if kind == "measure_x":
+        r = 1 / math.sqrt(2)  # encode's X amplitude; r * r is 0.4999999999999999
+        h = r * r
+        return [[[h, h], [0, 0], [h, h], [0, 0]], [[0, 0], [h, -h], [0, 0], [-h, h]]]
+    if kind == "cnot_probe":
+        return [[[1, 0], [0, 0], [0, 0], [0, 1]]]
+    if kind == "universal_cloner":
+        a, b = math.sqrt(2 / 3), math.sqrt(1 / 6)
+        return [[[a, 0], [0, b], [0, b], [0, 0]], [[0, 0], [b, 0], [b, 0], [0, a]]]
+    if kind == "depolarize":
+        w0, w = math.sqrt(1 - 3 * p / 4), math.sqrt(p / 4)
+        return [
+            [[w0, 0], [0, 0], [0, w0], [0, 0]],
+            [[0, w], [0, 0], [w, 0], [0, 0]],
+            [[0, -1j * w], [0, 0], [1j * w, 0], [0, 0]],
+            [[w, 0], [0, 0], [0, -w], [0, 0]],
+        ]
+    assert kind == "intercept_resend_angle"
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return [
+        [[c * c, c * s], [0, 0], [s * c, s * s], [0, 0]],
+        [[0, 0], [s * s, -s * c], [0, 0], [-c * s, c * c]],
+    ]
+
+
+# Every kind at its library value, and a parametrised kind at both endpoints too.
+KRAUS_CASES = [(kind, {}) for kind, row in ATTACKS.items() if row.param is None] + [
+    (kind, {row.param[0]: value}) for kind, row in ATTACKS.items() if row.param for value in row.param[1:]
+]
+
+
+@pytest.mark.parametrize(
+    "kind, params", KRAUS_CASES, ids=[AttackSpec(kind, 1, params).label() for kind, params in KRAUS_CASES]
+)
+def test_factor_kraus_bits_match_the_literal_stack(kind, params):
+    got = product_attack(AttackSpec(kind, 1, params)).factor.kraus
+    expected = np.array(literal_kraus(kind, **params), dtype=np.complex128)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 
 
 def test_standard_library_covers_all_kinds():

@@ -12,7 +12,7 @@ from qid.channels import (
     vector_marginals,
 )
 from qid.errors import DimensionError, ValidationError
-from qid.operators import basis_ket, ket_bra, tensor
+from qid.operators import ket_bra, tensor
 from qid.protocol import ProtocolInstance, encode, epr_state, equivalence_check, theta_matrix
 
 from helpers import (
@@ -33,7 +33,7 @@ class TestApplyChannel:
     def test_identity_attack_appends_fixed_environment(self, channel):
         ch = channel("identity", 1)
         out = apply_kraus(ch, np.diag([1.0, 0.0]))
-        expected = tensor(np.diag([1.0, 0.0]), ket_bra(basis_ket(0, 2)))
+        expected = tensor(np.diag([1.0, 0.0]), ket_bra(encode(0, "Z", 1)))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_cnot_probe_makes_bell_pair_from_conjugate_input(self, channel):
@@ -52,7 +52,7 @@ class TestApplyChannel:
         for _ in range(5):
             rho = random_density(rng, 2)
             out = apply_kraus(full, rho)
-            expected = tensor(np.eye(2) / 2, ket_bra(basis_ket(0, 2)))
+            expected = tensor(np.eye(2) / 2, ket_bra(encode(0, "Z", 1)))
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_trace_preserved_on_random_states(self, channel):
@@ -91,14 +91,14 @@ class TestIsometryToChannel:
 
     def test_cnot_with_appended_ancilla(self):
         # V = CNOT composed with |0> append: |a> -> |a, a>.
-        v = sum(ket_bra(np.kron(basis_ket(a, 2), basis_ket(a, 2)), basis_ket(a, 2)) for a in (0, 1))
+        v = sum(ket_bra(np.kron(k, k), k) for k in (encode(a, "Z", 1) for a in (0, 1)))
         ch = isometry_to_channel(v, (2,), (2,), (2,))
         assert len(ch.kraus) == 1
         validate_channel(ch, "cnot with ancilla")
 
     def test_environment_slicing_gives_kraus_family(self):
         # Same isometry, now declaring the copy as a traced environment.
-        v = sum(ket_bra(np.kron(basis_ket(a, 2), basis_ket(a, 2)), basis_ket(a, 2)) for a in (0, 1))
+        v = sum(ket_bra(np.kron(k, k), k) for k in (encode(a, "Z", 1) for a in (0, 1)))
         ch = isometry_to_channel(v, (2,), (2,), (), env_dim=2)
         assert len(ch.kraus) == 2
         validate_channel(ch, "cnot with traced copy")

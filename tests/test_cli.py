@@ -704,18 +704,20 @@ def test_exit_status_reflects_violations(tmp_path, monkeypatch):
     assert json.loads((out / "report_cnot_probe_n1.json").read_text())["all_hold"] is False
 
 
-def run_module(tmp_path, *args, stderr=subprocess.PIPE, unbuffered=False):
+def run_module(tmp_path, *args, stderr=subprocess.PIPE, unbuffered=False, closing=None):
     """``python -m qid.cli args`` in a fresh interpreter, stdout and stderr captured as text.
 
     A piped stream is block-buffered unless ``unbuffered`` sets ``PYTHONUNBUFFERED``.
+    ``closing`` is a shell redirection such as ``>&-`` applied as the interpreter starts.
     """
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    shell = ["sh", "-c", f'exec "$0" "$@" {closing}'] if closing else []
     return subprocess.run(
-        [sys.executable, "-m", "qid.cli", *args],
+        [*shell, sys.executable, "-m", "qid.cli", *args],
         stdout=subprocess.PIPE,
         stderr=stderr,
         text=True,
@@ -765,6 +767,17 @@ def test_console_entry_fails_on_a_closed_stderr(tmp_path, unbuffered, status):
     finally:
         os.close(write_fd)
     assert proc.returncode == status
+
+
+@pytest.mark.parametrize("closing", [">&-", "2>&-"])
+def test_console_entry_finishes_with_a_standard_stream_closed_at_start(tmp_path, closing):
+    # Python sets sys.stdout (fd 1) or sys.stderr (fd 2) to None when the fd is
+    # closed at start; a run that wrote all its files still exits 0.
+    cfg = write_config(tmp_path / "cfg.json", attacks=[{"kind": "identity"}, {"kind": "measure_z"}])
+    proc = run_module(tmp_path, "simulate", "--config", str(cfg), "--out", "sub", closing=closing)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    assert len(list((tmp_path / "sub").iterdir())) == 8
 
 
 def test_check_lp_is_not_a_command():
