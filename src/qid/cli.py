@@ -11,8 +11,6 @@ artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import pickle
@@ -24,9 +22,9 @@ from typing import NamedTuple
 
 from .attacks import ATTACKS, AttackSpec, product_attack
 from .errors import CapacityError, ConfigError, QidError
-from .protocol import DENSE_THETA_LIMIT, ProtocolInstance, equivalence_check, theta_matrix
+from .protocol import DENSE_THETA_LIMIT, FAMILY_BASIS, ProtocolInstance, equivalence_check, theta_matrix
 from .complexity import expectation_identity_check
-from .tradeoff import TradeoffReport, catalogues_for, verify_tradeoff
+from .tradeoff import catalogues_for, verify_tradeoff
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -58,12 +56,8 @@ def _fmt(value) -> str:
 
 
 def _csv(header, rows) -> str:
-    """CSV text of a header and rows, every cell through ``_fmt``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return buf.getvalue()
+    """CSV text of a header and rows, cells through ``_fmt``; labels and numbers need no quoting."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
 
 
 class ExperimentConfig(NamedTuple):
@@ -135,103 +129,71 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
-class JobRecord(NamedTuple):
-    """One job's results: all the writer needs to make its four artifacts."""
+def run_single(n: int, spec: AttackSpec) -> dict:
+    """Run one (n, attack) experiment and return its report; write nothing.
 
-    n: int
-    label: str
-    attack: dict
-    report: TradeoffReport
-    # "equivalence" and "expectation" when the dense checks ran, else empty.
-    dense_checks: dict
-    all_hold: bool
-
-
-def run_single(n: int, spec: AttackSpec) -> JobRecord:
-    """Run one (n, attack) experiment and return its record; write nothing.
-
-    The record's ``all_hold`` is every verdict of the trade-off report
-    and, when the dense checks run, of the equivalence and expectation
-    checks.
+    The report is the mapping the job's JSON artifact is dumped from: the
+    ``TradeoffReport`` fields with each profile as its lengths, the attack,
+    the dense equivalence and expectation checks when they run, and
+    ``all_hold``, every verdict among them.
     """
     spec = AttackSpec(kind=spec.kind, n=n, params=dict(spec.params))
     inst = ProtocolInstance.from_channel(product_attack(spec))
-    report = verify_tradeoff(inst, ATTACKS[spec.kind].eve_basis)
-    ok = report.all_hold
-    checks = {}
-    if inst.dense:
-        checks["equivalence"] = eq = equivalence_check(inst)
-        theta = theta_matrix(inst)
-        checks["expectation"] = expectation = [
-            chk
-            for cat in catalogues_for(inst)
-            for chk in expectation_identity_check(inst, cat, theta)
-        ]
-        ok = ok and eq.passed and all(chk.agree for chk in expectation)
-    attack = {"kind": spec.kind, "params": dict(spec.params)}
-    return JobRecord(n, spec.label(), attack, report, checks, ok)
-
-
-def _artifacts(record: JobRecord) -> dict[str, str]:
-    """The text of one job's four artifacts, by file name."""
-    n, label, report = record.n, record.label, record.report
-    prof_b, prof_e = report.profile_b, report.profile_e
-    data = dict(
-        report._asdict(),
-        attack=record.attack,
-        profile_b=prof_b.lengths,
-        profile_e=prof_e.lengths,
+    result = verify_tradeoff(inst, ATTACKS[spec.kind].eve_basis)
+    report = dict(
+        result._asdict(),
+        attack={"kind": spec.kind, "params": dict(spec.params)},
+        profile_b=result.profile_b.lengths,
+        profile_e=result.profile_e.lengths,
         # The stored references hold both; roadmap item 1's regeneration drops them.
         seed=0,
         c_offset=0,
-        **record.dense_checks,
-        all_hold=record.all_hold,
     )
-    # A grid row is n, the attack label and one GridPoint's fields in order.
-    grid = [(n, label, *g) for g in report.grid]
-    plot = [("count_B", l, "", prof_b.count(l)) for l in range(n + 2)]
-    plot += [("count_E", "", m, prof_e.count(m)) for m in range(n + 2)]
-    plot += [("bound", g.l, g.m, g.bound) for g in report.grid]
-    stem = f"{label}_n{n}"
+    ok = result.all_hold
+    if inst.dense:
+        report["equivalence"] = eq = equivalence_check(inst)
+        theta = theta_matrix(inst)
+        sides = [expectation_identity_check(inst, cat, theta) for cat in catalogues_for(inst)]
+        report["expectation"] = expectation = [chk for side in sides for chk in side]
+        ok = ok and eq.passed and all(chk.agree for chk in expectation)
+    report["all_hold"] = ok
+    return report
+
+
+def _csv_views(label: str, data: dict) -> dict[str, str]:
+    """The grid, plot and complexity CSVs of one job by file name, from its rounded report alone.
+
+    ``data`` is the report as its JSON file holds it, parsed or not, so
+    every field is read by name.  The plot's counts are the grid's.
+    """
+    n, grid = data["n"], data["grid"]
+    cells = ("l", "m", "count_b", "count_e", "bound", "holds")
+    plot = [("count_B", l, "", count) for l, count in {g["l"]: g["count_b"] for g in grid}.items()]
+    plot += [("count_E", "", m, count) for m, count in {g["m"]: g["count_e"] for g in grid}.items()]
+    plot += [("bound", g["l"], g["m"], g["bound"]) for g in grid]
+    profiles = [
+        (format(msg, f"0{n}b"), side, basis, length)
+        for side, basis in FAMILY_BASIS.items()
+        for msg, length in enumerate(data[f"profile_{side.lower()}"])
+    ]
+    header = ("n", "attack", "l", "m", "count_B", "count_E", "bound", "holds")
     return {
-        f"report_{stem}.json": json.dumps(_round12(data), sort_keys=True, indent=2) + "\n",
-        f"grid_{stem}.csv": _csv(
-            ("n", "attack", "l", "m", "count_B", "count_E", "bound", "holds"), grid
-        ),
-        f"plot_{stem}.csv": _csv(("series", "l", "m", "value"), plot),
-        f"complexity_{stem}.csv": _csv(
-            ("message_bits", "side", "basis", "length"),
-            prof_b.to_csv_rows() + prof_e.to_csv_rows(),
-        ),
+        f"grid_{label}_n{n}.csv": _csv(header, [(n, label, *(g[k] for k in cells)) for g in grid]),
+        f"plot_{label}_n{n}.csv": _csv(("series", "l", "m", "value"), plot),
+        f"complexity_{label}_n{n}.csv": _csv(("message_bits", "side", "basis", "length"), profiles),
     }
-
-
-def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        (out_dir / name).write_text(text)
-
-
-def _write_records(read_fd: int, out_dir: Path) -> None:
-    """The writer's loop: each record read from the pipe becomes its files, until EOF."""
-    with os.fdopen(read_fd, "rb") as pipe:
-        while True:
-            try:
-                record = pickle.load(pipe)
-            except EOFError:
-                return
-            _write_artifacts(out_dir, _artifacts(record))
 
 
 @contextmanager
 def _artifact_writer(out_dir: Path):
     """Fork the child that formats and writes the artifacts; yield the send function.
 
-    Records go down a pipe in the order they are sent, and the child
-    formats and writes each one's files while the next job runs, on a
-    second core: writing in-process made ``scan_n2`` 30 % slower (0.887
-    to 1.158 s, 2 cores).  The child makes ``out_dir`` with the first
-    record, so a run that sends none leaves no directory.  Leaving the
+    Each job's ``(label, report)`` goes down a pipe in the order sent.
+    The child rounds the report once, dumps it as the JSON artifact and
+    writes the report's ``_csv_views`` beside it, while the next job runs
+    on a second core: writing in-process made ``scan_n2`` 30 % slower
+    (0.887 to 1.158 s, 2 cores).  The child makes ``out_dir`` with the
+    first report, so a run that sends none leaves no directory.  Leaving the
     block closes the pipe and reaps the child; a child that failed (it
     prints its traceback) fails the run, also when sending found the
     pipe broken.
@@ -246,7 +208,18 @@ def _artifact_writer(out_dir: Path):
         status = 1
         try:
             os.close(write_fd)  # else the pipe never reaches EOF
-            _write_records(read_fd, out_dir)
+            with os.fdopen(read_fd, "rb") as reader:
+                while True:
+                    try:
+                        label, report = pickle.load(reader)
+                    except EOFError:
+                        break
+                    data = _round12(report)
+                    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+                    files = {f"report_{label}_n{data['n']}.json": text, **_csv_views(label, data)}
+                    out_dir.mkdir(parents=True, exist_ok=True)
+                    for name, body in files.items():
+                        (out_dir / name).write_text(body)
             status = 0
         except BaseException:
             traceback.print_exc()
@@ -257,8 +230,8 @@ def _artifact_writer(out_dir: Path):
     os.close(read_fd)
     pipe = os.fdopen(write_fd, "wb")
 
-    def send(record: JobRecord) -> None:
-        pickle.dump(record, pipe, pickle.HIGHEST_PROTOCOL)
+    def send(label: str, report: dict) -> None:
+        pickle.dump((label, report), pipe, pickle.HIGHEST_PROTOCOL)
         pipe.flush()
 
     try:
@@ -291,17 +264,17 @@ def _config_and_out(args) -> tuple[ExperimentConfig, Path]:
 
 
 def _run(out_dir: Path, jobs: list) -> int:
-    """Run the (n, attack) jobs one at a time, in order; the writer writes their records.
+    """Run the (n, attack) jobs one at a time, in order; the writer writes their reports.
 
     A failed job stops the run: exactly the earlier jobs keep their
     files, and no later job starts.
     """
     all_ok = True
     with _artifact_writer(out_dir) as send:
-        for job in jobs:
-            record = run_single(*job)
-            send(record)
-            all_ok = record.all_hold and all_ok
+        for n, spec in jobs:
+            report = run_single(n, spec)
+            send(spec.label(), report)
+            all_ok = report["all_hold"] and all_ok
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
 

@@ -87,12 +87,6 @@ class ComplexityProfile:
     def average(self) -> float:
         return float(sum(self.lengths)) / len(self.lengths)
 
-    def to_csv_rows(self) -> list[tuple[str, str, str, int]]:
-        return [
-            (format(msg, f"0{self.n}b"), self.side, FAMILY_BASIS[self.side], v)
-            for msg, v in enumerate(self.lengths)
-        ]
-
 
 def _huffman_lengths(weights: Sequence[int]) -> list[int]:
     """Deterministic Huffman code lengths; ties pop in push order.

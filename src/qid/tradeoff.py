@@ -2,10 +2,8 @@
 
 The counting bound says that the number of messages Bob can cheaply
 reconstruct in the Z basis plus the number Eve can cheaply reconstruct
-in the X basis is capped by 2^n (1 + 2^((l+m-n+3)/2)).  It follows
-from the Landau-Pollak uncertainty relation applied to the program
-projectors, whose pairwise norms are controlled by the conjugate-basis
-overlap 2^-n.  Everything here is checked numerically on one protocol
+in the X basis is capped by 2^n (1 + 2^((l+m-n+3)/2)); ``tradeoff_bound``
+proves it.  Everything here is checked numerically on one protocol
 instance and reported per (l, m) grid point.
 """
 
@@ -78,7 +76,21 @@ def landau_pollak_check(projectors: Sequence[np.ndarray], rho: np.ndarray) -> LP
 
 
 def tradeoff_bound(l: int, m: int, n: int) -> float:
-    """Counting bound 2^n (1 + 2^((l+m-n+3)/2))."""
+    """Counting bound 2^n (1 + 2^((l+m-n+3)/2)), the paper's; the proxy meets it without the +3.
+
+    The sharp form count_B(l) + count_E(m) <= 2^n (1 + 2^((l+m-n)/2)) takes four steps.
+    Kraft: the class words and the 2^n literal words satisfy Kraft's inequality
+    (``DecoderCatalogue`` checks it), so at most 2^l words have length <= l; the paper
+    counts 2^(l+1), every string of length <= l.  One projector per side: give each message
+    z its shortest word and set P = sum_z |z><z| (x) E_z (x) 1 over the z whose word has
+    length <= l, with E_z z's term of its class's PVM, or 1 for a literal.  The A' parts are
+    orthogonal, so P is a projector and tr(Theta P) = 2^-n count_B(l); Eve's Q likewise.
+    Landau-Pollak for two projectors: tr(Theta P) + tr(Theta Q) <= 1 + ||PQ|| (Landau and
+    Pollak, Bell Syst. Tech. J. 40, 1961); ``landau_pollak_check``'s sum over ordered pairs
+    counts each cross pair twice, which is where the paper's sqrt(2) comes from.  Cross
+    norm: P and Q sum at most 2^l and 2^m word projectors, and ||P_i Q_j|| <= 2^(-n/2) by the
+    conjugate overlap, so ||PQ||^2 <= sum_ij ||P_i Q_j||^2 <= 2^(l+m-n) (Cauchy-Schwarz).
+    """
     if l < 0 or m < 0:
         raise ValidationError("l and m must be nonnegative")
     return 2.0**n * (1.0 + 2.0 ** ((l + m - n + 3) / 2.0))

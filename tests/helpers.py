@@ -49,6 +49,32 @@ def random_isometry_channel(rng, env_dim=3):
     return isometry_to_channel(v, (2, 2), (2,), (3,), env_dim=env_dim)
 
 
+def random_factor(rng, shape, env_dim, leak, aligned=False, qubits=1):
+    """A random factor V: A -> B (x) E (x) env on one or two input qubits, one B and one E qubit.
+
+    A product hands Bob orthogonal pure states, so he has classes: on one
+    qubit U (x) |w>, with |w> on E (x) env; on two, U_B (x) U_E (x) |w>,
+    the split factor rotated, which gives Eve classes too.  A generic
+    isometry gives singletons; a product mixed with a generic isometry at
+    weight 10^leak has overlaps of about 10^(2 leak), which sweep through
+    the decision thresholds.  Each U is Haar, or with ``aligned`` a
+    permutation with random phases, whose outputs a rotation moves off
+    the computational basis.
+    """
+    w = random_complex(rng, (2 ** (2 - qubits) * env_dim, 1))
+    u = np.eye(1)
+    for _ in range(qubits):
+        if aligned:
+            u = np.kron(u, np.eye(2)[rng.permutation(2)] * np.exp(2j * np.pi * rng.random(2)))
+        else:
+            u = np.kron(u, random_unitary(rng, 2))
+    v = np.kron(u, w / np.linalg.norm(w))
+    if shape != "product":
+        generic = random_complex(rng, (4 * env_dim, 2**qubits))
+        v, _ = np.linalg.qr(v + 10.0**leak * generic if shape == "leaky" else generic)
+    return isometry_to_channel(v, (2,) * qubits, (2,), (2,), env_dim=env_dim)
+
+
 def near_threshold(states):
     """Whether an eigenvalue or support overlap of ``states`` lies within 10x of the threshold deciding it."""
     vals = np.linalg.eigvalsh(states)

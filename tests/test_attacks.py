@@ -33,6 +33,11 @@ class TestAttackSpec:
         with pytest.raises(ValidationError):
             AttackSpec("depolarize", 1, {})
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_qubit(self, n):
+        with pytest.raises(ValidationError, match="n >= 1"):
+            AttackSpec("identity", n)
+
     def test_label_is_deterministic(self):
         a = AttackSpec("depolarize", 2, {"p": 0.25})
         assert a.label() == "depolarize_p0.25"

@@ -81,6 +81,20 @@ class TestApplyChannel:
         np.testing.assert_allclose(mixed, parts, atol=1e-9)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "in_dims, out_b, out_e", [((1,), (2,), (2,)), ((2,), (0,), (2,)), ((2,), (2,), (2, 1))]
+    )
+    def test_channel_rejects_a_dimension_below_two(self, in_dims, out_b, out_e):
+        with pytest.raises(DimensionError, match="dimensions must be >= 2"):
+            QuantumChannel(np.zeros((1, 4, 2)), in_dims, out_b, out_e)
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_apply_rejects_a_vector_of_the_wrong_size(self, channel, size):
+        with pytest.raises(DimensionError, match=f"vector dim {size} != channel input dim 2"):
+            apply_channel_to_vector_raw(channel("identity", 1), np.ones(size))
+
+
 class TestIsometryToChannel:
     def test_identity_isometry_acts_as_identity(self):
         ch = isometry_to_channel(np.eye(2), (2,), (2,), ())
@@ -104,6 +118,11 @@ class TestIsometryToChannel:
         validate_channel(ch, "cnot with traced copy")
         out = apply_kraus(ch, ket_bra(np.array([1, 1]) / np.sqrt(2)))
         np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-12)
+
+    def test_rejects_a_shape_that_does_not_match_the_dims(self):
+        # A (4, 2) isometry cannot map one qubit to B (x) E (x) a 2-dim environment (8 rows).
+        with pytest.raises(DimensionError, match=re.escape("isometry shape (4, 2) != (8, 2)")):
+            isometry_to_channel(np.eye(4, 2), (2,), (2,), (2,), env_dim=2)
 
     def test_rejects_non_isometry(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -164,11 +165,17 @@ class TestConfig:
             {"attacks": [{"kind": "identity", "parms": {"p": 0.5}}]},
             {"attacks": ["identity"]},
             {"sweep": {"n_values": [1, 1]}},
+            {"sweep": [1, 2]},
+            {"attacks": []},
+            {"attacks": {"kind": "identity"}},
         ],
         ids=[
             "attack_key_typo",
             "attack_not_object",
             "n_values_repeated",
+            "sweep_not_object",
+            "attacks_empty",
+            "attacks_not_list",
         ],
     )
     def test_config_holes_exit_config(self, tmp_path, monkeypatch, overrides):
@@ -179,6 +186,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(cfg)
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_root_not_an_object_exits_config(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('[{"n": 1, "attacks": [{"kind": "identity"}]}]')
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
+            load_config(cfg)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config root must be a JSON object" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(
@@ -520,6 +538,33 @@ class TestReportSchema:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
 
+    def test_csvs_are_views_of_the_written_report(self, tmp_path):
+        # Each job's three CSVs are the writer's view of its report as read back from disk.
+        cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS, sweep={"n_values": [1, 2, 3]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        reports = sorted(out.glob("report_*.json"))
+        assert len(reports) == 7 * 3
+        for path in reports:
+            data = json.loads(path.read_text())
+            label = path.stem.removeprefix("report_").removesuffix(f"_n{data['n']}")
+            views = cli._csv_views(label, data)
+            assert sorted(views) == sorted(artifact_names(f"{label}_n{data['n']}") - {path.name})
+            for name, text in views.items():
+                assert (out / name).read_bytes() == text.encode(), name
+
+    def test_complexity_view_rows(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "cfg.json", attacks=[{"kind": "identity"}]))
+        views = cli._csv_views("identity", cli._round12(cli.run_single(1, cfg.attacks[0])))
+        rows = views["complexity_identity_n1.csv"].splitlines()
+        assert rows == ["message_bits,side,basis,length", "0,B,Z,1", "1,B,Z,1", "0,E,X,2", "1,E,X,2"]
+
+    def test_complexity_view_takes_the_basis_from_the_side(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "cfg.json"))
+        views = cli._csv_views("cnot_probe", cli._round12(cli.run_single(1, cfg.attacks[0])))
+        rows = [row.split(",")[1:3] for row in views["complexity_cnot_probe_n1.csv"].splitlines()[1:]]
+        assert rows == [["B", "Z"]] * 2 + [["E", "X"]] * 2
+
     def test_cross_norm_keys(self):
         # No library attack gives both sides a catalogue entry, so no artifact holds one.
         assert CrossNormRecord._fields == ("entry_b", "entry_e", "norm", "limit", "holds")
@@ -565,7 +610,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def failing_write(out_dir, artifacts):
+def failing_write(path, text):
     raise OSError("disk full (simulated)")
 
 
@@ -649,35 +694,36 @@ class TestWriter:
     def test_run_single_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = load_config(write_config(tmp_path / "cfg.json"))
-        record = cli.run_single(1, cfg.attacks[0])
-        assert record.all_hold is True
+        report = cli.run_single(1, cfg.attacks[0])
+        assert report["all_hold"] is True
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-        assert set(cli._artifacts(record)) == artifact_names("cnot_probe_n1")
+        views = cli._csv_views("cnot_probe", cli._round12(report))
+        assert set(views) | {"report_cnot_probe_n1.json"} == artifact_names("cnot_probe_n1")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_failed_write_exits_nonzero_with_the_childs_traceback(
         self, tmp_path, monkeypatch, capfd, command
     ):
-        # The child is forked after the patch, so it writes through it.
-        monkeypatch.setattr(cli, "_write_artifacts", failing_write)
         cfg = write_config(tmp_path / "cfg.json", attacks=ALL_ATTACKS[:3])
+        # The child is forked after the patch, so it writes through it.
+        monkeypatch.setattr(Path, "write_text", failing_write)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VIOLATION
         err = capfd.readouterr().err
         assert "Traceback" in err and "OSError: disk full (simulated)" in err
         assert "error: the artifact writer failed with exit status 1" in err
-        assert not out.exists()
+        assert list(out.iterdir()) == []  # the child made the directory, then failed its first file
         assert_no_child_left()
 
     def test_broken_pipe_while_sending_is_the_writer_failure(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_write_artifacts", failing_write)
         cfg = load_config(write_config(tmp_path / "cfg.json"))
-        record = cli.run_single(1, cfg.attacks[0])
+        report = cli.run_single(1, cfg.attacks[0])
+        monkeypatch.setattr(Path, "write_text", failing_write)
         with pytest.raises(QidError, match="artifact writer failed") as failure:
             with cli._artifact_writer(tmp_path / "out") as send:
                 # Sending ends only when the dead child's pipe breaks.
                 while True:
-                    send(record)
+                    send("cnot_probe", report)
         assert isinstance(failure.value.__context__, BrokenPipeError)
         assert_no_child_left()
 
@@ -698,7 +744,7 @@ def test_exit_status_reflects_violations(tmp_path, monkeypatch):
     # force a failing verdict to confirm the violation exit path
     cfg = write_config(tmp_path / "cfg.json")
     real = cli.run_single
-    monkeypatch.setattr(cli, "run_single", lambda *a: real(*a)._replace(all_hold=False))
+    monkeypatch.setattr(cli, "run_single", lambda *a: {**real(*a), "all_hold": False})
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VIOLATION
     assert json.loads((out / "report_cnot_probe_n1.json").read_text())["all_hold"] is False
@@ -778,6 +824,58 @@ def test_console_entry_finishes_with_a_standard_stream_closed_at_start(tmp_path,
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""
     assert len(list((tmp_path / "sub").iterdir())) == 8
+
+
+class Exited(Exception):
+    """Raised by a stand-in for ``os._exit``, so the test process goes on."""
+
+
+def test_entry_flushes_buffered_stdout_before_os_exit(monkeypatch):
+    buffer = io.BytesIO()
+    stdout = io.TextIOWrapper(buffer)  # holds its text until a flush
+    exits = []
+
+    def fake_main():
+        print("finished", file=stdout)
+        return EXIT_VIOLATION
+
+    def fake_exit(code):
+        exits.append((code, buffer.getvalue()))
+        raise Exited
+
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(Exited):
+        cli.entry()
+    assert exits == [(EXIT_VIOLATION, b"finished\n")]
+
+
+class FailingFlush(io.StringIO):
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def flush(self):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error",
+    [BrokenPipeError("reader gone (simulated)"), ValueError("I/O operation on closed file")],
+    ids=["oserror", "valueerror"],
+)
+@pytest.mark.parametrize("name", ["stdout", "stderr"])
+def test_entry_with_a_failing_flush_exits_through_system_exit(monkeypatch, error, name):
+    def no_exit(code):
+        raise AssertionError("os._exit ran after a failed flush")
+
+    monkeypatch.setattr(sys, name, FailingFlush(error))
+    monkeypatch.setattr(cli, "main", lambda: EXIT_CAPACITY)
+    monkeypatch.setattr(os, "_exit", no_exit)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == EXIT_CAPACITY
 
 
 def test_check_lp_is_not_a_command():

@@ -186,16 +186,6 @@ class TestProxyComplexity:
             a <= b for a, b in zip(full_profile.lengths, reduced_profile.lengths)
         )
 
-    def test_csv_rows(self, instance):
-        cat_b, _ = catalogues_for(instance("identity", 1))
-        rows = proxy_complexity(cat_b).to_csv_rows()
-        assert rows == [("0", "B", "Z", 1), ("1", "B", "Z", 1)]
-
-    def test_csv_rows_take_the_basis_from_the_side(self, instance):
-        cat_b, cat_e = catalogues_for(instance("cnot_probe", 1))
-        assert [row[1:3] for row in proxy_complexity(cat_b).to_csv_rows()] == [("B", "Z")] * 2
-        assert [row[1:3] for row in proxy_complexity(cat_e).to_csv_rows()] == [("E", "X")] * 2
-
 
 def mixed_basis_partition():
     """Two size-2 classes on a 2-qubit receiver space.

@@ -43,6 +43,10 @@ class TestTensor:
         with pytest.raises(CapacityError):
             tensor(np.eye(128), np.eye(128))
 
+    def test_rejects_no_factors(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            tensor()
+
 
 class TestPartialTrace:
     def test_product_state_factorizes(self):

@@ -40,6 +40,11 @@ class TestEncode:
         with pytest.raises(ValidationError):
             encode(4, "Z", 2)
 
+    @pytest.mark.parametrize("basis", ["Y", "z", ""])
+    def test_rejects_a_basis_other_than_z_or_x(self, basis):
+        with pytest.raises(ValidationError, match="basis must be one of"):
+            encode(0, basis, 1)
+
 
 class TestBasisTable:
     @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -80,6 +85,10 @@ class TestEprState:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             epr_state(7)
+
+    def test_rejects_zero_pairs(self):
+        with pytest.raises(ValidationError, match="n >= 1"):
+            epr_state(0)
 
 
 class TestInstanceCaches:

@@ -27,7 +27,7 @@ from qid.operators import VERDICT_TOL
 from qid.protocol import DENSE_THETA_LIMIT, FAMILY_BASIS, ProtocolInstance
 from qid.tradeoff import verify_tradeoff
 
-from helpers import near_threshold, random_complex, random_unitary
+from helpers import near_threshold, random_factor, random_unitary
 
 DRAWS = 5
 FLOAT_TOL = 1e-9
@@ -122,27 +122,8 @@ def test_hadamard_and_swap_exchange_the_families(kind, copies):
         assert_families_exchanged(report(kind, SWAP_BE @ kraus @ hadamards, copies), base)
 
 
-# Random one-qubit factors V: A -> B (x) E (x) env, each drawn from a seed.
-# A product U (x) |w> hands Bob orthogonal pure states, so he has classes;
-# a generic isometry gives singletons; a product mixed with a generic
-# isometry at weight 10^leak has overlaps of about 10^(2 leak), which
-# sweep through the decision thresholds.  U is Haar, or an aligned
-# permutation with random phases, whose outputs a rotation moves off
-# the computational basis.
+# Random one-qubit factors (``helpers.random_factor``), each drawn from a seed.
 RANDOM_DRAWS = 200
-
-
-def random_factor(rng, shape, env_dim, leak, aligned):
-    w = random_complex(rng, (2 * env_dim, 1))
-    if aligned:
-        u = np.eye(2)[rng.permutation(2)] * np.exp(2j * np.pi * rng.random(2))
-    else:
-        u = random_unitary(rng, 2)
-    v = np.kron(u, w / np.linalg.norm(w))
-    if shape != "product":
-        generic = random_complex(rng, (4 * env_dim, 2))
-        v, _ = np.linalg.qr(v + 10.0**leak * generic if shape == "leaky" else generic)
-    return isometry_to_channel(v, (2,), (2,), (2,), env_dim=env_dim)
 
 
 def near_a_threshold(inst, rep):

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from qid.attacks import ATTACKS, AttackSpec, product_attack, standard_attacks
+from qid.channels import ProductChannel
 from qid.complexity import StructuredProjector, program_projector, proxy_complexity
 from qid.errors import DimensionError, ValidationError
 from qid.operators import ket_bra, operator_norm
@@ -27,6 +29,7 @@ from helpers import (
     DENSE_CASES,
     dense_case_instance,
     random_density,
+    random_factor,
     random_isometry_channel,
     random_projector,
     split_factor_instance,
@@ -173,6 +176,49 @@ class TestCrossNorm:
         assert operator_norm(p.dense() @ q.dense()) == 0.0
 
 
+# Random one- and two-qubit factors on the dense oracle: (qubits, shape) by name.
+RANDOM_DENSE_FACTORS = {
+    f"random{q}_{shape}": (q, shape) for q in (1, 2) for shape in ("product", "generic")
+}
+RANDOM_DENSE_CASES = [(kind, n) for kind, (q, _) in RANDOM_DENSE_FACTORS.items() for n in range(q, 3, q)]
+
+
+def assert_sharp_grid(inst):
+    """Assert the sharp bound and its Kraft step at every grid point of ``inst``; return the points.
+
+    The sharp bound count_B(l) + count_E(m) <= 2^n (1 + 2^((l+m-n)/2)) is the
+    paper's without its +3, decided in integers: with s = count - 2^n, a point
+    holds if s <= 0 or s^2 <= (2^n 2^((l+m-n)/2))^2 = 2^(n+l+m).  Kraft: with
+    the 2^n literal words of length n + 1, at most 2^l words have length <= l.
+    """
+    n = inst.n
+    cats = catalogues_for(inst)
+    for cat in cats:
+        for l in range(n + 2):
+            words = sum(v <= l for v in cat.lengths) + (2**n if l > n else 0)
+            assert words <= 2**l, (inst.channel.label, cat.side, l)
+    prof_b, prof_e = map(proxy_complexity, cats)
+    for l, m in product(range(n + 2), repeat=2):
+        s = prof_b.count(l) + prof_e.count(m) - 2**n
+        assert s <= 0 or s * s <= 2 ** (n + l + m), (inst.channel.label, l, m)
+    return (n + 2) ** 2
+
+
+def sharp_projector(inst, cat, profile, l):
+    """The proof's projector for one side at length l, dense: sum_z |z><z| (x) E_z (x) 1.
+
+    z runs over the messages whose shortest word has length <= l; E_z is
+    z's term of its class's PVM when that word is the class's, else 1 (a literal).
+    """
+    db, de = inst.channel.dim_b, inst.channel.dim_e
+    literal = np.eye(db if cat.side == "B" else de)
+    terms = {msg: literal for msg, length in enumerate(profile.lengths) if length <= l}
+    for cls, length in zip(cat.classes, cat.lengths):
+        if length <= l:
+            terms.update((msg, proj.mat) for msg, proj in zip(cls.members, cls.pvm))
+    return StructuredProjector(inst.n, cat.side, db, de, tuple(terms.items())).dense()
+
+
 class TestBound:
     def test_examples(self):
         assert tradeoff_bound(0, 0, 1) == 6.0
@@ -205,21 +251,57 @@ class TestBound:
                         assert theorem_form(l, m, n) == tradeoff_bound(l - 3, m, n)
 
     def test_sharp_bound_holds_on_the_library(self):
-        # The sharp bound count_B(l) + count_E(m) <= 2^n (1 + 2^((l+m-n)/2)) is the
-        # paper's without its +3, decided in integers: with s = count - 2^n, a
-        # point holds if s <= 0 or s^2 <= (2^n 2^((l+m-n)/2))^2 = 2^(n+l+m).
         points = 0
         for n in range(1, 9):
             specs = standard_attacks(n) + [AttackSpec("intercept_resend_angle", n, {"theta": math.pi / 200})]
             for spec in specs:
-                inst = ProtocolInstance.from_channel(product_attack(spec))
-                prof_b, prof_e = (proxy_complexity(cat) for cat in catalogues_for(inst))
-                for l in range(n + 2):
-                    for m in range(n + 2):
-                        s = prof_b.count(l) + prof_e.count(m) - 2**n
-                        assert s <= 0 or s * s <= 2 ** (n + l + m), (spec.label(), n, l, m)
-                        points += 1
+                points += assert_sharp_grid(ProtocolInstance.from_channel(product_attack(spec)))
         assert points == 8 * sum((n + 2) ** 2 for n in range(1, 9)) == 3040
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_sharp_bound_holds_on_random_factors(self, qubits):
+        # Products give Bob classes (and Eve too on two qubits), generic isometries
+        # give singletons, and leaky ones sit in between; every draw up to N = 8.
+        points = 0
+        for seed, shape in product(range(4), ("product", "generic", "leaky")):
+            rng = np.random.default_rng([qubits, seed])
+            factor = random_factor(rng, shape, 1 + seed % 3, -1.0 - 2 * seed, qubits=qubits)
+            for copies in range(1, 8 // qubits + 1):
+                points += assert_sharp_grid(ProtocolInstance.from_channel(ProductChannel(factor, copies)))
+        assert points == 12 * sum((n + 2) ** 2 for n in range(qubits, 9, qubits))
+
+    def test_sharp_bound_holds_on_the_split_factor(self):
+        # Both sides get classes, so both counts grow below the literal length.
+        split = split_factor_instance().channel.factor
+        for copies in range(1, 5):
+            assert_sharp_grid(ProtocolInstance.from_channel(ProductChannel(split, copies)))
+
+    @pytest.mark.parametrize("kind, n", DENSE_CASES + RANDOM_DENSE_CASES)
+    def test_sharp_bound_steps_on_the_dense_oracle(self, instance, kind, n):
+        # Each step of tradeoff_bound's proof, on the dense global state at N <= 2.
+        if kind.startswith("random"):
+            qubits, shape = RANDOM_DENSE_FACTORS[kind]
+            factor = random_factor(np.random.default_rng(n), shape, 2, -1.0, qubits=qubits)
+            inst = ProtocolInstance.from_channel(ProductChannel(factor, n // qubits))
+        else:
+            inst = dense_case_instance(instance, kind, n)
+        theta = theta_matrix(inst)
+        sides = []
+        for cat in catalogues_for(inst):
+            profile = proxy_complexity(cat)
+            projectors = []
+            for l in range(n + 2):
+                p = sharp_projector(inst, cat, profile, l)
+                np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
+                np.testing.assert_allclose(p @ p, p, atol=1e-9)
+                trace = float(np.trace(theta @ p).real)
+                assert abs(trace - profile.count(l) / 2**n) <= 1e-9, (cat.side, l)
+                projectors.append((p, trace))
+            sides.append(projectors)
+        for (l, (p, trace_p)), (m, (q, trace_q)) in product(*map(enumerate, sides)):
+            norm = operator_norm(p @ q)
+            assert trace_p + trace_q <= 1.0 + norm + 1e-9, (l, m)
+            assert norm <= 2.0 ** ((l + m - n) / 2.0) + 1e-9, (l, m)
 
 
 class TestVerifyTradeoff:
@@ -365,6 +447,16 @@ class TestMutualInformation:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             mutual_information(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("table", [np.full(4, 0.25), np.full((2, 2, 1), 0.25)], ids=["1d", "3d"])
+    def test_rejects_a_table_that_is_not_2d(self, table):
+        with pytest.raises(DimensionError, match="must be 2-D"):
+            mutual_information(table)
+
+    def test_rejects_a_negative_entry(self):
+        # Normalized, so only the sign refuses it.
+        with pytest.raises(ValidationError, match="negative probability -1.000e-01"):
+            mutual_information(np.array([[0.6, -0.1], [0.25, 0.25]]))
 
 
 class TestShannon:
