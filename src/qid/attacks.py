@@ -55,7 +55,7 @@ def _cloner_kraus() -> list[np.ndarray]:
     v[0b111, 1] = a
     v[0b010, 1] = b
     v[0b100, 1] = b
-    return list(isometry_to_channel(v, (2,), (2,), (2,), env_dim=2).kraus)
+    return list(isometry_to_channel(v, (2,), (2,), (2,)).kraus)
 
 
 def _depolarize_kraus(p: float) -> list[np.ndarray]:

@@ -231,29 +231,21 @@ def vector_marginals(ch: QuantumChannel, psi: np.ndarray):
     return rho_b, rho_e
 
 
-def isometry_to_channel(
-    v,
-    in_dims,
-    out_dims_b,
-    out_dims_e,
-    env_dim: int = 1,
-) -> QuantumChannel:
+def isometry_to_channel(v, in_dims, out_dims_b, out_dims_e) -> QuantumChannel:
     """Channel from an isometry V: H_A -> H_B (x) H_E (x) H_env.
 
-    The environment (last tensor factor) is traced out: the Kraus
-    operators are the environment-basis slices <e_k| V, so ``env_dim``
-    of 1 gives the single-Kraus channel V.
+    The environment (last tensor factor, V's row count over dim(B (x) E))
+    is traced out: the Kraus operators are its basis slices <e_k| V.
     """
     v = as_matrix(v)
     in_dims = tuple(int(d) for d in in_dims)
     in_dim = math.prod(in_dims)
     out_dim = math.prod(out_dims_b) * math.prod(out_dims_e)
-    if v.shape != (out_dim * env_dim, in_dim):
-        raise DimensionError(
-            f"isometry shape {v.shape} != ({out_dim * env_dim}, {in_dim})"
-        )
+    kraus_count, spare = divmod(v.shape[0], out_dim)
+    if kraus_count < 1 or spare or v.shape[1] != in_dim:
+        raise DimensionError(f"isometry shape {v.shape} is not (a positive multiple of {out_dim}, {in_dim})")
     ch = QuantumChannel(
-        kraus=v.reshape(out_dim, env_dim, in_dim).transpose(1, 0, 2),
+        kraus=v.reshape(out_dim, kraus_count, in_dim).transpose(1, 0, 2),
         in_dims=in_dims,
         out_dims_b=tuple(out_dims_b),
         out_dims_e=tuple(out_dims_e),

@@ -66,16 +66,19 @@ class DecoderCatalogue:
 
 @dataclass(frozen=True)
 class ComplexityProfile:
-    """Per-message proxy complexity for one side's state family."""
+    """Per-message proxy complexity for one side's state family: message k's is ``lengths[k]``."""
 
-    n: int
-    side: str
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.lengths) != 2**self.n:
-            raise DimensionError("profile must cover all 2^n messages")
+        size = len(self.lengths)
+        if size < 1 or size & (size - 1):
+            raise DimensionError(f"profile must cover all 2^n messages, got {size}")
         object.__setattr__(self, "lengths", tuple(int(v) for v in self.lengths))
+
+    @property
+    def n(self) -> int:
+        return len(self.lengths).bit_length() - 1
 
     def count(self, l: int) -> int:
         """Number of messages whose proxy complexity is at most l."""
@@ -130,7 +133,7 @@ def proxy_complexity(cat: DecoderCatalogue) -> ComplexityProfile:
     for cls, code_len in zip(cat.classes, cat.lengths):
         for msg in cls.members:
             lengths[msg] = min(lengths[msg], code_len)
-    return ComplexityProfile(n=cat.n, side=cat.side, lengths=tuple(lengths))
+    return ComplexityProfile(tuple(lengths))
 
 
 @dataclass(frozen=True)

@@ -45,38 +45,22 @@ Basis = Literal["Z", "X"]
 Side = Literal["B", "E"]
 
 
-def encode(msg: int, basis: Basis, n: int) -> np.ndarray:
-    """Pure state vector |msg> (Z) or the conjugate-basis |msg-bar> (X)."""
-    msg = int(msg)
-    if not 0 <= msg < 2**n:
-        raise ValidationError(f"message {msg} out of range for n={n}")
+@lru_cache(maxsize=None)
+def basis_table(basis: Basis, n: int) -> np.ndarray:
+    """Read-only (2^n, 2^n) table of the messages' states in ``basis``, built once per (basis, n).
+
+    Row k is |k> for Z and, for X, |k-bar> with entry z (-1)^popcount(k & z) / sqrt(2^n).
+    """
     if basis not in BASES:
         raise ValidationError(f"basis must be one of {BASES}, got {basis!r}")
     dim = 2**n
     if basis == "Z":
-        v = np.zeros(dim, dtype=np.complex128)
-        v[msg] = 1.0
-        return v
-    signs = np.array([(-1) ** ((msg & z).bit_count()) for z in range(dim)], dtype=np.float64)
-    return (signs / math.sqrt(dim)).astype(np.complex128)
-
-
-@lru_cache(maxsize=None)
-def basis_table(basis: Basis, n: int) -> np.ndarray:
-    """Read-only (2^n, 2^n) table whose row k is ``encode(k, basis, n)``, built once per (basis, n)."""
-    table = np.stack([encode(k, basis, n) for k in range(2**n)])
+        table = np.eye(dim, dtype=np.complex128)
+    else:
+        signs = [[(-1) ** ((k & z).bit_count()) for z in range(dim)] for k in range(dim)]
+        table = (np.array(signs, dtype=np.float64) / math.sqrt(dim)).astype(np.complex128)
     table.setflags(write=False)
     return table
-
-
-def epr_state(n: int) -> np.ndarray:
-    """N EPR pairs with all A' factors first, then all A factors."""
-    if n < 1:
-        raise ValidationError("need n >= 1")
-    if 4**n > MAX_DIM:
-        raise CapacityError(f"EPR register of {2 * n} qubits exceeds the dense limit")
-    dim = 2**n
-    return np.eye(dim, dtype=np.complex128).ravel() / math.sqrt(dim)
 
 
 def _verdict_bytes(factor: QuantumChannel, copies: int) -> int:
@@ -226,7 +210,7 @@ class ProtocolInstance:
             raise CapacityError(f"dense global state side {2**n * self.channel.out_dim} > {MAX_DIM}")
         channel = self.kraus_channel
         dim_a = 2**n
-        phi = epr_state(n).reshape(dim_a, dim_a)
+        phi = np.eye(dim_a, dtype=np.complex128) / math.sqrt(dim_a)  # the EPR pairs, A' factors first
         # Row k of w is the vector (1 (x) K_k)|phi>, so theta = sum_k w_k w_k^dag.
         images = phi @ channel.kraus.transpose(0, 2, 1)
         w = images.reshape(len(channel.kraus), dim_a * channel.out_dim)

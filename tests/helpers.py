@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -10,7 +11,7 @@ from qid.channels import isometry_to_channel
 from qid.complexity import ExpectationCheck, cumulative_projector
 from qid.distinguishability import _overlap_table, support_projector
 from qid.operators import DECISION_TOL, SPECTRAL_TOL, VERDICT_TOL, validate_state
-from qid.protocol import ProtocolInstance, epr_state
+from qid.protocol import ProtocolInstance
 
 
 def random_complex(rng, shape):
@@ -46,7 +47,7 @@ def random_isometry_channel(rng, env_dim=3):
     any mixed-up axis in a Kraus contraction show.
     """
     v, _ = np.linalg.qr(random_complex(rng, (6 * env_dim, 4)))
-    return isometry_to_channel(v, (2, 2), (2,), (3,), env_dim=env_dim)
+    return isometry_to_channel(v, (2, 2), (2,), (3,))
 
 
 def random_factor(rng, shape, env_dim, leak, aligned=False, qubits=1):
@@ -72,7 +73,7 @@ def random_factor(rng, shape, env_dim, leak, aligned=False, qubits=1):
     if shape != "product":
         generic = random_complex(rng, (4 * env_dim, 2**qubits))
         v, _ = np.linalg.qr(v + 10.0**leak * generic if shape == "leaky" else generic)
-    return isometry_to_channel(v, (2,) * qubits, (2,), (2,), env_dim=env_dim)
+    return isometry_to_channel(v, (2,) * qubits, (2,), (2,))
 
 
 def near_threshold(states):
@@ -154,10 +155,17 @@ def expectation_at_level(inst, cat, l, theta):
     return ExpectationCheck(cat.side, l, lhs, lhs_dense, rhs, agree)
 
 
+def epr_register(n):
+    """N Bell pairs (|00> + |11>) / sqrt(2), Kronecker-multiplied, with the A' qubits then gathered first."""
+    bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
+    pairs = reduce(np.kron, [bell] * n).reshape((2,) * (2 * n))  # qubits A'1 A1 A'2 A2 ...
+    return pairs.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).ravel()
+
+
 def theta_oracle(inst):
     """The dense global state sum_k w_k w_k^dag, where w_k = (1 (x) K_k)|phi> on A' (x) B (x) E."""
     n = inst.n
-    phi = epr_state(n)
+    phi = epr_register(n)
     theta = 0
     for kraus in inst.kraus_channel.kraus:
         w = np.kron(np.eye(2**n), kraus) @ phi

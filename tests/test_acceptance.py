@@ -14,7 +14,7 @@ from qid.attacks import ATTACKS, product_attack, standard_attacks
 from qid.cli import main as cli_main
 from qid.complexity import expectation_identity_check, program_projector, proxy_complexity
 from qid.operators import ket_bra, operator_norm
-from qid.protocol import ProtocolInstance, encode, equivalence_check, theta_matrix
+from qid.protocol import ProtocolInstance, basis_table, equivalence_check, theta_matrix
 from qid.tradeoff import (
     catalogues_for,
     corollary_threshold,
@@ -40,9 +40,9 @@ def test_criterion_01_conjugate_overlap():
     for n in range(1, 5):
         expected = 2.0**-n
         for x in range(2**n):
-            xx = ket_bra(encode(x, "X", n))
+            xx = ket_bra(basis_table("X", n)[x])
             for z in range(2**n):
-                norm = operator_norm(xx @ ket_bra(encode(z, "Z", n)) @ xx)
+                norm = operator_norm(xx @ ket_bra(basis_table("Z", n)[z]) @ xx)
                 worst = max(worst, abs(norm - expected))
     verdict(
         1,
@@ -120,7 +120,7 @@ def test_criterion_04_landau_pollak_suite():
 
     psi = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)], dtype=complex)
     lp = landau_pollak_check(
-        [ket_bra(encode(0, "Z", 1)), ket_bra(encode(0, "X", 1))], ket_bra(psi)
+        [ket_bra(basis_table("Z", 1)[0]), ket_bra(basis_table("X", 1)[0])], ket_bra(psi)
     )
     bisect_ok = abs(lp.lhs - 1.7071) < 1e-4 and abs(lp.rhs - 2.0) < 1e-6
     bisect_ok = bisect_ok and abs(lp.lhs - (1.0 + math.sqrt(0.5))) < 1e-6
@@ -201,7 +201,7 @@ def test_criterion_08_no_cloning_scenario():
     # brute-force density-matrix oracles behind the profile values
     cnot = _instance("cnot_probe", n)
     oracle_ok = all(
-        np.max(np.abs(cnot.rho_b[z] - ket_bra(encode(z, "Z", n)))) < 1e-10
+        np.max(np.abs(cnot.rho_b[z] - ket_bra(basis_table("Z", n)[z]))) < 1e-10
         for z in range(2**n)
     )
     oracle_ok = oracle_ok and all(

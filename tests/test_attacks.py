@@ -9,13 +9,13 @@ from qid.attacks import ATTACKS, AttackSpec, make_attack, product_attack, standa
 from qid.channels import validate_channel, vector_marginals
 from qid.errors import CapacityError, ValidationError
 from qid.operators import tensor
-from qid.protocol import encode
+from qid.protocol import basis_table
 
 from helpers import permutation_matrix
 
 
 def marginals(channel, msg, basis, n):
-    return vector_marginals(channel, encode(msg, basis, n))
+    return vector_marginals(channel, basis_table(basis, n)[msg])
 
 
 class TestAttackSpec:
@@ -68,12 +68,12 @@ class TestSingleQubitOracles:
         ch = channel("universal_cloner", 1)
         for z in (0, 1):
             b, e = marginals(ch, z, "Z", 1)
-            ket = encode(z, "Z", 1)
+            ket = basis_table("Z", 1)[z]
             assert abs(ket.conj() @ b @ ket - 5.0 / 6.0) < 1e-12
             np.testing.assert_allclose(b, e, atol=1e-12)
         for x in (0, 1):
             b, e = marginals(ch, x, "X", 1)
-            ket = encode(x, "X", 1)
+            ket = basis_table("X", 1)[x]
             assert abs(ket.conj() @ e @ ket - 5.0 / 6.0) < 1e-12
 
     def test_cloner_sides_symmetric_in_trace_distance(self, channel):
@@ -181,7 +181,7 @@ def literal_kraus(kind, p=None, theta=None):
     if kind == "measure_z":
         return [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0, 1]]]
     if kind == "measure_x":
-        r = 1 / math.sqrt(2)  # encode's X amplitude; r * r is 0.4999999999999999
+        r = 1 / math.sqrt(2)  # basis_table's X amplitude; r * r is 0.4999999999999999
         h = r * r
         return [[[h, h], [0, 0], [h, h], [0, 0]], [[0, 0], [h, -h], [0, 0], [-h, h]]]
     if kind == "cnot_probe":

@@ -13,10 +13,11 @@ from qid.channels import (
 )
 from qid.errors import DimensionError, ValidationError
 from qid.operators import ket_bra, tensor
-from qid.protocol import ProtocolInstance, encode, epr_state, equivalence_check, theta_matrix
+from qid.protocol import ProtocolInstance, basis_table, equivalence_check, theta_matrix
 
 from helpers import (
     apply_kraus,
+    epr_register,
     pairs,
     partial_trace,
     random_complex,
@@ -33,7 +34,7 @@ class TestApplyChannel:
     def test_identity_attack_appends_fixed_environment(self, channel):
         ch = channel("identity", 1)
         out = apply_kraus(ch, np.diag([1.0, 0.0]))
-        expected = tensor(np.diag([1.0, 0.0]), ket_bra(encode(0, "Z", 1)))
+        expected = tensor(np.diag([1.0, 0.0]), ket_bra(basis_table("Z", 1)[0]))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_cnot_probe_makes_bell_pair_from_conjugate_input(self, channel):
@@ -52,7 +53,7 @@ class TestApplyChannel:
         for _ in range(5):
             rho = random_density(rng, 2)
             out = apply_kraus(full, rho)
-            expected = tensor(np.eye(2) / 2, ket_bra(encode(0, "Z", 1)))
+            expected = tensor(np.eye(2) / 2, ket_bra(basis_table("Z", 1)[0]))
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_trace_preserved_on_random_states(self, channel):
@@ -105,24 +106,33 @@ class TestIsometryToChannel:
 
     def test_cnot_with_appended_ancilla(self):
         # V = CNOT composed with |0> append: |a> -> |a, a>.
-        v = sum(ket_bra(np.kron(k, k), k) for k in (encode(a, "Z", 1) for a in (0, 1)))
+        v = sum(ket_bra(np.kron(k, k), k) for k in basis_table("Z", 1))
         ch = isometry_to_channel(v, (2,), (2,), (2,))
         assert len(ch.kraus) == 1
         validate_channel(ch, "cnot with ancilla")
 
     def test_environment_slicing_gives_kraus_family(self):
         # Same isometry, now declaring the copy as a traced environment.
-        v = sum(ket_bra(np.kron(k, k), k) for k in (encode(a, "Z", 1) for a in (0, 1)))
-        ch = isometry_to_channel(v, (2,), (2,), (), env_dim=2)
+        v = sum(ket_bra(np.kron(k, k), k) for k in basis_table("Z", 1))
+        ch = isometry_to_channel(v, (2,), (2,), ())
         assert len(ch.kraus) == 2
         validate_channel(ch, "cnot with traced copy")
         out = apply_kraus(ch, ket_bra(np.array([1, 1]) / np.sqrt(2)))
         np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-12)
 
-    def test_rejects_a_shape_that_does_not_match_the_dims(self):
-        # A (4, 2) isometry cannot map one qubit to B (x) E (x) a 2-dim environment (8 rows).
-        with pytest.raises(DimensionError, match=re.escape("isometry shape (4, 2) != (8, 2)")):
-            isometry_to_channel(np.eye(4, 2), (2,), (2,), (2,), env_dim=2)
+    @pytest.mark.parametrize("shape", [(6, 2), (0, 2), (8, 4)])
+    def test_rejects_a_shape_that_does_not_match_the_dims(self, shape):
+        # One qubit into B (x) E (x) an environment needs a positive multiple of 4 rows and 2 columns.
+        expected = f"isometry shape {shape} is not (a positive multiple of 4, 2)"
+        with pytest.raises(DimensionError, match=re.escape(expected)):
+            isometry_to_channel(np.eye(*shape), (2,), (2,), (2,))
+
+    def test_environment_size_is_the_row_count_over_the_output_dims(self):
+        # The cloner's 8 rows over B (x) E's 4 leave a 2-dim environment: 2 Kraus operators.
+        v = np.zeros((8, 2))
+        v[0, 0] = v[7, 1] = 1.0
+        ch = isometry_to_channel(v, (2,), (2,), (2,))
+        assert ch.kraus.shape == (2, 4, 2)
 
     def test_rejects_non_isometry(self):
         with pytest.raises(ValidationError):
@@ -134,7 +144,7 @@ class TestIsometryToChannel:
         v[0, 0] = 1.0
         v[3, 1] = np.sqrt(0.9)
         with pytest.raises(ValidationError, match="isometry fails Kraus completeness by 1.000e-01"):
-            isometry_to_channel(v, (2,), (2,), (), env_dim=2)
+            isometry_to_channel(v, (2,), (2,), ())
 
 
 class TestValidateChannel:
@@ -200,7 +210,7 @@ def test_library_outputs_are_valid_states(instance):
         for spec in standard_attacks(n):
             inst = instance(spec.kind, n)
             for z in range(2**n):
-                state = apply_channel_to_vector_raw(inst.kraus_channel, encode(z, "Z", n))
+                state = apply_channel_to_vector_raw(inst.kraus_channel, basis_table("Z", n)[z])
                 validate_state(state)
 
 
@@ -282,7 +292,7 @@ class TestStackedKraus:
 
     def test_theta_matrix(self, stacked):
         n = len(stacked.in_dims)
-        phi = epr_state(n).reshape(2**n, 2**n)
+        phi = epr_register(n).reshape(2**n, 2**n)
         vecs = [(phi @ k.T).ravel() for k in stacked.kraus]
         expected = sum(np.outer(w, np.conj(w)) for w in vecs)
         inst = ProtocolInstance.from_channel(stacked)
@@ -292,7 +302,7 @@ class TestStackedKraus:
         n = len(stacked.in_dims)
         for basis in ("Z", "X"):
             for msg in range(2**n):
-                probe = encode(msg, basis, n)
+                probe = basis_table(basis, n)[msg]
                 expected = sum(np.outer(k @ probe, np.conj(k @ probe)) for k in stacked.kraus)
                 np.testing.assert_allclose(
                     apply_channel_to_vector_raw(stacked, probe), expected, rtol=0, atol=1e-14

@@ -739,6 +739,55 @@ class TestWriter:
         assert out.exists() == (outcome != "capacity")
         assert_no_child_left()
 
+    @pytest.mark.parametrize(
+        "command, n_values, attacks",
+        [("simulate", None, ALL_ATTACKS[:5]), ("sweep", [1, 2, 3], ALL_ATTACKS)],
+        ids=["simulate_5_jobs", "sweep_21_jobs"],
+    )
+    def test_a_run_forks_one_writer_whatever_its_job_count(
+        self, tmp_path, monkeypatch, command, n_values, attacks
+    ):
+        real_fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        sweep = {"sweep": {"n_values": n_values}} if n_values else {}
+        cfg = write_config(tmp_path / "cfg.json", attacks=attacks, **sweep)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len(list(out.iterdir())) == 4 * len(attacks) * len(n_values or [1])
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_writer_that_cannot_start_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        real_pipe, pipes = os.pipe, []
+
+        def recorded_pipe():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable (simulated)")
+
+        monkeypatch.setattr(os, "pipe", recorded_pipe)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VIOLATION
+        err = capsys.readouterr().err
+        assert err == (
+            "error: cannot start the artifact writer: "
+            "[Errno 11] Resource temporarily unavailable (simulated)\n"
+        )
+        assert not out.exists()
+        assert len(pipes) == 1
+        for fd in pipes[0]:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
 
 def test_exit_status_reflects_violations(tmp_path, monkeypatch):
     # force a failing verdict to confirm the violation exit path

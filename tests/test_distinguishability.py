@@ -242,10 +242,10 @@ def random_factors(in_qubits):
         for _ in range(3):
             w = random_complex(rng, (2 * env_dim, 1))
             v = np.kron(random_unitary(rng, d), w / np.linalg.norm(w))
-            yield isometry_to_channel(v, (2,) * in_qubits, (d,), (2,), env_dim=env_dim)
+            yield isometry_to_channel(v, (2,) * in_qubits, (d,), (2,))
             if in_qubits == 1:
                 v, _ = np.linalg.qr(random_complex(rng, (4 * env_dim, 2)))
-                yield isometry_to_channel(v, (2,), (2,), (2,), env_dim=env_dim)
+                yield isometry_to_channel(v, (2,), (2,), (2,))
             else:
                 yield random_isometry_channel(rng, env_dim)
 

@@ -10,7 +10,7 @@ from qid.operators import (
     tensor,
     validate_state,
 )
-from qid.protocol import encode
+from qid.protocol import basis_table
 
 from helpers import partial_trace, permutation_matrix, random_complex, random_projector
 
@@ -22,11 +22,11 @@ class TestTensor:
         np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_basis_ordering(self):
-        out = tensor(ket_bra(encode(0, "Z", 1)), ket_bra(encode(1, "Z", 1)))
+        out = tensor(ket_bra(basis_table("Z", 1)[0]), ket_bra(basis_table("Z", 1)[1]))
         np.testing.assert_array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_hadamard_pair_gives_uniform_amplitudes(self):
-        state = tensor(HADAMARD, HADAMARD) @ encode(0, "Z", 2).reshape(4, 1)
+        state = tensor(HADAMARD, HADAMARD) @ basis_table("Z", 2)[0].reshape(4, 1)
         np.testing.assert_allclose(state.ravel(), np.full(4, 0.5))
 
     def test_associativity_is_exact(self):

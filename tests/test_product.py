@@ -29,7 +29,7 @@ from qid.channels import (
 from qid.distinguishability import _overlap_table, support_projector
 from qid.errors import CapacityError, DimensionError, ValidationError
 from qid.operators import ket_bra
-from qid.protocol import ProtocolInstance, encode, equivalence_check, theta_matrix
+from qid.protocol import ProtocolInstance, basis_table, equivalence_check, theta_matrix
 from qid.tradeoff import (
     mutual_information,
     outcome_distribution,
@@ -332,7 +332,7 @@ class TestTables:
                         assert table.shape == (2**n, 2**n)
                         for msg, rho in enumerate(states):
                             for k in range(2**n):
-                                m = ket_bra(encode(k, measured, n))
+                                m = ket_bra(basis_table(measured, n)[k])
                                 expected = np.trace(rho @ m).real / 2**n
                                 assert abs(table[msg, k] - expected) <= 1e-15, (kind, n, k)
 
@@ -363,7 +363,7 @@ def test_random_isometry_factors_match_dense_oracle(seed, env_dim, n, unentangle
         v = np.kron(random_unitary(rng, 2), w / np.linalg.norm(w))
     else:
         v, _ = np.linalg.qr(random_complex(rng, (4 * env_dim, 2)))
-    factor = isometry_to_channel(v, (2,), (2,), (2,), env_dim=env_dim)
+    factor = isometry_to_channel(v, (2,), (2,), (2,))
     product = ProductChannel(factor, n, "random")
     fast = ProtocolInstance.from_channel(product)
     dense = ProtocolInstance.from_channel(dense_channel(product))
@@ -423,7 +423,7 @@ class TestShannonOnTheFactor:
         dim, env_dim = 2**qubits, 2
         v, _ = np.linalg.qr(random_complex(rng, (dim * dim * env_dim, dim)))
         dims = (2,) * qubits
-        factor = isometry_to_channel(v, dims, dims, dims, env_dim=env_dim)
+        factor = isometry_to_channel(v, dims, dims, dims)
         inst = ProtocolInstance.from_channel(ProductChannel(factor, copies))
         assert_same_shannon(inst, "Z")
         # A random factor's X-read values can lie within round-off of a

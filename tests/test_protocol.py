@@ -9,51 +9,54 @@ import qid.protocol as protocol
 from qid.protocol import (
     ProtocolInstance,
     basis_table,
-    encode,
-    epr_state,
     equivalence_check,
     theta_matrix,
 )
 
-from helpers import apply_kraus, partial_trace, theta_oracle
+from helpers import apply_kraus, epr_register, partial_trace, theta_oracle
 
 
-class TestEncode:
+class TestMessageStates:
+    """The rows of ``basis_table``: |k> for Z, the conjugate |k-bar> for X."""
+
     def test_z_basis_is_computational(self):
-        np.testing.assert_array_equal(encode(0, "Z", 1), [1, 0])
-        np.testing.assert_array_equal(encode(5, "Z", 3), np.eye(8)[5])
+        np.testing.assert_array_equal(basis_table("Z", 1)[0], [1, 0])
+        np.testing.assert_array_equal(basis_table("Z", 3)[5], np.eye(8)[5])
 
     def test_x_basis_single_qubit(self):
-        np.testing.assert_allclose(encode(0, "X", 1), np.array([1, 1]) / np.sqrt(2))
-        np.testing.assert_allclose(encode(1, "X", 1), np.array([1, -1]) / np.sqrt(2))
+        np.testing.assert_allclose(basis_table("X", 1)[0], np.array([1, 1]) / np.sqrt(2))
+        np.testing.assert_allclose(basis_table("X", 1)[1], np.array([1, -1]) / np.sqrt(2))
 
     def test_x_basis_two_qubits_matches_kronecker_oracle(self):
-        oracle = np.kron(encode(1, "X", 1), encode(0, "X", 1))
-        np.testing.assert_allclose(encode(2, "X", 2), oracle, atol=1e-15)
+        oracle = np.kron(basis_table("X", 1)[1], basis_table("X", 1)[0])
+        np.testing.assert_allclose(basis_table("X", 2)[2], oracle, atol=1e-15)
 
     def test_unit_norm(self):
-        for msg in range(8):
-            for basis in ("Z", "X"):
-                assert abs(np.linalg.norm(encode(msg, basis, 3)) - 1.0) < 1e-12
-
-    def test_message_range_enforced(self):
-        with pytest.raises(ValidationError):
-            encode(4, "Z", 2)
+        for basis in ("Z", "X"):
+            for row in basis_table(basis, 3):
+                assert abs(np.linalg.norm(row) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("basis", ["Y", "z", ""])
     def test_rejects_a_basis_other_than_z_or_x(self, basis):
         with pytest.raises(ValidationError, match="basis must be one of"):
-            encode(0, basis, 1)
+            basis_table(basis, 1)
 
 
 class TestBasisTable:
     @pytest.mark.parametrize("basis", ["Z", "X"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_rows_are_the_encoded_messages(self, basis, n):
+    def test_every_entry_is_the_sign_over_the_root(self, basis, n):
+        # Entry (k, z) is exactly 1 or 0 for Z, and (-1)^|k & z| / sqrt(2^n) for X.
+        dim = 2**n
+        k, z = np.indices((dim, dim))
+        if basis == "Z":
+            expected = (k == z).astype(np.complex128)
+        else:
+            parity = np.vectorize(lambda m: bin(m).count("1") % 2)(k & z)
+            expected = ((1.0 - 2.0 * parity) / np.sqrt(dim)).astype(np.complex128)
         table = basis_table(basis, n)
-        assert table.shape == (2**n, 2**n)
-        for k in range(2**n):
-            np.testing.assert_array_equal(table[k], encode(k, basis, n))
+        assert table.dtype == np.complex128
+        np.testing.assert_array_equal(table, expected)
 
     def test_one_read_only_table_per_basis_and_n(self):
         table = basis_table("X", 2)
@@ -63,32 +66,32 @@ class TestBasisTable:
             table[0, 0] = 0.0
 
 
-class TestEprState:
+class TestEprRegister:
+    """The oracle's EPR register, and the package's one inside Θ."""
+
     def test_single_pair(self):
-        np.testing.assert_allclose(epr_state(1), np.array([1, 0, 0, 1]) / np.sqrt(2))
+        np.testing.assert_allclose(epr_register(1), np.array([1, 0, 0, 1]) / np.sqrt(2))
 
     def test_reduction_is_maximally_mixed(self):
         for n in (1, 2):
-            rho = ket_bra(epr_state(n))
+            rho = ket_bra(epr_register(n))
             reduced = partial_trace(rho, (2**n, 2**n), keep=[0])
             np.testing.assert_allclose(reduced, np.eye(2**n) / 2**n, atol=1e-12)
 
     def test_overlap_table(self):
         # <phi^2| (|z> tensor |z'>) = delta_{zz'} / 2 by direct summation.
-        phi = epr_state(2)
-        for z in range(4):
-            for zp in range(4):
-                probe = np.kron(encode(z, "Z", 2), encode(zp, "Z", 2))
+        phi = epr_register(2)
+        for z, ket in enumerate(basis_table("Z", 2)):
+            for zp, ket_p in enumerate(basis_table("Z", 2)):
                 expected = 0.5 if z == zp else 0.0
-                assert abs(np.vdot(phi, probe) - expected) < 1e-12
+                assert abs(np.vdot(phi, np.kron(ket, ket_p)) - expected) < 1e-12
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            epr_state(7)
-
-    def test_rejects_zero_pairs(self):
-        with pytest.raises(ValidationError, match="n >= 1"):
-            epr_state(0)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_identity_attack_hands_the_register_to_a_prime_and_b(self, instance, n):
+        inst = instance("identity", n)
+        dims = (2**n, inst.channel.dim_b, inst.channel.dim_e)
+        a_b = partial_trace(theta_matrix(inst), dims, keep=[0, 1])
+        np.testing.assert_allclose(a_b, ket_bra(epr_register(n)), rtol=0, atol=1e-15)
 
 
 class TestInstanceCaches:
@@ -99,7 +102,7 @@ class TestInstanceCaches:
     def test_identity_hands_bob_the_message(self, instance):
         inst = instance("identity", 2)
         for z in range(4):
-            np.testing.assert_allclose(inst.rho_b[z], ket_bra(encode(z, "Z", 2)), atol=1e-12)
+            np.testing.assert_allclose(inst.rho_b[z], ket_bra(basis_table("Z", 2)[z]), atol=1e-12)
 
     def test_measure_x_blinds_bob(self, instance):
         inst = instance("measure_x", 2)
@@ -138,7 +141,7 @@ def test_equality_is_identity_and_hashing_works(part):
 class TestGlobalState:
     def test_identity_attack_theta_is_epr_with_fixed_environment(self, instance):
         inst = instance("identity", 1)
-        expected = np.kron(ket_bra(epr_state(1)), ket_bra(encode(0, "Z", 1)))
+        expected = np.kron(ket_bra(epr_register(1)), ket_bra(basis_table("Z", 1)[0]))
         np.testing.assert_allclose(theta_matrix(inst), expected, atol=1e-12)
 
     def test_cnot_probe_gives_ghz(self, instance):
@@ -195,14 +198,14 @@ class TestAposteriori:
 
     def test_structured_state_is_channel_output(self, instance):
         ch = instance("universal_cloner", 1).kraus_channel
-        state = apply_channel_to_vector_raw(ch, encode(1, "Z", 1))
-        ref = apply_kraus(ch, ket_bra(encode(1, "Z", 1)))
+        state = apply_channel_to_vector_raw(ch, basis_table("Z", 1)[1])
+        ref = apply_kraus(ch, ket_bra(basis_table("Z", 1)[1]))
         np.testing.assert_allclose(state, ref, rtol=0, atol=1e-15)
 
     def test_x_restriction_is_eve_cache(self, instance):
         inst = instance("measure_z", 2)
         for x in range(4):
-            state = apply_channel_to_vector_raw(inst.kraus_channel, encode(x, "X", 2))
+            state = apply_channel_to_vector_raw(inst.kraus_channel, basis_table("X", 2)[x])
             np.testing.assert_allclose(
                 partial_trace(state, (2,) * 4, [2, 3]), inst.sigma_e[x], atol=1e-12
             )
@@ -214,8 +217,8 @@ class TestMixtureIdentity:
         for spec in standard_attacks(2):
             inst = instance(spec.kind, 2)
             ch = inst.kraus_channel
-            avg_z = sum(apply_channel_to_vector_raw(ch, encode(z, "Z", 2)) for z in range(4)) / 4
-            avg_x = sum(apply_channel_to_vector_raw(ch, encode(x, "X", 2)) for x in range(4)) / 4
+            avg_z = sum(apply_channel_to_vector_raw(ch, basis_table("Z", 2)[z]) for z in range(4)) / 4
+            avg_x = sum(apply_channel_to_vector_raw(ch, basis_table("X", 2)[x]) for x in range(4)) / 4
             np.testing.assert_allclose(avg_z, avg_x, atol=1e-9)
 
 

@@ -10,7 +10,7 @@ from qid.channels import ProductChannel
 from qid.complexity import StructuredProjector, program_projector, proxy_complexity
 from qid.errors import DimensionError, ValidationError
 from qid.operators import ket_bra, operator_norm
-from qid.protocol import ProtocolInstance, encode, theta_matrix
+from qid.protocol import ProtocolInstance, basis_table, theta_matrix
 from qid.tradeoff import (
     LPRecord,
     average_complexity_check,
@@ -52,8 +52,8 @@ class TestLandauPollak:
     def test_bisecting_angle_closed_form(self):
         # 1-qubit trigonometry oracle: projectors on |0> and |+> probed
         # at the bisecting angle pi/8 give lhs 2cos^2(pi/8), rhs 2.
-        p0 = ket_bra(encode(0, "Z", 1))
-        pplus = ket_bra(encode(0, "X", 1))
+        p0 = ket_bra(basis_table("Z", 1)[0])
+        pplus = ket_bra(basis_table("X", 1)[0])
         psi = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)], dtype=complex)
         lp = landau_pollak_check([p0, pplus], ket_bra(psi))
         assert abs(lp.lhs - 2 * math.cos(math.pi / 8) ** 2) < 1e-12
@@ -98,8 +98,8 @@ class TestLandauPollak:
 
     def test_conjugate_pair_on_the_mixed_state(self):
         # ||P0 P+||^2 = 1/2 for each ordered pair: rhs 1 + sqrt(1) = 2, lhs 1/2 + 1/2.
-        p0 = ket_bra(encode(0, "Z", 1))
-        pplus = ket_bra(encode(0, "X", 1))
+        p0 = ket_bra(basis_table("Z", 1)[0])
+        pplus = ket_bra(basis_table("X", 1)[0])
         lp = landau_pollak_check([p0, pplus], np.eye(2) / 2)
         assert lp.lhs == pytest.approx(1.0, abs=1e-12)
         assert lp.rhs == pytest.approx(2.0, abs=1e-12)
@@ -125,17 +125,17 @@ class TestConjugateOverlap:
     def test_equals_two_to_minus_n(self, n):
         expected = 2.0**-n
         for x in range(2**n):
-            xx = ket_bra(encode(x, "X", n))
+            xx = ket_bra(basis_table("X", n)[x])
             for z in range(2**n):
-                norm = operator_norm(xx @ ket_bra(encode(z, "Z", n)) @ xx)
+                norm = operator_norm(xx @ ket_bra(basis_table("Z", n)[z]) @ xx)
                 assert abs(norm - expected) < 1e-12
 
     def test_consistent_with_squared_inner_product(self):
         for x in range(4):
-            xx = ket_bra(encode(x, "X", 2))
+            xx = ket_bra(basis_table("X", 2)[x])
             for z in range(4):
-                ip = abs(np.vdot(encode(x, "X", 2), encode(z, "Z", 2))) ** 2
-                assert abs(operator_norm(xx @ ket_bra(encode(z, "Z", 2)) @ xx) - ip) < 1e-12
+                ip = abs(np.vdot(basis_table("X", 2)[x], basis_table("Z", 2)[z])) ** 2
+                assert abs(operator_norm(xx @ ket_bra(basis_table("Z", 2)[z]) @ xx) - ip) < 1e-12
 
 
 class TestCrossNorm:
