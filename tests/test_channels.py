@@ -112,7 +112,7 @@ class TestIsometryToChannel:
         validate_channel(ch, "cnot with ancilla")
 
     def test_environment_slicing_gives_kraus_family(self):
-        # Same isometry, now declaring the copy as a traced environment.
+        # Same isometry, now declaring the copy as a traced environment: 4 rows over dim(B) = 2.
         v = sum(ket_bra(np.kron(k, k), k) for k in basis_table("Z", 1))
         ch = isometry_to_channel(v, (2,), (2,), ())
         assert len(ch.kraus) == 2
@@ -126,13 +126,6 @@ class TestIsometryToChannel:
         expected = f"isometry shape {shape} is not (a positive multiple of 4, 2)"
         with pytest.raises(DimensionError, match=re.escape(expected)):
             isometry_to_channel(np.eye(*shape), (2,), (2,), (2,))
-
-    def test_environment_size_is_the_row_count_over_the_output_dims(self):
-        # The cloner's 8 rows over B (x) E's 4 leave a 2-dim environment: 2 Kraus operators.
-        v = np.zeros((8, 2))
-        v[0, 0] = v[7, 1] = 1.0
-        ch = isometry_to_channel(v, (2,), (2,), (2,))
-        assert ch.kraus.shape == (2, 4, 2)
 
     def test_rejects_non_isometry(self):
         with pytest.raises(ValidationError):
